@@ -51,6 +51,10 @@ func BenchmarkFig16StrongRHG(b *testing.B) { benchreg.Group(b, "Fig16StrongRHG")
 func BenchmarkFig17WeakRMAT(b *testing.B)   { benchreg.Group(b, "Fig17WeakRMAT") }
 func BenchmarkFig18StrongRMAT(b *testing.B) { benchreg.Group(b, "Fig18StrongRMAT") }
 
+// --- R-MAT alias-table sampler: per-edge draw and table build ---
+
+func BenchmarkRMAT(b *testing.B) { benchreg.Group(b, "RMAT") }
+
 // --- Undirected triangular streamers (no per-pair buffering) ---
 
 func BenchmarkStreamUndirected(b *testing.B) { benchreg.Group(b, "StreamUndirected") }

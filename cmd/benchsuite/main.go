@@ -2,8 +2,7 @@
 //
 // In its default mode it regenerates every figure of §8 (Figs. 6-18) as
 // CSV-like series tables; see internal/experiments for the sweep
-// definitions and EXPERIMENTS.md for the recorded paper-vs-measured
-// comparison.
+// definitions.
 //
 // With -bench it instead executes the per-configuration micro-benchmarks
 // of bench_test.go (shared via internal/benchreg) through

@@ -74,6 +74,9 @@ func TestGoldenStreams(t *testing.T) {
 		{"gnm_undirected", NewGNMStreamer(500, 2000, false, opt), 4000, 0x0ea16647178254c1},
 		{"gnp_undirected", NewGNPStreamer(500, 0.01, false, opt), 2496, 0xf9a7284063168c29},
 		{"sbm", NewSBMStreamer(500, 2, 0.05, 0.005, opt), 6872, 0x078072506fcc5f45},
+		// Edge-index order; scale 14 = two full-table draws + a 2-level
+		// remainder (rmat instance version 2).
+		{"rmat", NewRMATStreamer(14, 3000, opt), 3000, 0x5760282d05a95283},
 	}
 	for _, c := range cases {
 		count, hash := streamDigest(t, c.s)
@@ -104,7 +107,12 @@ func TestGoldenInstances(t *testing.T) {
 		{"rhg", func() (*EdgeList, error) { return RHG(400, 8, 2.8, opt) }, 0xe49e4820becb8eed},
 		{"srhg", func() (*EdgeList, error) { return SRHG(400, 8, 2.8, opt) }, 0x8122a4d747ef66cd},
 		{"ba", func() (*EdgeList, error) { return BA(500, 3, opt) }, 0x713b03e34a83f171},
-		{"rmat", func() (*EdgeList, error) { return RMAT(9, 2000, opt) }, 0xa199dae0d3a46ba8},
+		// Re-pinned with rmat instance version 2: the multi-level alias-table
+		// sampler draws one Uint64 per 6 levels where version 1 drew one
+		// Float64 per level, so (seed, i) names a different edge of the same
+		// distribution (internal/rmat's equivalence tests; DESIGN.md
+		// "Linear-work R-MAT").
+		{"rmat", func() (*EdgeList, error) { return RMAT(9, 2000, opt) }, 0x78418b87e6b31e39},
 		{"sbm", func() (*EdgeList, error) { return SBM(500, 2, 0.05, 0.005, opt) }, 0x7aac482c42e28ecd},
 	}
 	for _, c := range cases {

@@ -283,7 +283,26 @@ func All() []Case {
 		}
 	}
 
-	// --- Figures 17/18: R-MAT weak and strong scaling ---
+	// --- Figures 17/18: R-MAT weak and strong scaling. The alias tables
+	// belong to set-up (one build per streamer, shared by all its chunks),
+	// so rmatWarm builds them before the timed loop. ---
+	rmatWarm := func(b *testing.B, p rmat.Params) *rmat.Generator {
+		g := rmat.NewGenerator(p)
+		if _, err := g.Edge(0); err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	rmatChunk := func(b *testing.B, p rmat.Params, chunk uint64) {
+		g := rmatWarm(b, p)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := g.GenerateChunk(chunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	{
 		const perPE = 1 << 14
 		for _, P := range []uint64{1, 16, 256} {
@@ -294,11 +313,7 @@ func All() []Case {
 				for (uint64(1) << scale) < m/16 {
 					scale++
 				}
-				p := rmat.Params{Scale: scale, M: m, Seed: 1, Chunks: P}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rmat.GenerateChunk(p, P/2)
-				}
+				rmatChunk(b, rmat.Params{Scale: scale, M: m, Seed: 1, Chunks: P}, P/2)
 			})
 		}
 	}
@@ -307,13 +322,35 @@ func All() []Case {
 		for _, P := range []uint64{4, 16, 64, 256} {
 			P := P
 			add(fmt.Sprintf("Fig18StrongRMAT/P=%d", P), func(b *testing.B) {
-				p := rmat.Params{Scale: 16, M: m, Seed: 1, Chunks: P}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rmat.GenerateChunk(p, P/2)
-				}
+				rmatChunk(b, rmat.Params{Scale: 16, M: m, Seed: 1, Chunks: P}, P/2)
 			})
 		}
+	}
+
+	// The two costs the chunk rows above are made of: one edge at the
+	// benchmark workload's scale (3 full-table draws + a 4-level remainder)
+	// and the once-per-streamer table build.
+	{
+		p := rmat.Params{Scale: 22, M: 1 << 22, Seed: 1}
+		add("RMAT/edge/scale=22", func(b *testing.B) {
+			g := rmatWarm(b, p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				e, _ := g.Edge(uint64(i)) // cannot fail once warm
+				sum += e.U ^ e.V
+			}
+			_ = sum
+		})
+		add("RMAT/table-build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := rmat.NewGenerator(p).Edge(0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 
 	// --- Undirected triangular streamers (DESIGN.md "Triangular stream

@@ -2,7 +2,7 @@
 // (§8, Figs. 6-18) at laptop scale and prints the series as CSV-like
 // tables. Absolute numbers differ from the paper (different hardware, PEs
 // simulated by goroutines); the shapes — who wins, scaling slopes,
-// crossovers — are the reproduction target. EXPERIMENTS.md records both.
+// crossovers — are the reproduction target.
 //
 // For the scaling figures the reported per-configuration time is the
 // *simulated parallel time*: the maximum wall time over the logical PEs
@@ -399,8 +399,10 @@ func (r runner) fig17() {
 			for (uint64(1) << scale) < m/16 {
 				scale++
 			}
-			p := rmat.Params{Scale: scale, M: m, Seed: r.Seed, Chunks: P}
-			s := maxChunkSeconds(P, func(pe uint64) { rmat.GenerateChunk(p, pe) })
+			// The first sampled PE also builds the alias tables, as every
+			// real PE would; the sweep's parameters are valid by construction.
+			g := rmat.NewGenerator(rmat.Params{Scale: scale, M: m, Seed: r.Seed, Chunks: P})
+			s := maxChunkSeconds(P, func(pe uint64) { _, _ = g.GenerateChunk(pe) })
 			fmt.Fprintf(r.Out, "%d,%d,%.4f\n", perPE, P, s)
 		}
 	}
@@ -415,8 +417,8 @@ func (r runner) fig18() {
 		"m,P,seconds")
 	for _, m := range ms {
 		for P := uint64(4); P <= 256; P <<= 2 {
-			p := rmat.Params{Scale: 16, M: m, Seed: r.Seed, Chunks: P}
-			s := maxChunkSeconds(P, func(pe uint64) { rmat.GenerateChunk(p, pe) })
+			g := rmat.NewGenerator(rmat.Params{Scale: 16, M: m, Seed: r.Seed, Chunks: P})
+			s := maxChunkSeconds(P, func(pe uint64) { _, _ = g.GenerateChunk(pe) })
 			fmt.Fprintf(r.Out, "%d,%d,%.4f\n", m, P, s)
 		}
 	}

@@ -204,6 +204,37 @@ func TestJobMatchesDirectStream(t *testing.T) {
 	}
 }
 
+// TestShardBytesIndependentOfWorkerSplit: a worker hands one set of
+// write buffers, hashers and gzip state from each of its PEs to the next.
+// A shard written with recycled state (one worker, PEs 1-3) must be
+// byte-identical to the same shard written with fresh state (one worker
+// per PE), and its recorded digests must verify.
+func TestShardBytesIndependentOfWorkerSplit(t *testing.T) {
+	for _, format := range []string{"binary", "text.gz"} {
+		one := Spec{Model: "gnm_undirected", N: 600, M: 4000, Seed: 5,
+			PEs: 4, ChunksPerPE: 3, Workers: 1, Format: format}
+		each := one
+		each.Workers = 4
+		shards := map[uint64][]byte{}
+		for _, spec := range []Spec{each, one} {
+			dir := t.TempDir()
+			if err := Init(dir, spec); err != nil {
+				t.Fatal(err)
+			}
+			runAll(t, dir, spec)
+			if res, err := Verify(dir, VerifyOptions{All: true}); err != nil || !res.OK() {
+				t.Fatalf("%s, %d workers: verify: %v, %+v", format, spec.Workers, err, res)
+			}
+			for pe, b := range readShards(t, dir, spec) {
+				if want, seen := shards[pe]; seen && string(b) != string(want) {
+					t.Errorf("%s: shard %d differs between 4 workers and 1 (%d vs %d bytes)", format, pe, len(want), len(b))
+				}
+				shards[pe] = b
+			}
+		}
+	}
+}
+
 // TestEmptyChunksCheckpointAndResume: a sparse instance over many chunks
 // produces empty chunks; their checkpoints are free (offset unchanged)
 // and resume across them stays byte-identical.
@@ -415,6 +446,48 @@ func TestSpecHashBindsInstanceDefinition(t *testing.T) {
 	if a.Hash() != b.Hash() {
 		t.Error("normalization does not apply before hashing")
 	}
+	// Job IDs and serve cache keys outlive builds: the hash of a model
+	// whose instance definition never changed is what it has always been.
+	if want := "ad2865b911cacb859833a3a285114664773214ed966dd6eeb206ce7521ff8724"; h != want {
+		t.Errorf("gnm_undirected spec hash %s, want %s as before instance versions", h, want)
+	}
+	// rmat moved to instance version 2; its version-1 hash is the old one.
+	r := Spec{Model: "rmat", Scale: 10, M: 2000, Seed: 1, PEs: 2, ChunksPerPE: 2, Workers: 1, Format: "binary"}
+	if want := "d8ed3fd306a2e9649cd16899be06fbfcacc947fa9e434c1c9b3703398ea95f8d"; r.hashAt(1) != want || r.Hash() == want {
+		t.Errorf("rmat spec hash: version 1 %s (want %s), current %s (must differ)", r.hashAt(1), want, r.Hash())
+	}
+}
+
+// TestInstanceVersionRefusesOldManifest: an rmat job directory begun
+// under instance version 1 (the per-level descent) holds shards of a
+// different instance than this build generates. Run and Resume must
+// refuse it, naming the versions, rather than append version-2 chunks to
+// version-1 shards.
+func TestInstanceVersionRefusesOldManifest(t *testing.T) {
+	spec := Spec{Model: "rmat", Scale: 10, M: 2000, Seed: 1, PEs: 2, ChunksPerPE: 2, Workers: 1, Format: "binary"}
+	dir := t.TempDir()
+	if err := Init(dir, spec); err != nil {
+		t.Fatal(err)
+	}
+	old := newManifest(spec, 0)
+	old.SpecHash = spec.hashAt(1)
+	if err := WriteManifest(ManifestPath(dir, 0), old); err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(string, uint64, RunOptions) error{"Run": Run, "Resume": Resume} {
+		err := run(dir, 0, RunOptions{})
+		if err == nil || !strings.Contains(err.Error(), "instance version 1") || !strings.Contains(err.Error(), "version 2") {
+			t.Errorf("%s on a version-1 manifest: %v", name, err)
+		}
+	}
+	if _, err := os.Stat(ShardPath(dir, 0, spec.ShardFormat())); !os.IsNotExist(err) {
+		t.Errorf("a refused run touched the shard: %v", err)
+	}
+	// The same directory without the stale manifest runs fine.
+	if err := os.Remove(ManifestPath(dir, 0)); err != nil {
+		t.Fatal(err)
+	}
+	runAll(t, dir, spec)
 }
 
 func TestResumeRequiresManifest(t *testing.T) {

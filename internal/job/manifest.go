@@ -183,6 +183,12 @@ func readManifest(store storage.Backend, path string, spec Spec) (*Manifest, err
 		return nil, fmt.Errorf("job: corrupt manifest %s: trailing data", path)
 	}
 	if m.SpecHash != spec.Hash() {
+		for v := 1; v < spec.instanceVersion(); v++ {
+			if m.SpecHash == spec.hashAt(v) {
+				return nil, fmt.Errorf("job: manifest %s was written under %s instance version %d, this build generates version %d — the same spec now defines different edges; start the job over in a fresh directory",
+					path, spec.Model, v, spec.instanceVersion())
+			}
+		}
 		return nil, fmt.Errorf("job: manifest %s is bound to spec %.12s…, job spec is %.12s… — refusing to resume against a different instance definition",
 			path, m.SpecHash, spec.Hash())
 	}

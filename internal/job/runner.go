@@ -259,12 +259,13 @@ func runWorker(store storage.Backend, dir string, worker uint64, spec Spec, opts
 		return fmt.Errorf("job: cannot stat manifest %s: %w", mpath, serr)
 	}
 	format := spec.ShardFormat()
+	var bufs shardBufs // PEs run one after another and share one set
 	for i := range manifest.PEs {
 		prog := &manifest.PEs[i]
 		if prog.Done {
 			continue
 		}
-		if err := runPE(store, dir, spec, streamer, format, manifest, mpath, prog, opts, log); err != nil {
+		if err := runPE(store, dir, spec, streamer, format, &bufs, manifest, mpath, prog, opts, log); err != nil {
 			return fmt.Errorf("job: worker %d, PE %d: %w", worker, prog.PE, err)
 		}
 	}
@@ -290,7 +291,7 @@ func Resume(dir string, worker uint64, opts RunOptions) error {
 }
 
 // runPE streams one PE's remaining chunks into its shard.
-func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer, format kagen.Format, manifest *Manifest, mpath string, prog *PEProgress, opts RunOptions, log *slog.Logger) (err error) {
+func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer, format kagen.Format, bufs *shardBufs, manifest *Manifest, mpath string, prog *PEProgress, opts RunOptions, log *slog.Logger) (err error) {
 	first, count := spec.ChunkRange(prog.PE)
 	path := ShardPath(dir, prog.PE, format)
 	log.Info("pe starting", "pe", prog.PE, "chunks", count, "chunks_done", prog.ChunksDone)
@@ -328,7 +329,7 @@ func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer
 		// recorded in the manifest only once durable — immediately on the
 		// filesystem, after its part uploads on S3.
 		var off int64
-		if w, off, err = createShard(store, path, format, streamer.N()); err != nil {
+		if w, off, err = createShard(store, path, format, streamer.N(), bufs); err != nil {
 			return err
 		}
 		if dur, derr := w.Durable(); derr != nil {
@@ -349,7 +350,7 @@ func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer
 		if err := fresh(); err != nil {
 			return err
 		}
-	} else if w, err = reopenShard(store, path, format, prog.Offset); errors.Is(err, storage.ErrNoShard) {
+	} else if w, err = reopenShard(store, path, format, prog.Offset, bufs); errors.Is(err, storage.ErrNoShard) {
 		// The store-side partial state is gone (expired multipart upload,
 		// swept staging): roll the PE back to zero — durably, so a crash
 		// mid-regeneration cannot resurrect the stale offset — and start

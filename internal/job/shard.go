@@ -45,13 +45,22 @@ type shardWriter struct {
 	format kagen.Format
 	sw     storage.ShardWriter
 	cw     countingWriter
-	gz     *gzip.Writer
-	bw     *bufio.Writer
+	*shardBufs
 	// needReset marks the gzip member closed by the last checkpoint; the
 	// next write starts a fresh member.
 	needReset bool
 	// dirty marks bytes written since the last checkpoint.
-	dirty   bool
+	dirty bool
+}
+
+// shardBufs holds the allocations of a shardWriter that can outlive one
+// shard: the 1 MiB write buffer, the encode scratch, the hashers and the
+// gzip state. A worker writes its PEs' shards one after another, so
+// runWorker owns one zero-valued set and every shardWriter it opens
+// resets and reuses it instead of allocating ~1 MiB afresh per PE.
+type shardBufs struct {
+	bw      *bufio.Writer
+	gz      *gzip.Writer // compressed formats only
 	scratch []byte
 	// h accumulates the SHA-256 of the payload bytes (the format
 	// encoding, before compression) written since the last checkpoint —
@@ -60,6 +69,8 @@ type shardWriter struct {
 	// verify can re-derive it from a regenerated chunk without caring
 	// which gzip implementation wrote the member.
 	h hash.Hash
+	// wire is the countingWriter's hasher (compressed formats only).
+	wire hash.Hash
 }
 
 // countingWriter tracks the committed-plus-inflight byte offset of the
@@ -87,12 +98,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // createShard starts a fresh shard through the backend: it writes the
 // format header and commits it as checkpoint zero, returning the writer
 // and the committed header offset.
-func createShard(store storage.Backend, path string, format kagen.Format, n uint64) (*shardWriter, int64, error) {
+func createShard(store storage.Backend, path string, format kagen.Format, n uint64, bufs *shardBufs) (*shardWriter, int64, error) {
 	sw, err := store.CreateShard(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	w := &shardWriter{format: format}
+	w := &shardWriter{format: format, shardBufs: bufs}
 	w.init(sw, 0)
 	if err := w.write(format.AppendHeader(nil, n)); err != nil {
 		sw.Close()
@@ -111,34 +122,46 @@ func createShard(store storage.Backend, path string, format kagen.Format, n uint
 // the multipart upload whose parts sum to the offset. A
 // storage.ErrNoShard means no resumable state survives and the caller
 // must reset the PE and regenerate.
-func reopenShard(store storage.Backend, path string, format kagen.Format, offset int64) (*shardWriter, error) {
+func reopenShard(store storage.Backend, path string, format kagen.Format, offset int64, bufs *shardBufs) (*shardWriter, error) {
 	sw, err := store.ResumeShard(path, offset)
 	if err != nil {
 		return nil, err
 	}
-	w := &shardWriter{format: format}
+	w := &shardWriter{format: format, shardBufs: bufs}
 	w.init(sw, offset)
 	return w, nil
 }
 
+// init points the writer (and its possibly recycled buffers, whose
+// leftover state from the previous shard is discarded) at a backend shard
+// writer positioned at byte off.
 func (w *shardWriter) init(sw storage.ShardWriter, off int64) {
 	w.sw = sw
-	w.h = sha256.New()
 	w.cw = countingWriter{w: sw, n: off}
+	if w.h == nil {
+		w.h = sha256.New()
+		w.bw = bufio.NewWriterSize(nil, 1<<20)
+	}
+	w.h.Reset()
 	var target io.Writer = &w.cw
 	if w.format.Compressed() {
-		w.cw.h = sha256.New()
-		w.gz = gzip.NewWriter(&w.cw)
+		if w.gz == nil {
+			w.wire = sha256.New()
+			w.gz = gzip.NewWriter(nil)
+		}
+		w.wire.Reset()
+		w.gz.Reset(&w.cw)
+		w.cw.h = w.wire
 		target = w.gz
 	}
-	w.bw = bufio.NewWriterSize(target, 1<<20)
+	w.bw.Reset(target)
 }
 
 func (w *shardWriter) write(p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	if w.gz != nil && w.needReset {
+	if w.needReset {
 		w.gz.Reset(&w.cw)
 		w.needReset = false
 	}
@@ -178,7 +201,7 @@ func (w *shardWriter) Checkpoint() (int64, merkle.Digest, error) {
 	if err := w.bw.Flush(); err != nil {
 		return 0, d, err
 	}
-	if w.gz != nil {
+	if w.format.Compressed() {
 		if err := w.gz.Close(); err != nil {
 			return 0, d, err
 		}

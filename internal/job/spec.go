@@ -148,11 +148,26 @@ func (s Spec) Streamer() (kagen.Streamer, error) {
 // checkpoint) to one instance definition: any change to the model,
 // parameters, seed, partition or format changes the hash, and the runner
 // refuses to resume a manifest whose hash does not match.
-func (s Spec) Hash() string {
+//
+// The model's instance version (kagen.InstanceVersion) is part of that
+// definition: a sampler change that moves draws maps the same spec to
+// other edges, and a job directory begun before it must not be continued
+// after it. Version 1 adds nothing, so the hash — and with it the job ID
+// and serve's cache key — of every model that never changed stays what it
+// always was.
+func (s Spec) Hash() string { return s.hashAt(s.instanceVersion()) }
+
+func (s Spec) instanceVersion() int { return kagen.InstanceVersion(kagen.Model(s.Model)) }
+
+// hashAt is Hash under a given instance version of the spec's model.
+func (s Spec) hashAt(version int) string {
 	b, err := json.Marshal(s.Normalized())
 	if err != nil {
 		// A Spec is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("job: spec hash: %v", err))
+	}
+	if version > 1 {
+		b = fmt.Appendf(b, "\ninstance-version %d", version)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])

@@ -82,7 +82,7 @@ func TestGeneratedInstancesValidate(t *testing.T) {
 	}
 	{
 		p := rmat.Params{Scale: 12, M: 1 << 16, Seed: 8, Chunks: 8}
-		el, err := rmat.Generate(p, 8)
+		el, err := rmat.NewGenerator(p).Generate(8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -299,7 +299,7 @@ func BA(n, d uint64, opt Options) (*EdgeList, error) {
 // --- R-MAT ---
 
 type rmatGen struct {
-	p   rmat.Params
+	g   *rmat.Generator
 	opt Options
 }
 
@@ -308,17 +308,12 @@ type rmatGen struct {
 // (§3.5.2). Duplicate edges and self-loops are permitted, as in the
 // Graph 500 reference.
 func NewRMAT(scale uint, m uint64, opt Options) Generator {
-	return rmatGen{rmat.Params{Scale: scale, M: m, Seed: opt.Seed, Chunks: opt.pes()}, opt}
+	return rmatGen{rmat.NewGenerator(rmat.Params{Scale: scale, M: m, Seed: opt.Seed, Chunks: opt.pes()}), opt}
 }
 
-func (g rmatGen) Generate() (*EdgeList, error) { return rmat.Generate(g.p, g.opt.Workers) }
-func (g rmatGen) PEs() uint64                  { return g.p.Chunks }
-func (g rmatGen) Chunk(pe uint64) ([]Edge, error) {
-	if err := g.p.Validate(); err != nil {
-		return nil, err
-	}
-	return rmat.GenerateChunk(g.p, pe), nil
-}
+func (g rmatGen) Generate() (*EdgeList, error)    { return g.g.Generate(g.opt.Workers) }
+func (g rmatGen) PEs() uint64                     { return g.g.Params().Chunks }
+func (g rmatGen) Chunk(pe uint64) ([]Edge, error) { return g.g.GenerateChunk(pe) }
 
 // RMAT generates an R-MAT graph.
 func RMAT(scale uint, m uint64, opt Options) (*EdgeList, error) {
@@ -386,6 +381,17 @@ func Models() []Model {
 		ModelGNPUndirected, ModelRGG2D, ModelRGG3D, ModelRDG2D, ModelRDG3D,
 		ModelRHG, ModelSRHG, ModelBA, ModelRMAT, ModelSBM,
 	}
+}
+
+// InstanceVersion returns the version of a model's instance definition —
+// which graph a given (parameters, seed, PEs) names. It is 1 until a
+// sampler change moves the model's draws; consumers that persist partial
+// output (job manifests) bind to it so two definitions are never mixed.
+func InstanceVersion(model Model) int {
+	if model == ModelRMAT {
+		return rmat.InstanceVersion
+	}
+	return 1
 }
 
 // ModelParams carries the union of model parameters for the registry

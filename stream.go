@@ -60,7 +60,7 @@ func AsStreamer(g Generator) (Streamer, bool) {
 	case baGen:
 		return baStreamer{t.p}, true
 	case rmatGen:
-		return rmatStreamer{t.p}, true
+		return rmatStreamer{t.g}, true
 	case rggGen:
 		return rggStreamer{t.p}, true
 	case rdgGen:
@@ -173,23 +173,18 @@ func (g baStreamer) StreamChunk(pe uint64, emit func(Edge)) error {
 
 // NewRMATStreamer returns a streaming R-MAT generator.
 func NewRMATStreamer(scale uint, m uint64, opt Options) Streamer {
-	return rmatStreamer{rmat.Params{Scale: scale, M: m, Seed: opt.Seed, Chunks: opt.pes()}}
+	return rmatStreamer{rmat.NewGenerator(rmat.Params{Scale: scale, M: m, Seed: opt.Seed, Chunks: opt.pes()})}
 }
 
-type rmatStreamer struct{ p rmat.Params }
+// rmatStreamer shares one rmat.Generator — and so one lazily built set of
+// alias tables — between all chunks and goroutines that stream from it.
+type rmatStreamer struct{ g *rmat.Generator }
 
-func (g rmatStreamer) PEs() uint64 { return g.p.Chunks }
-func (g rmatStreamer) N() uint64   { return g.p.N() }
+func (g rmatStreamer) PEs() uint64 { return g.g.Params().Chunks }
+func (g rmatStreamer) N() uint64   { return g.g.Params().N() }
 
 func (g rmatStreamer) StreamChunk(pe uint64, emit func(Edge)) error {
-	if err := g.p.Validate(); err != nil {
-		return err
-	}
-	if err := checkPE(pe, g.p.Chunks); err != nil {
-		return err
-	}
-	rmat.StreamChunk(g.p, pe, emit)
-	return nil
+	return g.g.StreamChunk(pe, emit)
 }
 
 // NewRGGStreamer returns a streaming random geometric graph generator in
