@@ -1,4 +1,4 @@
-package kagen
+package kagen_test
 
 // One testing.B benchmark per figure of the paper's evaluation (§8),
 // scaled to laptop sizes, plus the ablation benches of DESIGN.md §7.
@@ -81,3 +81,7 @@ func BenchmarkDelaunay(b *testing.B) { benchreg.Group(b, "Delaunay") }
 // --- Observability hot-path cost (disabled paths must be alloc-free) ---
 
 func BenchmarkObs(b *testing.B) { benchreg.Group(b, "Obs") }
+
+// --- Job sink: chunk encode on the producing goroutine, whole text.gz runs ---
+
+func BenchmarkJob(b *testing.B) { benchreg.Group(b, "Job") }

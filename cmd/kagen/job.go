@@ -140,8 +140,7 @@ func jobRun(verb string, args []string) {
 		dir        = fs.String("dir", "", "job destination: a directory or s3:// URI")
 		out        = fs.String("out", "", "alias of -dir")
 		worker     = fs.Uint64("worker", 0, "worker index in [0, job-workers)")
-		workers    = fs.Int("workers", 0, "worker goroutines for the chunk pipeline (0 = GOMAXPROCS)")
-		batch      = fs.Int("batch", 0, "edge batch capacity (0 = default)")
+		workers    = fs.Int("workers", 0, "goroutines that generate, encode and compress chunks (0 = GOMAXPROCS)")
 		failAfter  = fs.Int("fail-after", 0, "abort after this many checkpoints as a simulated crash (testing hook; 0 = never)")
 		traceOut   = fs.String("trace", "", "record worker/PE/chunk/upload spans and write Chrome trace-event JSON to this file")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -151,7 +150,7 @@ func jobRun(verb string, args []string) {
 	fs.Parse(args)
 	applyLog()
 	dest := jobDest(fs, *dir, *out)
-	opts := job.RunOptions{Goroutines: *workers, BatchSize: *batch}
+	opts := job.RunOptions{Goroutines: *workers}
 	var tr *obs.Trace
 	if *traceOut != "" {
 		tr = obs.NewTrace(0)

@@ -11,9 +11,13 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	kagen "repro"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/delaunay"
@@ -22,6 +26,7 @@ import (
 	"repro/internal/gnp"
 	"repro/internal/graph"
 	"repro/internal/hyperbolic"
+	"repro/internal/job"
 	"repro/internal/obs"
 	"repro/internal/prng"
 	"repro/internal/rdg"
@@ -726,6 +731,54 @@ func All() []Case {
 				}
 			}
 		})
+	}
+
+	// --- Job sink: per-chunk encode on the producing goroutine, and a whole
+	// text.gz run on one and two pipeline goroutines ---
+	{
+		const chunkEdges = 1 << 16
+		edges := make([]graph.Edge, 0, chunkEdges)
+		gnm.StreamChunk(gnm.Params{N: 1 << 20, M: chunkEdges, Directed: true, Seed: 1, Chunks: 1}, 0,
+			func(e graph.Edge) { edges = append(edges, e) })
+		for _, format := range []kagen.Format{kagen.FormatText, kagen.FormatBinary, kagen.FormatTextGz} {
+			format := format
+			add("Job/chunk-encode/"+string(format), func(b *testing.B) {
+				encode := job.ChunkEncodeFunc(format)
+				encode(edges) // builds the encoder; the 1x CI run measures steady state
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					encode(edges)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(edges)), "ns/edge")
+			})
+		}
+		for _, goroutines := range []int{1, 2} {
+			goroutines := goroutines
+			add(fmt.Sprintf("Job/run-text.gz/G=%d", goroutines), func(b *testing.B) {
+				spec := job.Spec{Model: "gnm_directed", N: 1 << 16, M: 1 << 17, Seed: 1,
+					PEs: 2, ChunksPerPE: 8, Workers: 1, Format: "text.gz"}
+				root := b.TempDir()
+				b.ReportAllocs()
+				b.StopTimer() // only job.Run is timed
+				for i := 0; i < b.N; i++ {
+					dir := filepath.Join(root, strconv.Itoa(i))
+					if err := job.Init(dir, spec); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					err := job.Run(dir, 0, job.RunOptions{Goroutines: goroutines})
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := os.RemoveAll(dir); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(spec.M), "ns/edge")
+			})
+		}
 	}
 
 	return cases

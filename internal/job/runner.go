@@ -21,6 +21,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/merkle"
 	"repro/internal/obs"
+	"repro/internal/pe"
 	"repro/internal/storage"
 )
 
@@ -146,11 +147,10 @@ func loadSpec(store storage.Backend, dir string) (Spec, error) {
 // generated bytes.
 type RunOptions struct {
 	// Goroutines bounds the chunk pipeline's worker goroutines
-	// (0 = GOMAXPROCS). Chunks of a PE generate concurrently and are
-	// delivered in order, exactly as in kagen.Stream.
+	// (0 = GOMAXPROCS). Each generates, encodes, digests and compresses
+	// whole chunks of a PE; the finished bytes are written and committed
+	// in chunk order.
 	Goroutines int
-	// BatchSize is the edge batch capacity (0 = pe.DefaultBatchSize).
-	BatchSize int
 	// OnCheckpoint, if set, runs once per chunk whose checkpoint became
 	// durable — shard bytes held by the store, manifest published — with
 	// the PE, its committed chunk count and its cumulative committed
@@ -167,11 +167,14 @@ type RunOptions struct {
 	// Nil disables tracing entirely; the hot path then sees only nil
 	// checks.
 	Trace *obs.Trace
-	// OnCommitLatency, if set, observes the wall seconds each chunk's
-	// shard commit (fsync / gzip member flush / part seal) took, keyed by
-	// PE. Unlike OnCheckpoint — which fires at manifest-promotion time
-	// and so interleaves across PEs on striped backends — this fires at
-	// commit time on the committing goroutine.
+	// OnCommitLatency, if set, observes the wall seconds the ordered stage
+	// spent on each successfully committed chunk: writing the chunk's
+	// finished blocks into the shard plus the backend commit (fsync / part
+	// seal), keyed by PE. Encoding and compression are not in it — they
+	// ran earlier, on the goroutine that generated the chunk. Unlike
+	// OnCheckpoint — which fires at manifest-promotion time and so
+	// interleaves across PEs on striped backends — this fires at commit
+	// time on the committing goroutine.
 	OnCommitLatency func(pe uint64, seconds float64)
 }
 
@@ -213,7 +216,12 @@ func run(store storage.Backend, dir string, worker uint64, opts RunOptions) erro
 	// Storage-layer spans (part uploads) start with a zero parent; nest
 	// them under this worker.
 	opts.Trace.SetDefaultParent(ws)
-	err = runWorker(store, dir, worker, spec, opts, log)
+	streamer, err := spec.Streamer()
+	if err == nil {
+		// PEs run one after another and share one set of encoders and blocks.
+		encs := newChunkEncoders(spec.ShardFormat(), opts.Goroutines)
+		err = runWorker(store, dir, worker, spec, streamer, encs, opts, log)
+	}
 	if err != nil {
 		ws.End(obs.U64("worker", worker), obs.Str("error", err.Error()))
 		log.Error("worker failed", "dir", dir, "worker", worker,
@@ -235,15 +243,12 @@ func run(store storage.Backend, dir string, worker uint64, opts RunOptions) erro
 }
 
 // runWorker is the body of run, after locking and observability setup.
-func runWorker(store storage.Backend, dir string, worker uint64, spec Spec, opts RunOptions, log *slog.Logger) error {
-	streamer, err := spec.Streamer()
-	if err != nil {
-		return err
-	}
+func runWorker(store storage.Backend, dir string, worker uint64, spec Spec, streamer kagen.Streamer, encs *chunkEncoders, opts RunOptions, log *slog.Logger) error {
 	mpath := ManifestPath(dir, worker)
 	var manifest *Manifest
 	switch _, serr := store.Stat(mpath); {
 	case serr == nil:
+		var err error
 		if manifest, err = readManifest(store, mpath, spec); err != nil {
 			return err
 		}
@@ -259,13 +264,12 @@ func runWorker(store storage.Backend, dir string, worker uint64, spec Spec, opts
 		return fmt.Errorf("job: cannot stat manifest %s: %w", mpath, serr)
 	}
 	format := spec.ShardFormat()
-	var bufs shardBufs // PEs run one after another and share one set
 	for i := range manifest.PEs {
 		prog := &manifest.PEs[i]
 		if prog.Done {
 			continue
 		}
-		if err := runPE(store, dir, spec, streamer, format, &bufs, manifest, mpath, prog, opts, log); err != nil {
+		if err := runPE(store, dir, spec, streamer, format, encs, manifest, mpath, prog, opts, log); err != nil {
 			return fmt.Errorf("job: worker %d, PE %d: %w", worker, prog.PE, err)
 		}
 	}
@@ -290,8 +294,11 @@ func Resume(dir string, worker uint64, opts RunOptions) error {
 	return run(store, dir, worker, opts)
 }
 
-// runPE streams one PE's remaining chunks into its shard.
-func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer, format kagen.Format, bufs *shardBufs, manifest *Manifest, mpath string, prog *PEProgress, opts RunOptions, log *slog.Logger) (err error) {
+// runPE streams one PE's remaining chunks into its shard: the pipeline
+// goroutines turn whole chunks into blocks of finished wire bytes (see
+// chunkEncoder), pe.Ordered puts the blocks back into chunk order, and
+// the checkpoint sink writes and commits them.
+func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer, format kagen.Format, encs *chunkEncoders, manifest *Manifest, mpath string, prog *PEProgress, opts RunOptions, log *slog.Logger) (err error) {
 	first, count := spec.ChunkRange(prog.PE)
 	path := ShardPath(dir, prog.PE, format)
 	log.Info("pe starting", "pe", prog.PE, "chunks", count, "chunks_done", prog.ChunksDone)
@@ -302,12 +309,6 @@ func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer
 			log.Info("pe finished", "pe", prog.PE, "chunks", count, "edges", prog.Edges)
 		}
 	}()
-	if opts.Trace != nil {
-		// Decorate generation with chunk-generate spans only when tracing:
-		// the untraced hot path keeps the raw streamer.
-		streamer = &tracingStreamer{Streamer: streamer, tr: opts.Trace, parent: peSpan}
-	}
-
 	if prog.Offset > 0 && store.PartialReads() {
 		// Before extending committed state, audit it: re-hash the committed
 		// chunks in the store against their manifest digests. A mismatch
@@ -329,7 +330,7 @@ func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer
 		// recorded in the manifest only once durable — immediately on the
 		// filesystem, after its part uploads on S3.
 		var off int64
-		if w, off, err = createShard(store, path, format, streamer.N(), bufs); err != nil {
+		if w, off, err = createShard(store, path, format, streamer.N(), &encs.enc[0]); err != nil {
 			return err
 		}
 		if dur, derr := w.Durable(); derr != nil {
@@ -350,7 +351,7 @@ func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer
 		if err := fresh(); err != nil {
 			return err
 		}
-	} else if w, err = reopenShard(store, path, format, prog.Offset, bufs); errors.Is(err, storage.ErrNoShard) {
+	} else if w, err = reopenShard(store, path, prog.Offset); errors.Is(err, storage.ErrNoShard) {
 		// The store-side partial state is gone (expired multipart upload,
 		// swept staging): roll the PE back to zero — durably, so a crash
 		// mid-regeneration cannot resurrect the stale offset — and start
@@ -375,13 +376,25 @@ func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer
 		onCommitLatency: opts.OnCommitLatency,
 		trace:           opts.Trace, peSpan: peSpan, log: log,
 	}
-	if prog.ChunksDone < count {
-		err = kagen.StreamChunksFrom(streamer, first+prog.ChunksDone, count-prog.ChunksDone,
-			opts.Goroutines, opts.BatchSize, sink)
-		if err != nil {
-			w.Close() // keep the partial state: committed bytes survive for resume
-			return err
+	produce := func(worker, chunk int, send func(*block, bool) bool) {
+		// chunk-generate covers everything the producing goroutine does
+		// for the chunk: generate, encode, digest, compress.
+		sp := opts.Trace.Start("job", "chunk-generate", obs.GenLane(uint64(chunk)), peSpan)
+		enc := &encs.enc[worker]
+		enc.begin(send, opts.Trace != nil)
+		last := enc.finish(streamer.StreamChunk(uint64(chunk), enc.emit))
+		if opts.Trace != nil {
+			sp.End(obs.U64("chunk", uint64(chunk)), obs.U64("edges", last.edges),
+				obs.U64("payload_bytes", last.payloadBytes), obs.U64("wire_bytes", last.wireBytes),
+				obs.U64("encode_ns", uint64(enc.encodeNs)))
 		}
+		send(last, true)
+	}
+	err = pe.Ordered(int(first+prog.ChunksDone), int(count-prog.ChunksDone), len(encs.enc),
+		produce, sink.deliver, encs.blocks.put)
+	if err != nil {
+		w.Close() // keep the partial state: committed bytes survive for resume
+		return err
 	}
 	// Publish the shard, then promote whatever was still waiting on
 	// uploads — after Finalize the whole shard is durable by definition.
@@ -410,14 +423,14 @@ type pendingChunk struct {
 	chunk uint64 // global chunk index
 }
 
-// checkpointSink adapts one PE's shard writer + manifest into a
-// kagen.Sink over the PE's chunk range: every chunk's EndPE becomes a
-// checkpoint — shard commit (fsync / sealed multipart part; gzip member
-// boundary for compressed shards), then atomic manifest publish. The
-// manifest only ever records durable offsets: on the filesystem a commit
-// is immediately durable, so every chunk promotes on its own EndPE
-// exactly as before; on S3 committed chunks wait in the pending tail
-// until the contiguous uploaded prefix (Durable) covers them, so the
+// checkpointSink is the ordered stage of one PE: it receives the PE's
+// finished blocks in chunk order (the consume side of pe.Ordered), writes
+// them into the shard, and turns every chunk's last block into a
+// checkpoint — shard commit (fsync / sealed multipart part), then atomic
+// manifest publish. The manifest only ever records durable offsets: on
+// the filesystem a commit is immediately durable, so every chunk promotes
+// with its own checkpoint; on S3 committed chunks wait in the pending
+// tail until the contiguous uploaded prefix (Durable) covers them, so the
 // manifest can lag generation but never lead the store.
 type checkpointSink struct {
 	store         storage.Backend
@@ -428,47 +441,58 @@ type checkpointSink struct {
 	mpath         string
 	prog          *PEProgress
 	firstChunk    uint64
-	pending       uint64 // edges in the current chunk
-	headerPending int64  // committed header end not yet recorded (0 = recorded)
+	headerPending int64 // committed header end not yet recorded (0 = recorded)
 	tail          []pendingChunk
 	onCheckpoint  func(pe, chunksDone, edges uint64) error
-	// Observability. All nil/zero when disabled: EndPE then pays two nil
+	// Observability. All nil/zero when disabled: deliver then pays two nil
 	// checks and promote pays one.
 	onCommitLatency func(pe uint64, seconds float64)
+	commitTime      time.Duration // spent on the chunk in flight (onCommitLatency only)
 	trace           *obs.Trace
 	peSpan          obs.Span
 	log             *slog.Logger
 }
 
-// Begin is a no-op: the shard header was committed when the shard was
-// created (checkpoint zero), so a resumed PE never rewrites it.
-func (s *checkpointSink) Begin(n, pes uint64) error { return nil }
-
-func (s *checkpointSink) Batch(chunk uint64, edges []kagen.Edge) error {
-	s.pending += uint64(len(edges))
-	return s.w.AppendBatch(edges)
-}
-
-func (s *checkpointSink) EndPE(chunk uint64) error {
-	start := s.w.offset()
-	sp := s.trace.Start("job", "chunk-commit", obs.PELane(s.prog.PE), s.peSpan)
+// deliver takes one block of a chunk. A chunk's bytes are appended as
+// they arrive; its last block commits it. A chunk that failed to generate
+// surfaces here, in chunk order, and commits nothing.
+func (s *checkpointSink) deliver(chunk int, b *block, final bool) error {
+	if final && b.err != nil {
+		return b.err
+	}
+	var sp obs.Span
+	if final {
+		sp = s.trace.Start("job", "chunk-commit", obs.PELane(s.prog.PE), s.peSpan)
+	}
 	var t0 time.Time
 	if s.onCommitLatency != nil {
 		t0 = time.Now()
 	}
-	off, digest, err := s.w.Checkpoint()
-	if s.onCommitLatency != nil {
-		s.onCommitLatency(s.prog.PE, time.Since(t0).Seconds())
+	var err error
+	if b.n > 0 {
+		err = s.w.write(b.buf[:b.n])
 	}
-	sp.End(obs.U64("chunk", chunk), obs.U64("bytes", uint64(off-start)), obs.U64("edges", s.pending))
-	if err != nil {
+	start, off := s.w.committed, int64(0)
+	if final && err == nil {
+		off, err = s.w.commit(&b.chunkTrailer)
+	}
+	if s.onCommitLatency != nil {
+		s.commitTime += time.Since(t0)
+	}
+	if final {
+		sp.End(obs.U64("chunk", uint64(chunk)), obs.U64("bytes", b.wireBytes), obs.U64("edges", b.edges))
+	}
+	if err != nil || !final {
 		return err
 	}
+	if s.onCommitLatency != nil {
+		s.onCommitLatency(s.prog.PE, s.commitTime.Seconds())
+		s.commitTime = 0
+	}
 	s.tail = append(s.tail, pendingChunk{
-		rec:   ChunkRecord{Digest: hex.EncodeToString(digest[:]), End: off, Edges: s.pending},
-		chunk: chunk,
+		rec:   ChunkRecord{Digest: hex.EncodeToString(b.payload[:]), End: off, Edges: b.edges},
+		chunk: uint64(chunk),
 	})
-	s.pending = 0
 	dur, err := s.w.Durable()
 	if err != nil {
 		return err
@@ -601,8 +625,6 @@ func flipByteAt(path string, off int64) error {
 	}
 	return f.Sync()
 }
-
-func (s *checkpointSink) Close() error { return nil }
 
 // PEStatus is one PE's progress as seen by Inspect.
 type PEStatus struct {

@@ -9,7 +9,6 @@ import (
 	"io/fs"
 	"strings"
 
-	kagen "repro"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -88,21 +87,4 @@ func WriteTraceJSON(dir string, w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&merged)
-}
-
-// tracingStreamer decorates a spec streamer with one chunk-generate
-// span per StreamChunk call. It exists only on the traced path: with
-// tracing off the undecorated streamer runs and generation pays
-// nothing.
-type tracingStreamer struct {
-	kagen.Streamer
-	tr     *obs.Trace
-	parent obs.Span
-}
-
-func (t *tracingStreamer) StreamChunk(chunk uint64, emit func(kagen.Edge)) error {
-	sp := t.tr.Start("job", "chunk-generate", obs.GenLane(chunk), t.parent)
-	err := t.Streamer.StreamChunk(chunk, emit)
-	sp.End(obs.U64("chunk", chunk))
-	return err
 }

@@ -62,67 +62,115 @@ func StreamRange[T any](first, count, workers int, produce func(pe int, emit fun
 // StreamRangeBatched is StreamRange with an explicit batch capacity (0 or
 // negative selects DefaultBatchSize).
 func StreamRangeBatched[T any](first, count, workers, batchSize int, produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
-	if first == 0 {
-		return StreamBatched(count, workers, batchSize, produce, consume)
+	if batchSize <= 0 {
+		batchSize = DefaultBatchSize
 	}
-	return StreamBatched(count, workers, batchSize,
-		func(pe int, emit func(T)) { produce(first+pe, emit) },
-		func(pe int, batch []T, final bool) error { return consume(first+pe, batch, final) })
+	return streamRange(first, count, workers, newBatchPool[T](batchSize), produce, consume)
 }
 
 // StreamBatched is Stream with an explicit batch capacity (0 or negative
 // selects DefaultBatchSize). The delivered item sequence is identical for
 // every batch size; only the batch boundaries move.
 func StreamBatched[T any](P, workers, batchSize int, produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	return streamBatched(P, workers, newBatchPool[T](batchSize), produce, consume)
+	return StreamRangeBatched(0, P, workers, batchSize, produce, consume)
 }
 
-// batchEntry is one queued delivery: a pooled batch and the final marker.
-type batchEntry[T any] struct {
-	batch *[]T
+// streamBatched runs the batch pipeline over [0, P) against an explicit
+// pool (separated so the tests can audit that every borrowed batch is
+// returned).
+func streamBatched[T any](P, workers int, pool *batchPool[T], produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
+	return streamRange(0, P, workers, pool, produce, consume)
+}
+
+// streamRange is the batch pipeline: Ordered with pooled item batches as
+// the delivered unit.
+func streamRange[T any](first, count, workers int, pool *batchPool[T], produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
+	batchSize := pool.size
+	return Ordered(first, count, workers,
+		func(_, pe int, send func(*[]T, bool) bool) {
+			pb := pool.get()
+			buf := (*pb)[:0]
+			live := true
+			produce(pe, func(item T) {
+				if !live {
+					return // sink already failed; drop the remainder
+				}
+				buf = append(buf, item)
+				if len(buf) >= batchSize {
+					*pb = buf
+					live = send(pb, false)
+					pb = pool.get()
+					buf = (*pb)[:0]
+				}
+			})
+			*pb = buf
+			send(pb, true)
+		},
+		func(pe int, pb *[]T, final bool) error { return consume(pe, *pb, final) },
+		pool.put)
+}
+
+// queued is one item waiting for ordered delivery, with its final marker.
+type queued[B any] struct {
+	item  B
 	final bool
 }
 
-// streamBatched runs the pipeline against an explicit pool (separated so
-// the tests can audit that every borrowed batch is returned).
-func streamBatched[T any](P, workers int, pool *batchPool[T], produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
-	if P <= 0 {
+// Ordered is the ordered-delivery core under every streaming pipeline of
+// this repository — the edge batches of Stream and the finished byte
+// blocks of the job runner's shard sink are both its items. It executes
+// produce for every pe in [first, first+count) on at most workers
+// goroutines (0 selects GOMAXPROCS) and hands what the producers send to
+// consume in increasing PE order and, within a PE, in send order,
+// whatever the worker count or completion order.
+//
+// A producer passes each finished item to send and ends with exactly one
+// send marked final (a PE with nothing to deliver sends only that). send
+// takes ownership of the item and returns false once the run has failed:
+// the producer may then stop early, but still owes its final send. Every
+// item sent is passed to release exactly once — after consume returned,
+// or instead of consume when the run failed first — so a caller that
+// recycles items never loses one. worker identifies the calling goroutine
+// in [0, workers), stable for the whole run, so producers can keep
+// per-goroutine state without locking.
+//
+// The head PE's items are delivered as they are sent, while that PE is
+// still producing; a producer ahead of the head queues at most
+// maxQueuedBatches items and then blocks until the head catches up, and
+// at most window = 2*workers PEs are admitted beyond the head, so the
+// items in flight are bounded by window*maxQueuedBatches plus one per
+// worker, never by what a PE produces.
+//
+// consume runs on whichever worker owns the delivery head (with one
+// worker: inside send); calls never overlap. The first error it returns
+// stops the run: nothing further is delivered, no further PE is started,
+// and the error is returned. A PE whose produce is already running
+// completes, with its output released undelivered.
+func Ordered[B any](first, count, workers int,
+	produce func(worker, pe int, send func(item B, final bool) bool),
+	consume func(pe int, item B, final bool) error,
+	release func(item B)) error {
+	if count <= 0 {
 		return nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > P {
-		workers = P
+	if workers > count {
+		workers = count
 	}
-	batchSize := pool.size
 
 	if workers <= 1 {
-		// Single-worker fallback: one pooled buffer is reused across every
-		// PE — the serial path allocates exactly one batch for the whole
-		// run instead of a fresh buffer per PE.
-		pb := pool.get()
-		defer pool.put(pb)
+		// One worker: the producer delivers its own items in place.
 		var err error
-		for i := 0; i < P && err == nil; i++ {
-			pe := i
-			buf := (*pb)[:0]
-			produce(pe, func(item T) {
-				if err != nil {
-					return // sink already failed; drop the remainder
+		for pe := first; pe < first+count && err == nil; pe++ {
+			produce(0, pe, func(item B, final bool) bool {
+				if err == nil {
+					err = consume(pe, item, final)
 				}
-				buf = append(buf, item)
-				if len(buf) >= batchSize {
-					err = consume(pe, buf, false)
-					buf = buf[:0]
-				}
+				release(item)
+				return err == nil
 			})
-			if err == nil {
-				err = consume(pe, buf, true)
-			}
 		}
 		return err
 	}
@@ -130,18 +178,17 @@ func streamBatched[T any](P, workers int, pool *batchPool[T], produce func(pe in
 	var (
 		mu         sync.Mutex
 		cond       = sync.NewCond(&mu)
-		next, head int
-		queues     = make(map[int][]batchEntry[T])
+		next, head int // relative to first
+		queues     = make(map[int][]queued[B])
 		delivering bool
 		firstErr   error
-		failed     atomic.Bool
 	)
 	window := 2 * workers
 
-	// drain delivers every queued entry at the delivery head, advancing
+	// drain delivers every queued item at the delivery head, advancing
 	// the head across completed PEs. Called with mu held; only one worker
 	// delivers at a time, and the mutex is released around the consume
-	// call so the other workers keep generating.
+	// call so the other workers keep producing.
 	drain := func() {
 		if delivering {
 			return
@@ -163,48 +210,42 @@ func streamBatched[T any](P, workers int, pool *batchPool[T], produce func(pe in
 				head++
 			}
 			mu.Unlock()
-			err := consume(h, *e.batch, e.final)
+			err := consume(first+h, e.item, e.final)
+			release(e.item)
 			mu.Lock()
-			pool.put(e.batch)
 			if err != nil && firstErr == nil {
 				firstErr = err
-				failed.Store(true)
 			}
 			cond.Broadcast()
 		}
 		delivering = false
 	}
 
-	// flush queues one batch for delivery and returns a fresh batch (nil
-	// after the final flush). A producer running too far ahead of the
-	// delivery waits here: non-head PEs until the head catches up, the
-	// head PE only while another worker owns the drain loop (the drainer
-	// broadcasts after every consume and exits only on an empty queue, so
-	// the wait always makes progress — and keeps queues[head] bounded even
-	// against a sink slower than the generator). A head producer with no
-	// active drainer never waits; it delivers its own backlog via drain.
-	flush := func(pe int, b *[]T, final bool) *[]T {
+	// flush queues one item for delivery. A producer running too far
+	// ahead of the delivery waits here: non-head PEs until the head
+	// catches up, the head PE only while another worker owns the drain
+	// loop (the drainer broadcasts after every consume and exits only on
+	// an empty queue, so the wait always makes progress — and keeps
+	// queues[head] bounded even against a sink slower than the producer).
+	// A head producer with no active drainer never waits; it delivers its
+	// own backlog via drain.
+	flush := func(pe int, item B, final bool) bool {
 		mu.Lock()
 		for firstErr == nil && (pe != head || delivering) && len(queues[pe]) >= maxQueuedBatches {
 			cond.Wait()
 		}
 		if firstErr != nil {
 			mu.Unlock()
-			pool.put(b)
-			if final {
-				return nil
-			}
-			return pool.get()
+			release(item)
+			return false
 		}
-		queues[pe] = append(queues[pe], batchEntry[T]{batch: b, final: final})
+		queues[pe] = append(queues[pe], queued[B]{item: item, final: final})
 		if pe == head {
 			drain()
 		}
+		live := firstErr == nil
 		mu.Unlock()
-		if final {
-			return nil
-		}
-		return pool.get()
+		return live
 	}
 
 	var wg sync.WaitGroup
@@ -214,10 +255,10 @@ func streamBatched[T any](P, workers int, pool *batchPool[T], produce func(pe in
 			defer wg.Done()
 			for {
 				mu.Lock()
-				for firstErr == nil && next < P && next >= head+window {
+				for firstErr == nil && next < count && next >= head+window {
 					cond.Wait()
 				}
-				if firstErr != nil || next >= P {
+				if firstErr != nil || next >= count {
 					mu.Unlock()
 					return
 				}
@@ -225,32 +266,19 @@ func streamBatched[T any](P, workers int, pool *batchPool[T], produce func(pe in
 				next++
 				mu.Unlock()
 
-				pb := pool.get()
-				buf := (*pb)[:0]
-				produce(pe, func(item T) {
-					if failed.Load() {
-						buf = buf[:0] // sink already failed; drop the remainder
-						return
-					}
-					buf = append(buf, item)
-					if len(buf) >= batchSize {
-						*pb = buf
-						pb = flush(pe, pb, false)
-						buf = (*pb)[:0]
-					}
+				produce(w, first+pe, func(item B, final bool) bool {
+					return flush(pe, item, final)
 				})
-				*pb = buf
-				flush(pe, pb, true)
 			}
 		}()
 	}
 	wg.Wait()
 
-	// After an aborted run, recycle whatever was queued but never
-	// delivered so no batch leaks from the pool.
+	// After an aborted run, release whatever was queued but never
+	// delivered so no item is lost to its owner.
 	for pe, q := range queues {
 		for _, e := range q {
-			pool.put(e.batch)
+			release(e.item)
 		}
 		delete(queues, pe)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -233,5 +234,56 @@ func TestStreamZeroPEs(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOrderedWorkerIndexAndRelease: Ordered hands each producer the index
+// of the goroutine it runs on — never two producers on one index at once,
+// so per-index state needs no lock — delivers absolute PE indices of the
+// requested range, and releases every item exactly once, delivered or not.
+func TestOrderedWorkerIndexAndRelease(t *testing.T) {
+	sentinel := errors.New("sink failed")
+	for _, workers := range []int{1, 3, 8} {
+		for _, failAt := range []int{-1, 25} {
+			const first, count = 20, 12
+			busy := make([]atomic.Bool, workers)
+			var sent, released atomic.Int64
+			next := first
+			err := Ordered(first, count, workers,
+				func(worker, pe int, send func(*int, bool) bool) {
+					if worker < 0 || worker >= workers || !busy[worker].CompareAndSwap(false, true) {
+						t.Errorf("workers=%d: producer for PE %d got worker index %d, out of range or already in use", workers, pe, worker)
+						return
+					}
+					defer busy[worker].Store(false)
+					for i := 0; i < 40; i++ {
+						v := pe
+						sent.Add(1)
+						send(&v, i == 39)
+					}
+				},
+				func(pe int, item *int, final bool) error {
+					if pe != next || *item != pe {
+						t.Errorf("workers=%d: delivered item %d under PE %d, head is %d", workers, *item, pe, next)
+					}
+					if final {
+						next++
+					}
+					if pe == failAt {
+						return sentinel
+					}
+					return nil
+				},
+				func(*int) { released.Add(1) })
+			if failAt < 0 && (err != nil || next != first+count) {
+				t.Fatalf("workers=%d: err %v, delivered through PE %d, want %d", workers, err, next-1, first+count-1)
+			}
+			if failAt >= 0 && !errors.Is(err, sentinel) {
+				t.Fatalf("workers=%d: err = %v, want sentinel", workers, err)
+			}
+			if sent.Load() != released.Load() {
+				t.Fatalf("workers=%d failAt=%d: %d items sent, %d released", workers, failAt, sent.Load(), released.Load())
+			}
+		}
 	}
 }

@@ -243,7 +243,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	}{
 		{"kagen_checkpoint_seconds", "Seconds between successive durable chunk checkpoints of one PE.", m.Checkpoint},
 		{"kagen_queue_wait_seconds", "Seconds an accepted job waited in the queue before executing.", m.QueueWait},
-		{"kagen_commit_seconds", "Seconds one chunk's shard commit (fsync / gzip flush / part seal) took.", m.Commit},
+		{"kagen_commit_seconds", "Seconds the ordered stage spent writing one chunk's finished blocks and committing them (fsync / part seal); compression runs earlier, on the generating goroutine, and is not included.", m.Commit},
 		{"kagen_storage_part_upload_seconds", "Seconds one multipart part upload took.", m.PartUpload},
 	}
 	for _, h := range hists {

@@ -153,6 +153,14 @@ func (w *s3Shard) Write(p []byte) (int, error) {
 	if err := w.uploadErr; err != nil {
 		return 0, err
 	}
+	if need := len(w.cur) + len(p); need > cap(w.cur) {
+		// The job layer writes a chunk as a run of 64 KiB blocks. Grow by
+		// doubling: append's 1.25x steps would copy a multi-megabyte chunk
+		// about five times over on the way up, doubling copies it twice.
+		grown := make([]byte, len(w.cur), max(need, 2*cap(w.cur)))
+		copy(grown, w.cur)
+		w.cur = grown
+	}
 	w.cur = append(w.cur, p...)
 	return len(p), nil
 }
