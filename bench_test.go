@@ -82,6 +82,11 @@ func BenchmarkDelaunay(b *testing.B) { benchreg.Group(b, "Delaunay") }
 
 func BenchmarkObs(b *testing.B) { benchreg.Group(b, "Obs") }
 
-// --- Job sink: chunk encode on the producing goroutine, whole text.gz runs ---
+// --- Job sink: chunk encode on the producing goroutine, whole text.gz and
+// binary runs, one checkpoint round ---
 
 func BenchmarkJob(b *testing.B) { benchreg.Group(b, "Job") }
+
+// --- Storage: the chunk-boundary commit mark a generator pays ---
+
+func BenchmarkStorage(b *testing.B) { benchreg.Group(b, "Storage") }

@@ -141,7 +141,7 @@ func jobRun(verb string, args []string) {
 		out        = fs.String("out", "", "alias of -dir")
 		worker     = fs.Uint64("worker", 0, "worker index in [0, job-workers)")
 		workers    = fs.Int("workers", 0, "goroutines that generate, encode and compress chunks (0 = GOMAXPROCS)")
-		failAfter  = fs.Int("fail-after", 0, "abort after this many checkpoints as a simulated crash (testing hook; 0 = never)")
+		failAfter  = fs.Int("fail-after", 0, "abort after at least this many checkpoints as a simulated crash — the manifest records that many chunks or, when one publish covered more, a few more (testing hook; 0 = never)")
 		traceOut   = fs.String("trace", "", "record worker/PE/chunk/upload spans and write Chrome trace-event JSON to this file")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile (after GC) to this file when the run ends")

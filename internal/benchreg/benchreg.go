@@ -9,6 +9,7 @@ package benchreg
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"log/slog"
 	"os"
@@ -35,6 +36,7 @@ import (
 	"repro/internal/rmat"
 	"repro/internal/sbm"
 	"repro/internal/srhg"
+	"repro/internal/storage"
 )
 
 // Case is one leaf benchmark: Name is the full slash-separated benchmark
@@ -733,8 +735,8 @@ func All() []Case {
 		})
 	}
 
-	// --- Job sink: per-chunk encode on the producing goroutine, and a whole
-	// text.gz run on one and two pipeline goroutines ---
+	// --- Job sink: per-chunk encode on the producing goroutine, and whole
+	// text.gz and binary runs on one and two pipeline goroutines ---
 	{
 		const chunkEdges = 1 << 16
 		edges := make([]graph.Edge, 0, chunkEdges)
@@ -753,32 +755,105 @@ func All() []Case {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(edges)), "ns/edge")
 			})
 		}
-		for _, goroutines := range []int{1, 2} {
-			goroutines := goroutines
-			add(fmt.Sprintf("Job/run-text.gz/G=%d", goroutines), func(b *testing.B) {
-				spec := job.Spec{Model: "gnm_directed", N: 1 << 16, M: 1 << 17, Seed: 1,
-					PEs: 2, ChunksPerPE: 8, Workers: 1, Format: "text.gz"}
-				root := b.TempDir()
-				b.ReportAllocs()
-				b.StopTimer() // only job.Run is timed
-				for i := 0; i < b.N; i++ {
-					dir := filepath.Join(root, strconv.Itoa(i))
-					if err := job.Init(dir, spec); err != nil {
-						b.Fatal(err)
+		for _, format := range []string{"text.gz", "binary"} {
+			for _, goroutines := range []int{1, 2} {
+				format, goroutines := format, goroutines
+				add(fmt.Sprintf("Job/run-%s/G=%d", format, goroutines), func(b *testing.B) {
+					spec := job.Spec{Model: "gnm_directed", N: 1 << 16, M: 1 << 17, Seed: 1,
+						PEs: 2, ChunksPerPE: 8, Workers: 1, Format: format}
+					root := b.TempDir()
+					b.ReportAllocs()
+					b.StopTimer() // only job.Run is timed
+					for i := 0; i < b.N; i++ {
+						dir := filepath.Join(root, strconv.Itoa(i))
+						if err := job.Init(dir, spec); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+						err := job.Run(dir, 0, job.RunOptions{Goroutines: goroutines})
+						b.StopTimer()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if err := os.RemoveAll(dir); err != nil {
+							b.Fatal(err)
+						}
 					}
-					b.StartTimer()
-					err := job.Run(dir, 0, job.RunOptions{Goroutines: goroutines})
-					b.StopTimer()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := os.RemoveAll(dir); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(spec.M), "ns/edge")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(spec.M), "ns/edge")
+				})
+			}
 		}
+	}
+
+	// --- Checkpoint path: what a generator pays per chunk boundary (a
+	// commit mark: no allocation, no syscall) and what the checkpointer
+	// pays per round beside it (one shard Sync and one manifest publish, at
+	// the manifest size of the repository benchmark's rmat_bin_fs job) ---
+	{
+		// openShard starts a filesystem shard and returns its writer and one
+		// 64 KiB block with its digest.
+		openShard := func(b *testing.B, dir string) (storage.ShardWriter, []byte, [32]byte) {
+			store, err := storage.Resolve(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sw, err := store.CreateShard(filepath.Join(dir, "shard.bin"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { sw.Close() })
+			block := make([]byte, 64<<10)
+			return sw, block, sha256.Sum256(block)
+		}
+		add("Storage/fs-shard/commit", func(b *testing.B) {
+			sw, block, digest := openShard(b, b.TempDir())
+			if _, err := sw.Write(block); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sw.Commit(digest); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		add("Job/checkpoint-round/fs", func(b *testing.B) {
+			// A finished job of rmat_bin_fs's shape — 4 PEs of 16 chunks —
+			// supplies a manifest of its final size.
+			spec := job.Spec{Model: "gnm_directed", N: 1 << 12, M: 1 << 12, Seed: 1,
+				PEs: 4, ChunksPerPE: 16, Workers: 1, Format: "binary"}
+			dir := b.TempDir()
+			if err := job.Init(dir, spec); err != nil {
+				b.Fatal(err)
+			}
+			if err := job.Run(dir, 0, job.RunOptions{Goroutines: 1}); err != nil {
+				b.Fatal(err)
+			}
+			manifest, err := job.ReadManifest(job.ManifestPath(dir, 0), spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sw, block, digest := openShard(b, dir)
+			mpath := filepath.Join(dir, "round-manifest.json")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// One chunk arrives, then the round: sync, publish.
+				if _, err := sw.Write(block); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sw.Commit(digest); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sw.Sync(); err != nil {
+					b.Fatal(err)
+				}
+				if err := job.WriteManifest(mpath, manifest); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 
 	return cases

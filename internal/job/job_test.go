@@ -95,9 +95,9 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Worker 0 owns PEs 0-1 (6 chunks): the torn-tail failpoint
-			// fires at the 4th checkpoint — mid-PE 1, exercising a
-			// chunk-granular restart — appending garbage past the committed
-			// offset exactly as a crash mid-batch would, then "crashing".
+			// fires at the 4th checkpoint — PE 1's first, exercising a
+			// chunk-granular restart — appending garbage to the shard
+			// exactly as a crash mid-batch would, then "crashing".
 			t.Cleanup(failpoint.Reset)
 			failpoint.Arm("job/torn-tail", 4)
 			err := Run(crashed, 0, RunOptions{Goroutines: 2})
@@ -113,9 +113,11 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 			if len(gaps) == 0 {
 				t.Fatal("interrupted job reports no gaps")
 			}
-			partial := gaps[0]
-			if partial.ChunksDone == 0 || partial.ChunksDone >= partial.Chunks {
-				t.Fatalf("expected a mid-PE gap, got PE %d at %d/%d chunks",
+			// The manifest records the chunk whose checkpoint fired the
+			// failpoint — and, if the publish that recorded it covered more,
+			// later chunks of PE 1, never its finalization.
+			if partial := gaps[0]; partial.PE != 1 || partial.ChunksDone == 0 {
+				t.Fatalf("expected the gap in PE 1 past its first chunk, got PE %d at %d/%d chunks",
 					partial.PE, partial.ChunksDone, partial.Chunks)
 			}
 

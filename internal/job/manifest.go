@@ -87,9 +87,10 @@ func decodeDigest(s string, d *merkle.Digest) error {
 
 // Manifest is one worker's checkpoint state: the spec hash it is bound
 // to, the worker index, and per-PE progress for the worker's PE range.
-// It is rewritten atomically (temp file + rename) after every chunk, so
-// on disk it is always a complete, parseable snapshot of some committed
-// state — never a torn write.
+// It is rewritten atomically (temp file + rename) once per checkpoint
+// round — after every chunk when the store keeps up — so on disk it is
+// always a complete, parseable snapshot of some durable chunk-prefix
+// state, never a torn write.
 type Manifest struct {
 	SpecHash string       `json:"spec_hash"`
 	Worker   uint64       `json:"worker"`
@@ -138,17 +139,34 @@ func WriteManifest(path string, m *Manifest) error {
 	return writeManifest(store, path, m)
 }
 
-// writeManifest is WriteManifest on an already resolved backend — the
-// per-chunk hot path, which must not re-resolve destinations. The
-// failpoint sites around the atomic publish keep their long-standing
-// names on every backend.
+// writeManifest is WriteManifest on an already resolved backend, for the
+// writers outside a run's checkpoint rounds (the first manifest of a
+// worker, the resume audit, repair).
 func writeManifest(store storage.Backend, path string, m *Manifest) error {
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
+	return new(manifestWriter).write(store, path, m)
+}
+
+// manifestWriter encodes and publishes manifests, keeping its buffers
+// between publishes: a worker's checkpointer publishes once per round,
+// and the manifest grows with every chunk.
+type manifestWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// write atomically replaces path with the manifest. The failpoint sites
+// around the atomic publish keep their long-standing names on every
+// backend.
+func (w *manifestWriter) write(store storage.Backend, path string, m *Manifest) error {
+	if w.enc == nil {
+		w.enc = json.NewEncoder(&w.buf)
+		w.enc.SetIndent("", "  ")
+	}
+	w.buf.Reset()
+	if err := w.enc.Encode(m); err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	return store.Put(path, b, storage.PutOptions{
+	return store.Put(path, w.buf.Bytes(), storage.PutOptions{
 		CrashBefore:  "job/crash-before-rename",
 		CorruptAfter: "job/manifest-truncate",
 	})

@@ -3,7 +3,6 @@ package job
 import (
 	"bytes"
 	"compress/gzip"
-	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -11,15 +10,12 @@ import (
 	"io"
 	"io/fs"
 	"log/slog"
-	"math"
 	"os"
 	"strings"
 	"time"
 
 	kagen "repro"
-	"repro/internal/failpoint"
 	"repro/internal/graph"
-	"repro/internal/merkle"
 	"repro/internal/obs"
 	"repro/internal/pe"
 	"repro/internal/storage"
@@ -152,37 +148,41 @@ type RunOptions struct {
 	// in chunk order.
 	Goroutines int
 	// OnCheckpoint, if set, runs once per chunk whose checkpoint became
-	// durable — shard bytes held by the store, manifest published — with
-	// the PE, its committed chunk count and its cumulative committed
-	// edges. On the filesystem that is after every chunk; on S3 chunks
-	// promote when their multipart part finishes uploading, so several
-	// calls can arrive back to back. Returning an error aborts the run at
-	// exactly the state a crash at that point would leave: the cancel,
-	// test and CI interruption hook.
+	// durable — shard bytes held by the store, manifest published — in
+	// chunk order, with the PE, its committed chunk count and its
+	// cumulative committed edges. One manifest publish can cover several
+	// chunks (every chunk committed while the previous publish was in
+	// flight; on S3, every chunk of a part that finished uploading), so
+	// several calls can arrive back to back, and the manifest may already
+	// record later chunks than the one a call names. Calls come from the
+	// worker's checkpointer goroutine, never two at once, while generation
+	// carries on. Returning an error stops the run with nothing further
+	// published, at a state a crash at that point could leave: the
+	// cancel, test and CI interruption hook.
 	OnCheckpoint func(pe, chunksDone, edges uint64) error
 	// Trace, if set, collects spans for this worker's run — worker → PE →
-	// chunk-generate/chunk-commit (plus the storage layer's upload-part
-	// spans when this trace is also installed via obs.SetActive) — and
-	// persists them to <dir>/trace/workerNNNNN.json before Run returns.
-	// Nil disables tracing entirely; the hot path then sees only nil
-	// checks.
+	// chunk-generate/chunk-commit/checkpoint (plus the storage layer's
+	// upload-part spans when this trace is also installed via
+	// obs.SetActive) — and persists them to <dir>/trace/workerNNNNN.json
+	// before Run returns. Nil disables tracing entirely; the hot path then
+	// sees only nil checks.
 	Trace *obs.Trace
-	// OnCommitLatency, if set, observes the wall seconds the ordered stage
-	// spent on each successfully committed chunk: writing the chunk's
-	// finished blocks into the shard plus the backend commit (fsync / part
-	// seal), keyed by PE. Encoding and compression are not in it — they
-	// ran earlier, on the goroutine that generated the chunk. Unlike
-	// OnCheckpoint — which fires at manifest-promotion time and so
-	// interleaves across PEs on striped backends — this fires at commit
-	// time on the committing goroutine.
+	// OnCommitLatency, if set, observes the wall seconds of each checkpoint
+	// round that published a manifest — syncing the open shards (fsync /
+	// upload progress), promoting what the sync covered, and the manifest
+	// publish — keyed by the oldest PE the round advanced. One round can
+	// cover many chunks, so there are at most as many observations as
+	// OnCheckpoint calls. It runs on the checkpointer goroutine, before the
+	// round's OnCheckpoint calls; no generator waits for what it measures.
 	OnCommitLatency func(pe uint64, seconds float64)
 }
 
 // Run executes (or, if a manifest with progress exists, continues) one
 // worker's share of a job: each PE of the worker's range streams its
-// remaining chunks into its shard, checkpointing after every chunk. It
-// needs no communication with other workers — the spec alone determines
-// every byte each of them writes.
+// remaining chunks into its shard, every chunk a checkpoint boundary that
+// the worker's checkpointer makes durable and records while generation
+// carries on. It needs no communication with other workers — the spec
+// alone determines every byte each of them writes.
 func Run(dir string, worker uint64, opts RunOptions) error {
 	store, err := storage.Resolve(dir)
 	if err != nil {
@@ -264,16 +264,24 @@ func runWorker(store storage.Backend, dir string, worker uint64, spec Spec, stre
 		return fmt.Errorf("job: cannot stat manifest %s: %w", mpath, serr)
 	}
 	format := spec.ShardFormat()
+	cp := startCheckpointer(store, manifest, mpath, &opts, log)
+	var err error
 	for i := range manifest.PEs {
 		prog := &manifest.PEs[i]
 		if prog.Done {
 			continue
 		}
-		if err := runPE(store, dir, spec, streamer, format, encs, manifest, mpath, prog, opts, log); err != nil {
-			return fmt.Errorf("job: worker %d, PE %d: %w", worker, prog.PE, err)
+		if perr := runPE(store, dir, spec, streamer, format, encs, manifest, mpath, prog, cp, log); perr != nil {
+			err = fmt.Errorf("job: worker %d, PE %d: %w", worker, prog.PE, perr)
+			break
 		}
 	}
-	return nil
+	// The last PE is still finishing, and after a failed PE the chunks it
+	// committed are still to be recorded.
+	if cerr := cp.close(); err == nil && cerr != nil {
+		err = fmt.Errorf("job: worker %d: %w", worker, cerr)
+	}
+	return err
 }
 
 // Resume is Run for a worker that has checkpointed before: it refuses to
@@ -297,187 +305,135 @@ func Resume(dir string, worker uint64, opts RunOptions) error {
 // runPE streams one PE's remaining chunks into its shard: the pipeline
 // goroutines turn whole chunks into blocks of finished wire bytes (see
 // chunkEncoder), pe.Ordered puts the blocks back into chunk order, and
-// the checkpoint sink writes and commits them.
-func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer, format kagen.Format, encs *chunkEncoders, manifest *Manifest, mpath string, prog *PEProgress, opts RunOptions, log *slog.Logger) (err error) {
+// the ordered stage writes and commits them. Durability is the
+// checkpointer's: runPE returns as soon as the PE's last block is
+// committed, and the next PE generates while this one is finalized.
+func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer, format kagen.Format, encs *chunkEncoders, manifest *Manifest, mpath string, prog *PEProgress, cp *checkpointer, log *slog.Logger) error {
+	trace := cp.opts.Trace
 	first, count := spec.ChunkRange(prog.PE)
 	path := ShardPath(dir, prog.PE, format)
 	log.Info("pe starting", "pe", prog.PE, "chunks", count, "chunks_done", prog.ChunksDone)
-	peSpan := opts.Trace.Start("job", "pe", obs.PELane(prog.PE), obs.Span{})
+	pc := &peCheckpoint{prog: prog, path: path, firstChunk: first, chunks: count}
+	// The PE's span ends when the checkpointer has published it as done, or
+	// here if it never gets that far.
+	pc.span = trace.Start("job", "pe", obs.PELane(prog.PE), obs.Span{})
+	opened := false
 	defer func() {
-		peSpan.End(obs.U64("pe", prog.PE), obs.U64("chunks_done", prog.ChunksDone), obs.U64("edges", prog.Edges))
-		if err == nil {
-			log.Info("pe finished", "pe", prog.PE, "chunks", count, "edges", prog.Edges)
+		if !opened {
+			pc.endSpan()
 		}
 	}()
-	if prog.Offset > 0 && store.PartialReads() {
-		// Before extending committed state, audit it: re-hash the committed
-		// chunks in the store against their manifest digests. A mismatch
-		// means the shard rotted (or a failpoint bit it) since the
-		// checkpoint — appending to it would launder corruption into a
-		// "complete" job, so the bad suffix is quarantined and regenerated
-		// instead. Backends without partial reads (S3: parts of an open
-		// multipart upload are unreadable) skip the audit — there the store
-		// verified every part's checksum on receipt.
-		if err := auditCommitted(store, path, format, streamer.N(), manifest, mpath, prog); err != nil {
-			return err
-		}
-	}
 
-	var w *shardWriter
-	var headerPending int64 // header committed to the writer but not yet durable/recorded
-	fresh := func() error {
-		// Fresh shard: commit the header as checkpoint zero. It is
-		// recorded in the manifest only once durable — immediately on the
-		// filesystem, after its part uploads on S3.
-		var off int64
-		if w, off, err = createShard(store, path, format, streamer.N(), &encs.enc[0]); err != nil {
-			return err
-		}
-		if dur, derr := w.Durable(); derr != nil {
-			w.Close()
-			return derr
-		} else if dur >= off {
-			prog.Offset, prog.HeaderEnd = off, off
-			if err = writeManifest(store, mpath, manifest); err != nil {
-				w.Close()
-				return err
-			}
-		} else {
-			headerPending = off
-		}
-		return nil
+	fresh := func() (err error) {
+		// Fresh shard: the header is committed as checkpoint zero and
+		// recorded, like any chunk, by the first round whose sync covers it.
+		pc.w, pc.headerPending, err = createShard(store, path, format, streamer.N(), &encs.enc[0])
+		return err
 	}
 	if prog.Offset == 0 {
 		if err := fresh(); err != nil {
 			return err
 		}
-	} else if w, err = reopenShard(store, path, prog.Offset); errors.Is(err, storage.ErrNoShard) {
-		// The store-side partial state is gone (expired multipart upload,
-		// swept staging): roll the PE back to zero — durably, so a crash
-		// mid-regeneration cannot resurrect the stale offset — and start
-		// over. Determinism makes the reset safe: the regenerated bytes
-		// are identical to the lost ones.
-		*prog = PEProgress{PE: prog.PE}
-		if err := writeManifest(store, mpath, manifest); err != nil {
+	} else {
+		// A resumed PE is audited, and possibly rolled back, before it is
+		// extended. That rewrites its progress record and the manifest from
+		// here, so the checkpointer must have nothing in flight.
+		if err := cp.idle(); err != nil {
 			return err
 		}
-		if err := fresh(); err != nil {
+		if store.PartialReads() {
+			// Before extending committed state, audit it: re-hash the committed
+			// chunks in the store against their manifest digests. A mismatch
+			// means the shard rotted (or a failpoint bit it) since the
+			// checkpoint — appending to it would launder corruption into a
+			// "complete" job, so the bad suffix is quarantined and regenerated
+			// instead. Backends without partial reads (S3: parts of an open
+			// multipart upload are unreadable) skip the audit — there the store
+			// verified every part's checksum on receipt.
+			if err := auditCommitted(store, path, format, streamer.N(), manifest, mpath, prog); err != nil {
+				return err
+			}
+		}
+		var err error
+		if prog.Offset == 0 {
+			// The audit found the header itself corrupt and reset the PE.
+			err = fresh()
+		} else if pc.w, err = reopenShard(store, path, prog.Offset); errors.Is(err, storage.ErrNoShard) {
+			// The store-side partial state is gone (expired multipart upload,
+			// swept staging): roll the PE back to zero — durably, so a crash
+			// mid-regeneration cannot resurrect the stale offset — and start
+			// over. Determinism makes the reset safe: the regenerated bytes
+			// are identical to the lost ones.
+			*prog = PEProgress{PE: prog.PE}
+			if err = writeManifest(store, mpath, manifest); err == nil {
+				err = fresh()
+			}
+		}
+		if err != nil {
 			return err
 		}
-	} else if err != nil {
-		return err
 	}
 
-	sink := &checkpointSink{
-		store: store, local: store.Local(), w: w, path: path,
-		manifest: manifest, mpath: mpath, prog: prog,
-		firstChunk: first, headerPending: headerPending,
-		onCheckpoint:    opts.OnCheckpoint,
-		onCommitLatency: opts.OnCommitLatency,
-		trace:           opts.Trace, peSpan: peSpan, log: log,
-	}
+	// The progress record is the checkpointer's from open on; the range
+	// left to generate is fixed here.
+	done := prog.ChunksDone
+	cp.open(pc)
+	opened = true
+	sink := &orderedStage{cp: cp, pc: pc}
 	produce := func(worker, chunk int, send func(*block, bool) bool) {
 		// chunk-generate covers everything the producing goroutine does
 		// for the chunk: generate, encode, digest, compress.
-		sp := opts.Trace.Start("job", "chunk-generate", obs.GenLane(uint64(chunk)), peSpan)
+		sp := trace.Start("job", "chunk-generate", obs.GenLane(uint64(chunk)), pc.span)
 		enc := &encs.enc[worker]
-		enc.begin(send, opts.Trace != nil)
+		enc.begin(send, trace != nil)
 		last := enc.finish(streamer.StreamChunk(uint64(chunk), enc.emit))
-		if opts.Trace != nil {
+		if trace != nil {
 			sp.End(obs.U64("chunk", uint64(chunk)), obs.U64("edges", last.edges),
 				obs.U64("payload_bytes", last.payloadBytes), obs.U64("wire_bytes", last.wireBytes),
 				obs.U64("encode_ns", uint64(enc.encodeNs)))
 		}
 		send(last, true)
 	}
-	err = pe.Ordered(int(first+prog.ChunksDone), int(count-prog.ChunksDone), len(encs.enc),
-		produce, sink.deliver, encs.blocks.put)
-	if err != nil {
-		w.Close() // keep the partial state: committed bytes survive for resume
+	if err := pe.Ordered(int(first+done), int(count-done), len(encs.enc),
+		produce, sink.deliver, encs.blocks.put); err != nil {
 		return err
 	}
-	// Publish the shard, then promote whatever was still waiting on
-	// uploads — after Finalize the whole shard is durable by definition.
-	if err := w.Finalize(); err != nil {
-		return err
-	}
-	if err := sink.promote(math.MaxInt64); err != nil {
-		return err
-	}
-	leaves, err := prog.leafDigests()
-	if err != nil {
-		return err
-	}
-	root := merkle.Root(leaves)
-	prog.Root = hex.EncodeToString(root[:])
-	prog.Done = true
-	return writeManifest(store, mpath, manifest)
+	return cp.finish(pc)
 }
 
-// pendingChunk is a chunk committed to the shard writer whose checkpoint
-// is not yet durable on the backend — on S3, a chunk whose part is still
-// uploading. It holds everything promote needs to record the chunk once
-// Durable catches up.
-type pendingChunk struct {
-	rec   ChunkRecord
-	chunk uint64 // global chunk index
-}
-
-// checkpointSink is the ordered stage of one PE: it receives the PE's
-// finished blocks in chunk order (the consume side of pe.Ordered), writes
-// them into the shard, and turns every chunk's last block into a
-// checkpoint — shard commit (fsync / sealed multipart part), then atomic
-// manifest publish. The manifest only ever records durable offsets: on
-// the filesystem a commit is immediately durable, so every chunk promotes
-// with its own checkpoint; on S3 committed chunks wait in the pending
-// tail until the contiguous uploaded prefix (Durable) covers them, so the
-// manifest can lag generation but never lead the store.
-type checkpointSink struct {
-	store         storage.Backend
-	local         bool
-	w             *shardWriter
-	path          string // shard destination, used only by fault injection
-	manifest      *Manifest
-	mpath         string
-	prog          *PEProgress
-	firstChunk    uint64
-	headerPending int64 // committed header end not yet recorded (0 = recorded)
-	tail          []pendingChunk
-	onCheckpoint  func(pe, chunksDone, edges uint64) error
-	// Observability. All nil/zero when disabled: deliver then pays two nil
-	// checks and promote pays one.
-	onCommitLatency func(pe uint64, seconds float64)
-	commitTime      time.Duration // spent on the chunk in flight (onCommitLatency only)
-	trace           *obs.Trace
-	peSpan          obs.Span
-	log             *slog.Logger
+// orderedStage is the ordered stage of one PE: it receives the PE's
+// finished blocks in chunk order (the consume side of pe.Ordered), on
+// whichever pipeline goroutine owns the delivery head, and writes them
+// into the shard. A chunk's last block commits it — a boundary mark, no
+// I/O — and hands its record to the checkpointer. Nothing here waits for
+// a sync, a manifest or a hook.
+type orderedStage struct {
+	cp *checkpointer
+	pc *peCheckpoint
 }
 
 // deliver takes one block of a chunk. A chunk's bytes are appended as
 // they arrive; its last block commits it. A chunk that failed to generate
-// surfaces here, in chunk order, and commits nothing.
-func (s *checkpointSink) deliver(chunk int, b *block, final bool) error {
+// surfaces here, in chunk order, and commits nothing; a checkpointer that
+// failed stops the run at the next block.
+func (s *orderedStage) deliver(chunk int, b *block, final bool) error {
+	if s.cp.failed.Load() {
+		return s.cp.failure()
+	}
 	if final && b.err != nil {
 		return b.err
 	}
 	var sp obs.Span
 	if final {
-		sp = s.trace.Start("job", "chunk-commit", obs.PELane(s.prog.PE), s.peSpan)
-	}
-	var t0 time.Time
-	if s.onCommitLatency != nil {
-		t0 = time.Now()
+		sp = s.cp.opts.Trace.Start("job", "chunk-commit", obs.PELane(s.pc.prog.PE), s.pc.span)
 	}
 	var err error
 	if b.n > 0 {
-		err = s.w.write(b.buf[:b.n])
+		err = s.pc.w.write(b.buf[:b.n])
 	}
-	start, off := s.w.committed, int64(0)
+	var off int64
 	if final && err == nil {
-		off, err = s.w.commit(&b.chunkTrailer)
-	}
-	if s.onCommitLatency != nil {
-		s.commitTime += time.Since(t0)
+		off, err = s.pc.w.commit(&b.chunkTrailer)
 	}
 	if final {
 		sp.End(obs.U64("chunk", uint64(chunk)), obs.U64("bytes", b.wireBytes), obs.U64("edges", b.edges))
@@ -485,145 +441,11 @@ func (s *checkpointSink) deliver(chunk int, b *block, final bool) error {
 	if err != nil || !final {
 		return err
 	}
-	if s.onCommitLatency != nil {
-		s.onCommitLatency(s.prog.PE, s.commitTime.Seconds())
-		s.commitTime = 0
-	}
-	s.tail = append(s.tail, pendingChunk{
+	s.cp.add(s.pc, pendingChunk{
 		rec:   ChunkRecord{Digest: hex.EncodeToString(b.payload[:]), End: off, Edges: b.edges},
 		chunk: uint64(chunk),
 	})
-	dur, err := s.w.Durable()
-	if err != nil {
-		return err
-	}
-	if err := s.promote(dur); err != nil {
-		return err
-	}
-	if failpoint.Armed() && s.local {
-		// The byte-level fault injectors reach into the shard with os-level
-		// tooling — local backends only.
-		if err := s.inject(start, off); err != nil {
-			return err
-		}
-	} else if failpoint.Armed() && failpoint.Eval("job/crash") {
-		return failpoint.Crash("job/crash")
-	}
 	return nil
-}
-
-// promote records every pending chunk whose committed bytes the backend
-// durably holds (End <= dur) into the PE's progress, publishes the
-// manifest once if anything moved, and fires the checkpoint hook once
-// per promoted chunk. The header must promote before any chunk can.
-func (s *checkpointSink) promote(dur int64) error {
-	changed := false
-	if s.headerPending > 0 && s.headerPending <= dur {
-		s.prog.Offset, s.prog.HeaderEnd = s.headerPending, s.headerPending
-		s.headerPending = 0
-		changed = true
-	}
-	type hookState struct{ done, edges uint64 }
-	var calls []hookState
-	if s.headerPending == 0 {
-		for len(s.tail) > 0 && s.tail[0].rec.End <= dur {
-			pc := s.tail[0]
-			s.tail = s.tail[1:]
-			s.prog.ChunksDone = pc.chunk - s.firstChunk + 1
-			s.prog.Offset = pc.rec.End
-			s.prog.Edges += pc.rec.Edges
-			s.prog.Chunks = append(s.prog.Chunks, pc.rec)
-			calls = append(calls, hookState{s.prog.ChunksDone, s.prog.Edges})
-			changed = true
-		}
-	}
-	if !changed {
-		return nil
-	}
-	if err := writeManifest(s.store, s.mpath, s.manifest); err != nil {
-		return err
-	}
-	if s.log != nil && s.log.Enabled(context.Background(), slog.LevelDebug) {
-		// Guarded: per-chunk logging must cost one atomic level check when
-		// the level is above debug, not an argument build.
-		s.log.Debug("checkpoint", "pe", s.prog.PE,
-			"chunks_done", s.prog.ChunksDone, "edges", s.prog.Edges, "offset", s.prog.Offset)
-	}
-	if s.onCheckpoint != nil {
-		for _, c := range calls {
-			if err := s.onCheckpoint(s.prog.PE, c.done, c.edges); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// inject evaluates the post-checkpoint fault-injection sites against the
-// chunk just committed as bytes [start, end) of the shard. Sites that
-// need chunk bytes to corrupt only count non-empty chunks, so arming
-// "fire on the 2nd evaluation" always hits a real chunk.
-func (s *checkpointSink) inject(start, end int64) error {
-	path := localPath(s.path)
-	if end > start {
-		if failpoint.Eval("job/chunk-bitflip") {
-			// Flip one bit in the middle of the committed chunk — the rot a
-			// verify pass must detect. The run continues: the corruption is
-			// already durable and the manifest already vouches for the
-			// original bytes.
-			if err := flipByteAt(path, start+(end-start)/2); err != nil {
-				return err
-			}
-		}
-		if failpoint.Eval("job/shard-truncate") {
-			// Cut the committed chunk in half and crash: the manifest now
-			// leads the shard, which resume must refuse to paper over.
-			if err := os.Truncate(path, start+(end-start)/2); err != nil {
-				return err
-			}
-			return failpoint.Crash("job/shard-truncate")
-		}
-	}
-	if failpoint.Eval("job/torn-tail") {
-		// Append garbage past the committed offset and crash — the torn
-		// tail a real crash mid-batch leaves, which resume truncates away.
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-		if err != nil {
-			return err
-		}
-		_, werr := f.Write([]byte("\x00torn tail garbage\xff"))
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		return failpoint.Crash("job/torn-tail")
-	}
-	if failpoint.Eval("job/crash") {
-		// Clean crash between checkpoints: disk state is exactly a
-		// committed snapshot.
-		return failpoint.Crash("job/crash")
-	}
-	return nil
-}
-
-// flipByteAt XORs one bit of a file in place and syncs it.
-func flipByteAt(path string, off int64) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], off); err != nil {
-		return err
-	}
-	b[0] ^= 0x01
-	if _, err := f.WriteAt(b[:], off); err != nil {
-		return err
-	}
-	return f.Sync()
 }
 
 // PEStatus is one PE's progress as seen by Inspect.

@@ -26,16 +26,20 @@ func ShardPath(dir string, pe uint64, format kagen.Format) string {
 //  2. Committed bytes are only ever appended to. commit seals everything
 //     written so far as one chunk; for compressed shards a chunk is one
 //     whole gzip member, so the offset falls on a member boundary and
-//     truncating to it leaves a well-formed gzip stream. On the filesystem
-//     a commit is an fsync; on S3 the committed chunk joins the pending
-//     multipart part, and durability (Durable) arrives when its part's
-//     upload completes. Resume discards anything past the last durable
-//     offset and appends, for compressed shards as a fresh member
-//     (concatenated gzip members are one valid stream).
+//     truncating to it leaves a well-formed gzip stream. A commit is a
+//     boundary mark on every backend; durability arrives with a later
+//     Sync — an fsync on the filesystem, the completed upload of the
+//     chunk's multipart part on S3 — which the worker's checkpointer
+//     runs beside generation. Resume discards anything past the last
+//     recorded durable offset and appends, for compressed shards as a
+//     fresh member (concatenated gzip members are one valid stream).
 //
-// Because every run commits after every chunk, member boundaries are a
-// pure function of the spec, and a resumed shard is byte-identical to an
-// uninterrupted one.
+// Because every run commits after every chunk, whatever the cadence at
+// which commits become durable, member boundaries are a pure function of
+// the spec, and a resumed shard is byte-identical to an uninterrupted one.
+//
+// write and commit belong to the ordered stage; Sync, Finalize and Close
+// to the checkpointer, Sync alone while the ordered stage still runs.
 type shardWriter struct {
 	sw storage.ShardWriter
 	// committed is the offset of the last commit; bytes written past it
@@ -114,13 +118,13 @@ func (w *shardWriter) commit(t *chunkTrailer) (int64, error) {
 	return off, nil
 }
 
-// Durable returns the contiguous committed prefix the backend is known
-// to hold — what checkpoint manifests may record.
-func (w *shardWriter) Durable() (int64, error) { return w.sw.Durable() }
+// Sync hardens what is committed and returns the contiguous committed
+// prefix the backend durably holds — what checkpoint manifests may record.
+func (w *shardWriter) Sync() (int64, error) { return w.sw.Sync() }
 
 // Finalize publishes the shard (S3: CompleteMultipartUpload; filesystem:
-// a final sync — shards live at their destination from the first byte)
-// and releases the writer.
+// a final sync, free when a Sync already covered everything — shards live
+// at their destination from the first byte) and releases the writer.
 func (w *shardWriter) Finalize() error {
 	if w.sw == nil {
 		return nil

@@ -28,9 +28,10 @@ func traceEvents(t *testing.T, b []byte) []map[string]any {
 }
 
 // TestRunTraced runs a multi-PE sharded job with tracing and checks the
-// persisted trace: worker → pe → chunk-generate/chunk-commit spans with
-// correct nesting, plus the commit-latency hook firing per chunk on the
-// right PEs.
+// persisted trace: worker → pe → chunk-generate/chunk-commit/checkpoint
+// spans with correct nesting, plus the commit-latency hook firing once
+// per checkpoint round — as often as there are checkpoint spans, whose
+// chunk counts add up to the job's.
 func TestRunTraced(t *testing.T) {
 	spec := Spec{Model: "gnm_undirected", N: 400, M: 2000, Seed: 21,
 		PEs: 3, ChunksPerPE: 2, Workers: 1, Format: "text"}
@@ -55,10 +56,12 @@ func TestRunTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pe := uint64(0); pe < spec.PEs; pe++ {
-		if got := latencies[pe]; uint64(got) != spec.ChunksPerPE {
-			t.Errorf("PE %d: %d commit-latency observations, want %d", pe, got, spec.ChunksPerPE)
+	rounds := 0
+	for pe, n := range latencies {
+		if pe >= spec.PEs {
+			t.Errorf("%d commit-latency observations for PE %d, which the job does not have", n, pe)
 		}
+		rounds += n
 	}
 
 	var buf bytes.Buffer
@@ -74,11 +77,23 @@ func TestRunTraced(t *testing.T) {
 		v, _ := args[k].(float64)
 		return uint64(v)
 	}
+	checkpointed := 0
 	for _, e := range spans {
 		count[e["name"].(string)]++
 		byID[id(e, "id")] = e
+		if e["name"] == "checkpoint" {
+			checkpointed += int(id(e, "chunks"))
+		}
 	}
 	chunks := int(spec.PEs * spec.ChunksPerPE)
+	// Every PE has a finishing round; a round can cover all of a PE's chunks.
+	if count["checkpoint"] != rounds || rounds < int(spec.PEs) || rounds > chunks+2*int(spec.PEs) {
+		t.Errorf("%d checkpoint spans, %d commit-latency observations for %d PEs of %d chunks",
+			count["checkpoint"], rounds, spec.PEs, spec.ChunksPerPE)
+	}
+	if checkpointed != chunks {
+		t.Errorf("checkpoint spans cover %d chunks, the job has %d", checkpointed, chunks)
+	}
 	if count["worker"] != 1 || count["pe"] != int(spec.PEs) ||
 		count["chunk-generate"] != chunks || count["chunk-commit"] != chunks {
 		t.Fatalf("span counts = %v, want 1 worker, %d pe, %d chunk-generate, %d chunk-commit",
@@ -93,7 +108,7 @@ func TestRunTraced(t *testing.T) {
 			if !ok || parent["name"] != "worker" {
 				t.Fatalf("pe span not nested under worker: %v", e)
 			}
-		case "chunk-generate", "chunk-commit":
+		case "chunk-generate", "chunk-commit", "checkpoint":
 			if !ok || parent["name"] != "pe" {
 				t.Fatalf("%s span not nested under pe: %v", e["name"], e)
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/failpoint"
@@ -279,11 +280,16 @@ func TestTornManifestRepair(t *testing.T) {
 	if err := Init(dir, spec); err != nil {
 		t.Fatal(err)
 	}
+	// The 4th publish, whichever chunks it covers: a worker publishes its
+	// empty manifest, then at least one round per PE for its chunks and one
+	// to finish it.
 	failpoint.Arm("job/manifest-truncate", 4)
+	before := runtime.NumGoroutine()
 	err := Run(dir, 0, RunOptions{})
 	if !errors.Is(err, failpoint.ErrCrash) {
 		t.Fatalf("injected run returned %v, want simulated crash", err)
 	}
+	assertNoGoroutineLeak(t, before)
 	if _, err := ReadManifest(ManifestPath(dir, 0), spec); err == nil {
 		t.Fatal("truncated manifest read back clean")
 	}
@@ -333,13 +339,35 @@ func TestCrashBeforeManifestRename(t *testing.T) {
 	if err := Init(dir, spec); err != nil {
 		t.Fatal(err)
 	}
+	// The 4th publish, whichever chunks it covers (see TestTornManifestRepair).
 	failpoint.Arm("job/crash-before-rename", 4)
-	err := Run(dir, 0, RunOptions{})
+	before := runtime.NumGoroutine()
+	var hooked uint64 // chunks whose checkpoint hook ran
+	err := Run(dir, 0, RunOptions{OnCheckpoint: func(pe, chunks, edges uint64) error {
+		hooked++
+		return nil
+	}})
 	if !errors.Is(err, failpoint.ErrCrash) {
 		t.Fatalf("injected run returned %v, want simulated crash", err)
 	}
+	assertNoGoroutineLeak(t, before)
 	if _, err := os.Stat(ManifestPath(dir, 0) + ".tmp"); err != nil {
 		t.Fatalf("crash-before-rename left no durable .tmp: %v", err)
+	}
+	// The manifest in place is the previous publish: it records every chunk
+	// whose hook ran — hooks only follow a publish — and nothing of the
+	// round that died.
+	st, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded uint64
+	for _, p := range st.Workers[0].PEs {
+		recorded += p.ChunksDone
+	}
+	if recorded != hooked || st.Complete() {
+		t.Errorf("manifest records %d chunks (complete=%v) after a crash before its 4th publish, hooks ran for %d",
+			recorded, st.Complete(), hooked)
 	}
 	if err := Resume(dir, 0, RunOptions{}); err != nil {
 		t.Fatalf("resume: %v", err)

@@ -182,6 +182,9 @@ const (
 	laneGenBase uint64 = 1 << 20 // chunk generation, striped
 	laneUpBase  uint64 = 1 << 21 // part uploads, striped
 	laneStripes        = 8
+	// LaneCheckpoint holds a worker's checkpoint rounds, which run beside
+	// the chunk commits on the PE lanes and never overlap each other.
+	LaneCheckpoint uint64 = 1 << 22
 )
 
 // PELane returns the display lane for a PE's commit-side spans.
@@ -198,6 +201,8 @@ func laneName(tid uint64) string {
 	switch {
 	case tid == LaneWorker:
 		return "worker"
+	case tid == LaneCheckpoint:
+		return "checkpoint"
 	case tid >= laneUpBase:
 		return "upload-" + utoa(tid-laneUpBase)
 	case tid >= laneGenBase:

@@ -133,6 +133,10 @@ type Metrics struct {
 	QueueRejected   Counter // 429s from the bounded submission queue
 	EdgesGenerated  Counter // edges durably committed (rate = edges/sec)
 	ChunksCommitted Counter // durable checkpoints
+	// CheckpointRounds counts manifest publishes; one round records every
+	// chunk committed since the previous one, so ChunksCommitted /
+	// CheckpointRounds is the group-commit batch size.
+	CheckpointRounds Counter
 	// Verify/repair counters, fed by POST /jobs/{id}/verify.
 	VerifyChunksChecked Counter        // chunks re-derived and checked
 	VerifyFailures      Counter        // integrity faults found
@@ -142,7 +146,7 @@ type Metrics struct {
 	JobsInflight        Gauge          // jobs currently executing
 	Checkpoint          *Histogram     // seconds between durable checkpoints, per PE
 	QueueWait           *Histogram     // seconds from accepted submission to execution start
-	Commit              *Histogram     // seconds one chunk's shard commit (fsync / part seal) took
+	Commit              *Histogram     // seconds one checkpoint round (shard sync + manifest publish) took
 	PartUpload          *Histogram     // seconds one S3 part upload took (storage observer)
 }
 
@@ -176,6 +180,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 		{"kagen_queue_rejected_total", "Submissions rejected with 429 because the queue was full.", &m.QueueRejected},
 		{"kagen_edges_generated_total", "Edges durably committed across all jobs.", &m.EdgesGenerated},
 		{"kagen_chunks_committed_total", "Durable chunk checkpoints across all jobs.", &m.ChunksCommitted},
+		{"kagen_checkpoint_rounds_total", "Checkpoint rounds (one shard sync and one manifest publish each) across all jobs; chunks committed per round is the group-commit batch size.", &m.CheckpointRounds},
 		{"kagen_verify_chunks_checked_total", "Chunks re-derived from the spec and checked by verify.", &m.VerifyChunksChecked},
 		{"kagen_verify_failures_total", "Integrity faults found by verify.", &m.VerifyFailures},
 		{"kagen_verify_repaired_total", "Repair actions taken (chunks spliced, PEs reset, manifests rebuilt).", &m.VerifyRepaired},
@@ -243,7 +248,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	}{
 		{"kagen_checkpoint_seconds", "Seconds between successive durable chunk checkpoints of one PE.", m.Checkpoint},
 		{"kagen_queue_wait_seconds", "Seconds an accepted job waited in the queue before executing.", m.QueueWait},
-		{"kagen_commit_seconds", "Seconds the ordered stage spent writing one chunk's finished blocks and committing them (fsync / part seal); compression runs earlier, on the generating goroutine, and is not included.", m.Commit},
+		{"kagen_commit_seconds", "Seconds one checkpoint round took: syncing the open shards (fsync / upload progress) and publishing the manifest that records every chunk the sync covered. Rounds run beside generation; no generator waits for them.", m.Commit},
 		{"kagen_storage_part_upload_seconds", "Seconds one multipart part upload took.", m.PartUpload},
 	}
 	for _, h := range hists {

@@ -24,6 +24,8 @@ func TestMetricsExposition(t *testing.T) {
 	m.JobsByModel.Inc("rgg2d")
 	m.QueueWait.Observe(0.05)
 	m.Commit.Observe(0.002)
+	m.CheckpointRounds.Inc()
+	m.ChunksCommitted.Add(5)
 	m.PartUpload.Observe(0.12)
 
 	var sb strings.Builder
@@ -36,6 +38,9 @@ func TestMetricsExposition(t *testing.T) {
 		"kagen_jobs_submitted_total 3",
 		"kagen_cache_hits_total 1",
 		"kagen_edges_generated_total 12345",
+		"kagen_chunks_committed_total 5",
+		"# TYPE kagen_checkpoint_rounds_total counter",
+		"kagen_checkpoint_rounds_total 1",
 		"# TYPE kagen_storage_parts_uploaded_total counter",
 		"# TYPE kagen_storage_parts_max_inflight gauge",
 		"# TYPE kagen_queue_depth gauge",

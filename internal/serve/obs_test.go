@@ -70,9 +70,15 @@ func TestServeTraceEndpoint(t *testing.T) {
 			counts["chunk-generate"], counts["chunk-commit"], total)
 	}
 
-	// Commit latency flowed into the dedicated histogram.
-	if got := srv.Metrics().Commit.Count(); got != uint64(total) {
-		t.Errorf("commit histogram count %d, want %d", got, total)
+	// Every checkpoint round is a span, a count and a commit-latency
+	// observation; a PE takes at least one and they cover every chunk.
+	rounds := srv.Metrics().CheckpointRounds.Value()
+	if got := srv.Metrics().Commit.Count(); got != rounds || counts["checkpoint"] != int(rounds) {
+		t.Errorf("commit histogram count %d, %d checkpoint spans, want both %d (kagen_checkpoint_rounds_total)",
+			got, counts["checkpoint"], rounds)
+	}
+	if chunks := srv.Metrics().ChunksCommitted.Value(); rounds < norm.PEs || chunks != uint64(total) {
+		t.Errorf("%d checkpoint rounds recorded %d chunks, want >= %d rounds and %d chunks", rounds, chunks, norm.PEs, total)
 	}
 
 	// Unknown job: 404.

@@ -823,18 +823,16 @@ func (s *Server) execute(srvCtx context.Context, js *jobState) {
 // runJob drives every worker of the job through job.Run with a
 // checkpoint hook that feeds the metrics, updates the in-memory progress
 // snapshot, and turns context cancellation into a clean abort at the
-// next durable checkpoint.
+// next durable checkpoint: the hook's error stops the worker's
+// checkpointer, and generation with it at the next block.
 func (s *Server) runJob(ctx context.Context, js *jobState) error {
 	spec := js.spec.Normalized()
 	// The hook reports cumulative per-PE edges; seed the delta tracker
 	// from the manifests so a resumed PE's pre-crash edges are neither
 	// re-counted in the metric nor double-added to the snapshot.
 	//
-	// hmu guards everything the hook mutates: job.Run promotes
-	// checkpoints from whichever pipeline goroutine owns the delivery
-	// head, so consecutive hook calls can come from different goroutines
-	// (and, on striped backends, back to back for different PEs).
-	var hmu sync.Mutex
+	// job.Run calls the hook from the worker's checkpointer goroutine,
+	// one call at a time, so what it mutates needs no lock of its own.
 	peEdges := make(map[uint64]uint64)
 	if st, err := job.Inspect(js.dir); err == nil {
 		for _, w := range st.Workers {
@@ -843,21 +841,20 @@ func (s *Server) runJob(ctx context.Context, js *jobState) error {
 			}
 		}
 	}
-	// Checkpoint latency is tracked per PE: chunks of different PEs
-	// commit interleaved, and measuring across the interleave would
+	// Checkpoint latency is tracked per PE: one PE finishes while the next
+	// already checkpoints, and measuring across the interleave would
 	// report intervals far shorter than any PE's real checkpoint cadence.
-	// A PE's first checkpoint has no predecessor and records nothing.
+	// A PE's first checkpoint has no predecessor and records nothing;
+	// chunks recorded by one manifest publish arrive back to back.
 	lastByPE := make(map[uint64]time.Time)
 	hook := func(pe, chunks, edges uint64) error {
 		now := time.Now()
-		hmu.Lock()
 		if last, ok := lastByPE[pe]; ok {
 			s.metrics.Checkpoint.Observe(now.Sub(last).Seconds())
 		}
 		lastByPE[pe] = now
 		d := edges - peEdges[pe]
 		peEdges[pe] = edges
-		hmu.Unlock()
 		s.metrics.ChunksCommitted.Inc()
 		s.metrics.EdgesGenerated.Add(d)
 		s.mu.Lock()
@@ -887,8 +884,11 @@ func (s *Server) runJob(ctx context.Context, js *jobState) error {
 		}
 		if err := job.Run(js.dir, w, job.RunOptions{
 			Goroutines: s.cfg.Goroutines, OnCheckpoint: hook,
-			Trace:           tr,
-			OnCommitLatency: func(pe uint64, seconds float64) { s.metrics.Commit.Observe(seconds) },
+			Trace: tr,
+			OnCommitLatency: func(pe uint64, seconds float64) {
+				s.metrics.CheckpointRounds.Inc()
+				s.metrics.Commit.Observe(seconds)
+			},
 		}); err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"repro/internal/failpoint"
 )
@@ -14,8 +15,8 @@ import (
 // fsBackend is the filesystem backend. It preserves the durability
 // discipline the job layer was built on: control objects are written to
 // a temp file, fsynced, renamed into place, and the directory is synced;
-// shards are committed with fsync and stay plain in-place files so
-// os-level tooling (and the fault injectors) can inspect them.
+// shards are hardened with one fsync per Sync and stay plain in-place
+// files so os-level tooling (and the fault injectors) can inspect them.
 type fsBackend struct{}
 
 func (fsBackend) Scheme() string     { return "file" }
@@ -223,13 +224,16 @@ func (w *fsWriter) Abort() error {
 	return err
 }
 
-// fsShard is the checkpointed shard writer: a plain in-place file whose
-// Commit is an fsync. Durable equals the last commit — the filesystem
-// never lags.
+// fsShard is the checkpointed shard writer: a plain in-place file. Write
+// and Commit never leave the page cache; Sync is the one fsync, and it
+// vouches for every commit made before it started.
 type fsShard struct {
 	f   *os.File
-	off int64 // bytes written
-	dur int64 // bytes committed (synced)
+	dir string // synced by the first Sync of a fresh shard; "" once durable
+	off int64  // bytes written (the writing goroutine's)
+	// committed is the offset of the last Commit, read by a concurrent Sync.
+	committed atomic.Int64
+	synced    int64 // written bytes the last fsync covered (the syncing goroutine's)
 }
 
 func (fsBackend) CreateShard(name string) (ShardWriter, error) {
@@ -241,13 +245,7 @@ func (fsBackend) CreateShard(name string) (ShardWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sync the directory so the new entry is durable before any manifest
-	// can reference the shard.
-	if err := SyncDir(filepath.Dir(p)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &fsShard{f: f}, nil
+	return &fsShard{f: f, dir: filepath.Dir(p)}, nil
 }
 
 func (fsBackend) ResumeShard(name string, offset int64) (ShardWriter, error) {
@@ -271,7 +269,11 @@ func (fsBackend) ResumeShard(name string, offset int64) (ShardWriter, error) {
 		f.Close()
 		return nil, err
 	}
-	return &fsShard{f: f, off: offset, dur: offset}, nil
+	// A checkpoint already references the shard, so its directory entry
+	// is durable.
+	s := &fsShard{f: f, off: offset, synced: offset}
+	s.committed.Store(offset)
+	return s, nil
 }
 
 func (s *fsShard) Write(p []byte) (int, error) {
@@ -281,19 +283,41 @@ func (s *fsShard) Write(p []byte) (int, error) {
 }
 
 func (s *fsShard) Commit(_ [32]byte) (int64, error) {
-	if err := s.f.Sync(); err != nil {
-		return 0, err
-	}
-	s.dur = s.off
+	s.committed.Store(s.off)
 	return s.off, nil
 }
 
-func (s *fsShard) Durable() (int64, error) { return s.dur, nil }
+// Sync fsyncs the file and, the first time on a fresh shard, its
+// directory — the new entry must be durable before any manifest can
+// reference the shard. It vouches for the commits made before it started.
+func (s *fsShard) Sync() (int64, error) {
+	c := s.committed.Load()
+	return c, s.sync(c)
+}
 
-// Finalize is a no-op beyond a final sync: filesystem shards live at
-// their destination from the first byte (the manifest, not a rename,
-// governs their meaning), which the byte-level CI checks rely on.
-func (s *fsShard) Finalize() error { return s.f.Sync() }
+// sync hardens the first upTo bytes of the file, which the caller knows
+// were written before the call. Nothing new to harden costs nothing.
+func (s *fsShard) sync(upTo int64) error {
+	if upTo <= s.synced && s.dir == "" {
+		return nil
+	}
+	if err := s.f.Sync(); err != nil {
+		return err
+	}
+	if s.dir != "" {
+		if err := SyncDir(s.dir); err != nil {
+			return err
+		}
+		s.dir = ""
+	}
+	s.synced = upTo
+	return nil
+}
+
+// Finalize is a last sync covering everything written: filesystem shards
+// live at their destination from the first byte (the manifest, not a
+// rename, governs their meaning), which the byte-level CI checks rely on.
+func (s *fsShard) Finalize() error { return s.sync(s.off) }
 
 func (s *fsShard) Close() error {
 	if s.f == nil {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/failpoint"
 )
 
 // memSpace is the in-memory backend: a process-lifetime map of objects
@@ -89,6 +91,10 @@ func (s *memSpace) Delete(name string) error {
 
 func (*memSpace) EnsureDir(string) error { return nil }
 
+// Put replaces the object under the space lock. The failpoint sites of
+// opts fire at the instants they do on the other backends: CrashBefore
+// with the previous object still current, CorruptAfter leaving the
+// published object cut in half.
 func (s *memSpace) Put(name string, data []byte, opts PutOptions) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -97,7 +103,14 @@ func (s *memSpace) Put(name string, data []byte, opts PutOptions) error {
 			return fmt.Errorf("%w: %s", ErrExists, name)
 		}
 	}
+	if opts.CrashBefore != "" && failpoint.Armed() && failpoint.Eval(opts.CrashBefore) {
+		return failpoint.Crash(opts.CrashBefore)
+	}
 	s.obj[name] = append([]byte(nil), data...)
+	if opts.CorruptAfter != "" && failpoint.Armed() && failpoint.Eval(opts.CorruptAfter) {
+		s.obj[name] = s.obj[name][:len(data)/2]
+		return failpoint.Crash(opts.CorruptAfter)
+	}
 	return nil
 }
 
@@ -138,14 +151,18 @@ func (w *memWriter) Abort() error {
 	return nil
 }
 
-// memShard is the checkpointed shard writer: committed bytes publish
-// into the object map at every Commit, so readers (and a resume) see
-// exactly the committed prefix — uncommitted tail bytes never escape.
+// memShard is the checkpointed shard writer. Commit is a mark; Sync and
+// Finalize publish the committed bytes into the object map, so readers
+// (and a resume) see exactly the synced prefix — durability lags commit
+// here as it does on a disk or an object store, and neither committed
+// bytes that were never synced nor the uncommitted tail ever escape.
 type memShard struct {
 	s    *memSpace
 	name string
-	buf  []byte // committed + uncommitted
-	dur  int64  // committed length
+	mu   sync.Mutex // Sync may run beside Write and Commit
+	buf  []byte     // bytes not yet published: committed first, then the tail
+	held int        // bytes of buf that are committed
+	off  int64      // absolute committed offset
 }
 
 func (s *memSpace) CreateShard(name string) (ShardWriter, error) {
@@ -156,32 +173,56 @@ func (s *memSpace) CreateShard(name string) (ShardWriter, error) {
 }
 
 func (s *memSpace) ResumeShard(name string, offset int64) (ShardWriter, error) {
-	b, err := s.Get(name)
-	if err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.obj[name]
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoShard, name)
 	}
 	if int64(len(b)) < offset {
 		return nil, fmt.Errorf("storage: shard %s has %d bytes, committed offset is %d — object and checkpoint disagree", name, len(b), offset)
 	}
-	return &memShard{s: s, name: name, buf: b[:offset], dur: offset}, nil
+	// Drop what was synced past the offset the caller's checkpoint records.
+	s.obj[name] = b[:offset:offset]
+	return &memShard{s: s, name: name, off: offset}, nil
 }
 
 func (w *memShard) Write(p []byte) (int, error) {
+	w.mu.Lock()
 	w.buf = append(w.buf, p...)
+	w.mu.Unlock()
 	return len(p), nil
 }
 
 func (w *memShard) Commit(_ [32]byte) (int64, error) {
-	w.dur = int64(len(w.buf))
-	w.s.mu.Lock()
-	w.s.obj[w.name] = append([]byte(nil), w.buf...)
-	w.s.mu.Unlock()
-	return w.dur, nil
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.off += int64(len(w.buf) - w.held)
+	w.held = len(w.buf)
+	return w.off, nil
 }
 
-func (w *memShard) Durable() (int64, error) { return w.dur, nil }
-func (w *memShard) Finalize() error         { return nil }
-func (w *memShard) Close() error            { return nil }
+// Sync appends the committed bytes to the published object — each byte
+// is copied into the space once, whatever the number of commits.
+func (w *memShard) Sync() (int64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.held > 0 {
+		w.s.mu.Lock()
+		w.s.obj[w.name] = append(w.s.obj[w.name], w.buf[:w.held]...)
+		w.s.mu.Unlock()
+		w.buf = w.buf[:copy(w.buf, w.buf[w.held:])]
+		w.held = 0
+	}
+	return w.off, nil
+}
+
+func (w *memShard) Finalize() error {
+	_, err := w.Sync()
+	return err
+}
+
+func (w *memShard) Close() error { return nil }
 
 func (w *memShard) Abort() error {
 	w.s.mu.Lock()

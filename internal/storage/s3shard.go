@@ -23,10 +23,16 @@ import (
 //
 // Durability model: a chunk is durable once every part up to and
 // including its bytes has finished uploading (the store verified each
-// part's SHA-256 on receipt). Durable() reports that contiguous prefix;
-// the job layer's checkpoint manifests only record offsets at or below
-// it, so a crash never leaves a manifest pointing past what the store
-// holds.
+// part's SHA-256 on receipt). Sync reports that contiguous prefix
+// without waiting for anything; the job layer's checkpoint manifests
+// only record offsets at or below it, so a crash never leaves a manifest
+// pointing past what the store holds.
+//
+// Bytes are copied once on their way out: Write appends straight into
+// the part being built, Commit marks how much of it is committed, and a
+// full part's buffer is handed to its upload as it is. A finished upload
+// gives the buffer back, so a shard in steady state cycles through at
+// most concurrency+1 buffers and allocates none.
 type s3Shard struct {
 	b      *s3Backend
 	bucket string
@@ -40,13 +46,14 @@ type s3Shard struct {
 	wg     sync.WaitGroup
 
 	mu           sync.Mutex
-	cur          []byte // bytes written since the last Commit
-	pending      []byte // committed chunks not yet sealed into a part
-	pendingN     int    // chunks in pending
-	pendingSum   [32]byte
-	pendingKnown bool  // pendingSum valid (single whole chunk)
-	off          int64 // absolute committed offset
-	resumeOff    int64 // durable offset inherited from a resumed upload
+	part         []byte   // the part being built: committed chunks, then the bytes written since the last Commit
+	committed    int      // bytes of part that are committed
+	pendingN     int      // chunks in part[:committed]
+	pendingSum   [32]byte // digest of that chunk when pendingN == 1
+	pendingKnown bool     // pendingSum valid (single whole chunk)
+	free         [][]byte // buffers of finished uploads; in-flight ones are bounded by sem
+	off          int64    // absolute committed offset
+	resumeOff    int64    // durable offset inherited from a resumed upload
 	resumeParts  []s3Part
 	local        []*s3PartState // sealed this session, in part order
 	nextPart     int
@@ -57,7 +64,7 @@ type s3Shard struct {
 type s3PartState struct {
 	part s3Part
 	done bool
-	data []byte // released once uploaded
+	data []byte // recycled once uploaded
 }
 
 func (b *s3Backend) newShard(bucket, key, uploadID string, resumeOff int64, resumeParts []s3Part) *s3Shard {
@@ -105,8 +112,8 @@ func (b *s3Backend) CreateShard(name string) (ShardWriter, error) {
 
 // ResumeShard reattaches to the in-progress multipart upload of name.
 // The committed offset recorded by the manifest is always a part
-// boundary (promotion only ever records Durable() values, and Durable
-// moves in whole parts), so resume looks for a contiguous prefix of
+// boundary (promotion only ever records offsets Sync returned, and on S3
+// those move in whole parts), so resume looks for a contiguous prefix of
 // uploaded parts summing exactly to offset. Anything else — no upload,
 // a gap, a sum mismatch — means the store-side state cannot back the
 // checkpoint, and the caller gets ErrNoShard to regenerate from zero.
@@ -153,15 +160,20 @@ func (w *s3Shard) Write(p []byte) (int, error) {
 	if err := w.uploadErr; err != nil {
 		return 0, err
 	}
-	if need := len(w.cur) + len(p); need > cap(w.cur) {
-		// The job layer writes a chunk as a run of 64 KiB blocks. Grow by
-		// doubling: append's 1.25x steps would copy a multi-megabyte chunk
-		// about five times over on the way up, doubling copies it twice.
-		grown := make([]byte, len(w.cur), max(need, 2*cap(w.cur)))
-		copy(grown, w.cur)
-		w.cur = grown
+	if w.part == nil {
+		if n := len(w.free); n > 0 {
+			w.part, w.free = w.free[n-1], w.free[:n-1]
+		}
 	}
-	w.cur = append(w.cur, p...)
+	if need := len(w.part) + len(p); need > cap(w.part) {
+		// The job layer writes a chunk as a run of 64 KiB blocks. Grow by
+		// doubling: append's 1.25x steps would copy a multi-megabyte part
+		// about five times over on the way up, doubling copies it twice.
+		grown := make([]byte, len(w.part), max(need, 2*cap(w.part)))
+		copy(grown, w.part)
+		w.part = grown
+	}
+	w.part = append(w.part, p...)
 	return len(p), nil
 }
 
@@ -179,9 +191,8 @@ func (w *s3Shard) commit(digest [32]byte, known bool) (int64, error) {
 		w.mu.Unlock()
 		return 0, err
 	}
-	w.off += int64(len(w.cur))
-	w.pending = append(w.pending, w.cur...)
-	w.cur = w.cur[:0]
+	w.off += int64(len(w.part) - w.committed)
+	w.committed = len(w.part)
 	w.pendingN++
 	if w.pendingN == 1 {
 		w.pendingSum, w.pendingKnown = digest, known
@@ -190,7 +201,7 @@ func (w *s3Shard) commit(digest [32]byte, known bool) (int64, error) {
 	}
 	off := w.off
 	var ps *s3PartState
-	if int64(len(w.pending)) >= w.b.cfg.partSize {
+	if int64(w.committed) >= w.b.cfg.partSize {
 		ps = w.seal()
 	}
 	w.mu.Unlock()
@@ -200,9 +211,11 @@ func (w *s3Shard) commit(digest [32]byte, known bool) (int64, error) {
 	return off, nil
 }
 
-// seal turns the pending chunk run into one part. Caller holds mu.
+// seal turns the committed chunk run into one part and hands it the
+// buffer. Everything in the buffer is committed: both callers seal
+// right after a commit. Caller holds mu.
 func (w *s3Shard) seal() *s3PartState {
-	if len(w.pending) == 0 {
+	if w.committed == 0 {
 		return nil
 	}
 	var sum string
@@ -210,16 +223,17 @@ func (w *s3Shard) seal() *s3PartState {
 		sum = base64.StdEncoding.EncodeToString(w.pendingSum[:])
 		stats.checksumReused.Add(1)
 	} else {
-		d := sha256.Sum256(w.pending)
+		d := sha256.Sum256(w.part)
 		sum = base64.StdEncoding.EncodeToString(d[:])
 		stats.checksumRehashed.Add(1)
 	}
 	ps := &s3PartState{
-		part: s3Part{Num: w.nextPart, Size: int64(len(w.pending)), Checksum: sum},
-		data: w.pending,
+		part: s3Part{Num: w.nextPart, Size: int64(len(w.part)), Checksum: sum},
+		data: w.part,
 	}
 	w.nextPart++
-	w.pending = nil
+	w.part = nil
+	w.committed = 0
 	w.pendingN = 0
 	w.pendingKnown = false
 	w.local = append(w.local, ps)
@@ -254,17 +268,22 @@ func (w *s3Shard) launch(ps *s3PartState) {
 				w.uploadErr = fmt.Errorf("storage: upload of %s part %d: %w", w.key, ps.part.Num, err)
 			}
 		} else {
+			// The store acknowledged the whole body, so nothing reads the
+			// buffer any more. A failed attempt may still be sending it.
 			ps.part.ETag = etag
 			ps.done = true
+			w.free = append(w.free, ps.data[:0])
 			ps.data = nil
 		}
 		w.mu.Unlock()
 	}()
 }
 
-// Durable returns the contiguous committed prefix whose parts have all
-// finished uploading, plus the first background upload error.
-func (w *s3Shard) Durable() (int64, error) {
+// Sync returns the contiguous committed prefix whose parts have all
+// finished uploading, plus the first background upload error. Uploads
+// start at Commit, so there is nothing to start here and nothing to wait
+// for.
+func (w *s3Shard) Sync() (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.finalized {
@@ -286,12 +305,11 @@ func (w *s3Shard) Durable() (int64, error) {
 // invalid).
 func (w *s3Shard) Finalize() error {
 	w.mu.Lock()
-	if len(w.cur) > 0 {
+	if len(w.part) > w.committed {
 		// Uncommitted tail: seal it as an implicit final chunk (single-shot
 		// writers land here; the job layer always commits first).
-		w.off += int64(len(w.cur))
-		w.pending = append(w.pending, w.cur...)
-		w.cur = nil
+		w.off += int64(len(w.part) - w.committed)
+		w.committed = len(w.part)
 		w.pendingN += 2 // force a rehash — no digest accompanies these bytes
 	}
 	ps := w.seal()
@@ -365,10 +383,10 @@ func (s *finalizedShard) Write([]byte) (int, error) {
 func (s *finalizedShard) Commit([32]byte) (int64, error) {
 	return 0, errors.New("storage: shard already finalized")
 }
-func (s *finalizedShard) Durable() (int64, error) { return s.off, nil }
-func (s *finalizedShard) Finalize() error         { return nil }
-func (s *finalizedShard) Close() error            { return nil }
-func (s *finalizedShard) Abort() error            { return nil }
+func (s *finalizedShard) Sync() (int64, error) { return s.off, nil }
+func (s *finalizedShard) Finalize() error      { return nil }
+func (s *finalizedShard) Close() error         { return nil }
+func (s *finalizedShard) Abort() error         { return nil }
 
 // s3Writer is the single-shot object writer: small objects buffer in
 // memory and publish with one conditional PUT; anything reaching the

@@ -104,8 +104,20 @@ func (s *Server) Uploads(bucketName string) int {
 	return 0
 }
 
+// readBody reads a request body into a buffer of exactly its declared
+// size. Part bodies are megabytes; growing a buffer towards them by
+// doubling allocates several times what the part holds.
+func readBody(r *http.Request) ([]byte, error) {
+	if r.ContentLength <= 0 {
+		return io.ReadAll(r.Body)
+	}
+	body := make([]byte, r.ContentLength)
+	_, err := io.ReadFull(r.Body, body)
+	return body, err
+}
+
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r)
 	if err != nil {
 		xmlError(w, http.StatusBadRequest, "IncompleteBody", err.Error())
 		return
@@ -313,28 +325,34 @@ func (s *Server) completeUpload(w http.ResponseWriter, r *http.Request, b *bucke
 			return
 		}
 	}
-	var data []byte
-	last := 0
+	var stored []part
+	size, last := 0, 0
 	for _, p := range req.Parts {
 		if p.PartNumber <= last {
 			xmlError(w, http.StatusBadRequest, "InvalidPartOrder", "part numbers not ascending")
 			return
 		}
 		last = p.PartNumber
-		stored, ok := u.parts[p.PartNumber]
-		if !ok || stored.etag != p.ETag {
+		sp, ok := u.parts[p.PartNumber]
+		if !ok || sp.etag != p.ETag {
 			xmlError(w, http.StatusBadRequest, "InvalidPart", fmt.Sprintf("part %d", p.PartNumber))
 			return
 		}
-		if p.ChecksumSHA256 != "" && stored.checksum != "" && p.ChecksumSHA256 != stored.checksum {
+		if p.ChecksumSHA256 != "" && sp.checksum != "" && p.ChecksumSHA256 != sp.checksum {
 			xmlError(w, http.StatusBadRequest, "InvalidPart", fmt.Sprintf("part %d checksum", p.PartNumber))
 			return
 		}
-		data = append(data, stored.data...)
+		stored = append(stored, sp)
+		size += len(sp.data)
 	}
 	if len(req.Parts) == 0 {
 		xmlError(w, http.StatusBadRequest, "InvalidRequest", "complete with no parts")
 		return
+	}
+	// Assemble the object once, at its final size.
+	data := make([]byte, 0, size)
+	for _, sp := range stored {
+		data = append(data, sp.data...)
 	}
 	b.obj[key] = data
 	delete(b.uploads, id)

@@ -13,12 +13,15 @@
 //     readers see the old bytes or the new bytes, never a torn write. On
 //     the filesystem that is the temp-file + fsync + rename discipline;
 //     on S3 a PUT is atomic by contract.
-//   - Shards are append-only streams with chunk-granular commits. The
-//     filesystem commits with fsync; S3 seals committed chunks into
-//     multipart parts that upload concurrently with ongoing generation
-//     ("striped" upload), so Durable — the contiguous prefix the store
-//     is known to hold — can lag Commit. Checkpoint manifests must only
-//     ever record durable offsets, which is exactly what Durable exposes.
+//   - Shards are append-only streams with chunk-granular commits. A
+//     commit is a boundary mark and does no I/O; durability arrives
+//     later and is asked for separately: Sync hardens what has been
+//     committed (filesystem: one fsync; S3: committed chunks are sealed
+//     into multipart parts that upload concurrently with generation —
+//     "striped" upload — and Sync reports how far the uploads got) and
+//     returns the contiguous durable prefix, which can lag Commit on
+//     every backend. Checkpoint manifests must only ever record offsets
+//     a Sync has returned.
 //   - Single-shot objects (merged outputs, ShardedSink shards) are
 //     invisible until Finalize and can be created exclusively, so a dirty
 //     destination is an explicit error instead of a silent truncate.
@@ -93,22 +96,35 @@ type Writer interface {
 // ShardWriter is a checkpointed append writer for one PE's shard.
 //
 // Write appends; Commit marks everything appended since the previous
-// Commit as one committed chunk and returns the absolute end offset.
-// digest is the SHA-256 of the chunk's wire bytes (what Write received),
-// which the S3 backend forwards verbatim as the part checksum when the
-// chunk becomes a part of its own — the digest the job layer already
-// computed for its Merkle manifest, so the hot path never hashes twice.
+// Commit as one committed chunk and returns the absolute end offset. It
+// is a boundary mark on every backend: no fsync, no request, nothing a
+// generator could wait on (S3 may hand a full part to a background
+// upload, which blocks only when the upload pool is saturated). digest
+// is the SHA-256 of the chunk's wire bytes (what Write received), which
+// the S3 backend forwards verbatim as the part checksum when the chunk
+// becomes a part of its own — the digest the job layer already computed
+// for its Merkle manifest, so the hot path never hashes twice.
 //
-// Durable returns the contiguous committed prefix the backend is known
-// to hold (filesystem: the last Commit, synced; S3: the contiguous run
-// of parts whose uploads completed) plus any background upload failure.
-// Finalize drains outstanding uploads and publishes the object; Close
-// releases resources keeping committed state resumable; Abort discards
+// Sync makes durable whatever is committed and can be, and returns the
+// contiguous committed prefix the backend now durably holds, plus any
+// background upload failure. Filesystem: one fsync, covering every
+// Commit made before Sync started (the first Sync of a fresh shard also
+// syncs the directory, so the entry is durable before a manifest can
+// reference it). S3: the contiguous run of parts whose uploads
+// completed, without waiting for the rest. Memory: the committed length,
+// published to readers. Bytes past the returned offset — committed or
+// not — may or may not survive a crash; ResumeShard discards them.
+//
+// Write and Commit belong to one goroutine at a time; Sync may run on
+// another, concurrently with them. Finalize, Close and Abort need the
+// writer quiescent. Finalize drains outstanding uploads and publishes
+// the object, after which everything committed is durable; Close
+// releases resources keeping durable state resumable; Abort discards
 // the partial object (S3: AbortMultipartUpload).
 type ShardWriter interface {
 	io.Writer
 	Commit(digest [32]byte) (int64, error)
-	Durable() (int64, error)
+	Sync() (durable int64, err error)
 	Finalize() error
 	Close() error
 	Abort() error

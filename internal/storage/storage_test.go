@@ -212,23 +212,57 @@ func TestBackendShardLifecycle(t *testing.T) {
 			if off != int64(len(want)) {
 				t.Fatalf("Commit offset %d, want %d", off, len(want))
 			}
+			// Commit only marks: nothing is published or vouched for until a
+			// Sync. The memory backend shows it — its readers see the synced
+			// prefix and nothing else.
+			if name == "mem" {
+				if b, _ := be.Get(shard); len(b) != 0 {
+					t.Fatalf("%d bytes readable after Commit without Sync, want 0", len(b))
+				}
+			}
+			// Sync hardens and reports the contiguous durable prefix: all of
+			// it at once on fs and mem, as the part uploads finish on s3.
+			dur, err := w.Sync()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name != "s3" && dur != off {
+				t.Fatalf("Sync: %d, want %d", dur, off)
+			}
+			for deadline := time.Now().Add(5 * time.Second); dur != off; {
+				if time.Now().After(deadline) {
+					t.Fatalf("Sync stuck at %d, want %d", dur, off)
+				}
+				time.Sleep(time.Millisecond)
+				if dur, err = w.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if name == "mem" {
+				if b, _ := be.Get(shard); string(b) != string(want) {
+					t.Fatalf("%d bytes readable after Sync, want %d", len(b), len(want))
+				}
+			}
+			// A chunk that is committed but never synced is not part of the
+			// resumable state, whatever became of its bytes.
+			stray := []byte("committed-but-never-synced-chunk")
+			if _, err := w.Write(stray); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Commit(sum(stray)); err != nil {
+				t.Fatal(err)
+			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			// After Close every launched upload has drained; Durable must
-			// cover everything committed (fs: synced, s3: sealed parts).
-			dur, err := w.Durable()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dur != off {
-				t.Fatalf("Durable after Close: %d, want %d", dur, off)
-			}
 
-			// Resume at the committed offset, append the last chunk, finalize.
+			// Resume at the synced offset, append the last chunk, finalize.
 			w2, err := be.ResumeShard(shard, dur)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if dur2, err := w2.Sync(); err != nil || dur2 != dur {
+				t.Fatalf("Sync of a resumed shard: %d, %v, want %d", dur2, err, dur)
 			}
 			if _, err := w2.Write(chunks[2]); err != nil {
 				t.Fatal(err)
@@ -347,8 +381,8 @@ func TestStripedUploadOverlap(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if dur, _ := w.Durable(); dur != 0 {
-		t.Fatalf("Durable %d while part 1 incomplete, want 0", dur)
+	if dur, _ := w.Sync(); dur != 0 {
+		t.Fatalf("Sync %d while part 1 incomplete, want 0", dur)
 	}
 	close(release)
 	if err := w.Finalize(); err != nil {
@@ -465,8 +499,8 @@ func TestS3FinalizeCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dur, _ := w2.Durable(); dur != off {
-		t.Fatalf("resumed Durable %d, want %d", dur, off)
+	if dur, _ := w2.Sync(); dur != off {
+		t.Fatalf("resumed Sync %d, want %d", dur, off)
 	}
 	if err := w2.Finalize(); err != nil {
 		t.Fatal(err)
