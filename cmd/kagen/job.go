@@ -8,6 +8,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	kagen "repro"
 	"repro/internal/job"
 	"repro/internal/obs"
 )
@@ -99,31 +100,22 @@ func jobInit(args []string) {
 		dir     = fs.String("dir", "", "job destination: a directory or s3:// URI (created if missing)")
 		out     = fs.String("out", "", "alias of -dir")
 		model   = fs.String("model", "gnm_undirected", "model: "+modelList())
-		n       = fs.Uint64("n", 1<<16, "number of vertices")
-		m       = fs.Uint64("m", 1<<20, "number of edges (gnm, rmat)")
-		p       = fs.Float64("p", 0.001, "edge probability (gnp)")
-		r       = fs.Float64("r", 0, "radius (rgg; 0 = connectivity radius)")
-		deg     = fs.Float64("deg", 16, "average degree (srhg)")
-		gamma   = fs.Float64("gamma", 2.8, "power-law exponent (srhg)")
-		d       = fs.Uint64("d", 4, "edges per vertex (ba)")
-		scale   = fs.Uint("scale", 16, "log2 of vertex count (rmat)")
-		blocks  = fs.Int("blocks", 2, "number of communities (sbm)")
-		pin     = fs.Float64("pin", 0, "intra-community probability (sbm; 0 = 8*p)")
-		pout    = fs.Float64("pout", 0, "inter-community probability (sbm; 0 = p)")
 		seed    = fs.Uint64("seed", 1, "random seed")
 		pes     = fs.Uint64("pes", 1, "logical PEs (one shard each)")
 		cpp     = fs.Uint64("chunks-per-pe", 1, "chunks per PE (checkpoint granularity; part of the instance definition)")
 		workers = fs.Uint64("job-workers", 1, "worker processes the PE set is split across")
 		format  = fs.String("format", "text", "shard format: text, binary, text.gz, binary.gz")
+		p       kagen.ModelParams
 	)
+	p.RegisterFlags(fs)
 	applyLog := logFlags(fs, "warn")
 	fs.Parse(args)
 	applyLog()
 	dest := jobDest(fs, *dir, *out)
 	spec := job.Spec{
-		Model: *model, N: *n, M: *m, Prob: *p, R: *r, AvgDeg: *deg,
-		Gamma: *gamma, D: *d, Scale: *scale, Blocks: *blocks, PIn: *pin,
-		POut: *pout, Seed: *seed, PEs: *pes, ChunksPerPE: *cpp,
+		Model: *model, N: p.N, M: p.M, Prob: p.P, R: p.R, AvgDeg: p.AvgDeg,
+		Gamma: p.Gamma, D: p.D, Scale: p.Scale, Blocks: p.Blocks, PIn: p.PIn,
+		POut: p.POut, Seed: *seed, PEs: *pes, ChunksPerPE: *cpp,
 		Workers: *workers, Format: *format,
 	}
 	if err := job.Init(dest, spec); err != nil {

@@ -70,17 +70,6 @@ func main() {
 	}
 	var (
 		model   = flag.String("model", "gnm_undirected", "model: "+modelList())
-		n       = flag.Uint64("n", 1<<16, "number of vertices")
-		m       = flag.Uint64("m", 1<<20, "number of edges (gnm, rmat)")
-		p       = flag.Float64("p", 0.001, "edge probability (gnp)")
-		r       = flag.Float64("r", 0, "radius (rgg; 0 = connectivity radius)")
-		deg     = flag.Float64("deg", 16, "average degree (rhg, srhg)")
-		gamma   = flag.Float64("gamma", 2.8, "power-law exponent (rhg, srhg)")
-		d       = flag.Uint64("d", 4, "edges per vertex (ba)")
-		scale   = flag.Uint("scale", 16, "log2 of vertex count (rmat)")
-		blocks  = flag.Int("blocks", 2, "number of communities (sbm)")
-		pin     = flag.Float64("pin", 0, "intra-community probability (sbm; 0 = 8*p)")
-		pout    = flag.Float64("pout", 0, "inter-community probability (sbm; 0 = p)")
 		pes     = flag.Uint64("pes", 1, "number of logical PEs (chunks)")
 		workers = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		seed    = flag.Uint64("seed", 1, "random seed")
@@ -88,15 +77,14 @@ func main() {
 		format  = flag.String("format", "text", "output format: text, binary, metis, none; with -stream also text.gz, binary.gz and sharded-<fmt>")
 		stats   = flag.Bool("stats", false, "print graph statistics to stderr")
 		stream  = flag.Bool("stream", false, "stream edges to the sink without materializing the graph")
+		params  kagen.ModelParams
 	)
+	params.RegisterFlags(flag.CommandLine)
 	applyLog := logFlags(flag.CommandLine, "warn")
 	flag.Parse()
 	applyLog()
 
-	gen, err := kagen.New(kagen.Model(*model), kagen.ModelParams{
-		N: *n, M: *m, P: *p, R: *r, AvgDeg: *deg, Gamma: *gamma, D: *d,
-		Scale: *scale, Blocks: *blocks, PIn: *pin, POut: *pout,
-	}, kagen.Options{Seed: *seed, PEs: *pes, Workers: *workers})
+	gen, err := kagen.New(kagen.Model(*model), params, kagen.Options{Seed: *seed, PEs: *pes, Workers: *workers})
 	if err != nil {
 		fatal(err)
 	}
@@ -164,12 +152,7 @@ func (discardSink) Batch(pe uint64, e []kagen.Edge) error { return nil }
 func (discardSink) EndPE(pe uint64) error                 { return nil }
 func (discardSink) Close() error                          { return nil }
 
-func runStream(gen kagen.Generator, model, format, out string, workers int, stats bool) {
-	s, ok := kagen.AsStreamer(gen)
-	if !ok {
-		fatal(fmt.Errorf("model %q is materialize-only and cannot stream (drop -stream)", model))
-	}
-
+func runStream(s kagen.Streamer, model, format, out string, workers int, stats bool) {
 	var sink kagen.Sink
 	switch {
 	case format == "none":

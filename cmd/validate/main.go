@@ -11,6 +11,10 @@
 // read, and unfinished PEs are reported as resumable gaps (an incomplete
 // job fails the "job complete" check, so exit status still gates CI).
 //
+// The model parameter flags and their defaults are kagen's own, so
+// `validate -model X file` without parameters checks exactly what
+// `kagen -model X` without parameters generated.
+//
 // Usage:
 //
 //	validate -model gnm_undirected -n 65536 -m 1048576 graph.txt
@@ -26,7 +30,6 @@ import (
 	"os"
 
 	kagen "repro"
-	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/validate"
 )
@@ -34,23 +37,14 @@ import (
 func main() {
 	var (
 		model    = flag.String("model", "", "model the file claims to be")
-		n        = flag.Uint64("n", 0, "number of vertices")
-		m        = flag.Uint64("m", 0, "number of edges (gnm, rmat)")
-		p        = flag.Float64("p", 0, "edge probability (gnp)")
-		r        = flag.Float64("r", 0, "radius (rgg)")
-		deg      = flag.Float64("deg", 0, "average degree (rhg)")
-		gamma    = flag.Float64("gamma", 0, "power-law exponent (rhg)")
-		d        = flag.Uint64("d", 0, "edges per vertex (ba)")
-		scale    = flag.Uint("scale", 0, "log2 vertices (rmat)")
-		blocks   = flag.Int("blocks", 2, "communities (sbm)")
-		pin      = flag.Float64("pin", 0, "intra-community probability (sbm)")
-		pout     = flag.Float64("pout", 0, "inter-community probability (sbm)")
 		binary   = flag.Bool("binary", false, "input is the binary format (shorthand for -format binary)")
 		informat = flag.String("format", "", "input format: text, binary, text.gz, binary.gz (default: text, or binary with -binary)")
 		sharded  = flag.Uint64("sharded", 0, "input is a ShardedSink directory with this many PE shards")
 		prefix   = flag.String("prefix", "", "shard file prefix (default: the model name)")
 		jobDir   = flag.Bool("job", false, "input is a kagen job directory (model and parameters from its spec)")
+		params   kagen.ModelParams
 	)
+	params.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 || (*model == "" && !*jobDir) {
 		fmt.Fprintln(os.Stderr, "usage: validate -model <name> [params] file|shard-dir\n       validate -job jobdir")
@@ -74,53 +68,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	checks, err := modelChecks(*model, el, kagen.ModelParams{
-		N: *n, M: *m, P: *p, R: *r, AvgDeg: *deg, Gamma: *gamma, D: *d,
-		Scale: *scale, Blocks: *blocks, PIn: *pin, POut: *pout,
-	})
+	checks, err := kagen.Checks(kagen.Model(*model), el, params)
 	if err != nil {
 		fatal(err)
 	}
 	report(checks)
-}
-
-// modelChecks dispatches to the model's check suite, after applying the
-// generator registry's parameter defaults — validation always checks
-// against exactly what New would have generated with.
-func modelChecks(model string, el *kagen.EdgeList, mp kagen.ModelParams) ([]validate.Check, error) {
-	mp = kagen.ResolveModelParams(kagen.Model(model), mp)
-	switch kagen.Model(model) {
-	case kagen.ModelGNMDirected:
-		return validate.GNM(el, mp.N, mp.M, true), nil
-	case kagen.ModelGNMUndirected:
-		return validate.GNM(el, mp.N, mp.M, false), nil
-	case kagen.ModelGNPDirected:
-		return validate.GNP(el, mp.N, mp.P, true), nil
-	case kagen.ModelGNPUndirected:
-		return validate.GNP(el, mp.N, mp.P, false), nil
-	case kagen.ModelRGG2D:
-		return validate.RGG(el, mp.N, mp.R, 2), nil
-	case kagen.ModelRGG3D:
-		return validate.RGG(el, mp.N, mp.R, 3), nil
-	case kagen.ModelRDG2D:
-		return validate.RDG(el, mp.N, 2), nil
-	case kagen.ModelRDG3D:
-		return validate.RDG(el, mp.N, 3), nil
-	case kagen.ModelRHG, kagen.ModelSRHG:
-		return validate.RHG(el, mp.N, mp.AvgDeg, mp.Gamma), nil
-	case kagen.ModelBA:
-		return validate.BA(el, mp.N, mp.D), nil
-	case kagen.ModelRMAT:
-		return validate.RMAT(el, mp.Scale, mp.M), nil
-	case kagen.ModelSBM:
-		ch := core.Chunking{N: mp.N, Chunks: uint64(mp.Blocks)}
-		sizes := make([]uint64, mp.Blocks)
-		for i := range sizes {
-			sizes[i] = ch.Size(uint64(i))
-		}
-		return validate.SBM(el, sizes, mp.PIn, mp.POut), nil
-	}
-	return nil, fmt.Errorf("unknown model %q", model)
 }
 
 // validateJob checks a job directory: completed shards must parse, the
@@ -169,24 +121,13 @@ func validateJob(dir string) []validate.Check {
 	checks = append(checks, validate.Check{Name: "job complete", Passed: len(gaps) == 0, Detail: gapDetail})
 
 	if len(gaps) == 0 && parseErr == nil {
-		mp := specModelParams(spec)
-		mc, err := modelChecks(spec.Model, merged, mp)
+		mc, err := kagen.Checks(kagen.Model(spec.Model), merged, spec.Params())
 		if err != nil {
 			fatal(err)
 		}
 		checks = append(checks, mc...)
 	}
 	return checks
-}
-
-// specModelParams maps a job spec to the validator's parameter union;
-// modelChecks resolves the registry defaults on top.
-func specModelParams(spec job.Spec) kagen.ModelParams {
-	return kagen.ModelParams{
-		N: spec.N, M: spec.M, P: spec.Prob, R: spec.R, AvgDeg: spec.AvgDeg,
-		Gamma: spec.Gamma, D: spec.D, Scale: spec.Scale, Blocks: spec.Blocks,
-		PIn: spec.PIn, POut: spec.POut,
-	}
 }
 
 // report prints the check lines and exits 1 if any failed.

@@ -11,34 +11,18 @@ var conformanceParams = ModelParams{
 	N: 400, M: 1600, P: 0.02, AvgDeg: 8, Gamma: 2.8, D: 3, Scale: 9,
 }
 
-// streamableModels documents which registry models expose a streaming
-// view. The materialize-only set (value false) is part of the library
-// contract: only the in-memory RHG remains materialize-only, because sRHG
-// supersedes it for streaming. The undirected ER variants and SBM stream
-// their triangular chunk rows pair by pair (no per-pair buffering).
-var streamableModels = map[Model]bool{
-	ModelGNMDirected:   true,
-	ModelGNMUndirected: true,
-	ModelGNPDirected:   true,
-	ModelGNPUndirected: true,
-	ModelRGG2D:         true,
-	ModelRGG3D:         true,
-	ModelRDG2D:         true,
-	ModelRDG3D:         true,
-	ModelRHG:           false,
-	ModelSRHG:          true,
-	ModelBA:            true,
-	ModelRMAT:          true,
-	ModelSBM:           true,
-}
-
-func newConformanceGen(t *testing.T, model Model, workers int) Generator {
+func mustNew(t *testing.T, model Model, p ModelParams, opt Options) Generator {
 	t.Helper()
-	gen, err := New(model, conformanceParams, Options{Seed: 99, PEs: 5, Workers: workers})
+	gen, err := New(model, p, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", model, err)
 	}
 	return gen
+}
+
+func newConformanceGen(t *testing.T, model Model, workers int) Generator {
+	t.Helper()
+	return mustNew(t, model, conformanceParams, Options{Seed: 99, PEs: 5, Workers: workers})
 }
 
 func sameEdges(t *testing.T, model Model, label string, got, want []Edge) {
@@ -56,13 +40,9 @@ func sameEdges(t *testing.T, model Model, label string, got, want []Edge) {
 // TestConformance is the cross-model contract suite: for every registry
 // model it asserts that (a) Generate equals the concatenated Chunk
 // outputs edge for edge, (b) the output is invariant under the worker
-// count, and (c) every streamable model's StreamChunk emits exactly the
-// Chunk edges — including through the parallel streaming runtime.
+// count, and (c) StreamChunk emits exactly the Chunk edges — including
+// through the parallel streaming runtime.
 func TestConformance(t *testing.T) {
-	if len(streamableModels) != len(Models()) {
-		t.Fatalf("streamableModels covers %d models, registry has %d",
-			len(streamableModels), len(Models()))
-	}
 	for _, model := range Models() {
 		model := model
 		t.Run(string(model), func(t *testing.T) {
@@ -97,26 +77,16 @@ func TestConformance(t *testing.T) {
 			}
 
 			// (c) Streaming parity.
-			s, ok := AsStreamer(gen)
-			if ok != streamableModels[model] {
-				t.Fatalf("AsStreamer = %v, documented contract says %v", ok, streamableModels[model])
+			if gen.N() != whole.N {
+				t.Fatalf("streamer N %d, want %d", gen.N(), whole.N)
 			}
-			if !ok {
-				return
-			}
-			if s.N() != whole.N {
-				t.Fatalf("streamer N %d, want %d", s.N(), whole.N)
-			}
-			if s.PEs() != gen.PEs() {
-				t.Fatalf("streamer PEs %d, want %d", s.PEs(), gen.PEs())
-			}
-			for pe := uint64(0); pe < s.PEs(); pe++ {
+			for pe := uint64(0); pe < gen.PEs(); pe++ {
 				want, err := gen.Chunk(pe)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var got []Edge
-				if err := s.StreamChunk(pe, func(e Edge) { got = append(got, e) }); err != nil {
+				if err := gen.StreamChunk(pe, func(e Edge) { got = append(got, e) }); err != nil {
 					t.Fatalf("stream chunk %d: %v", pe, err)
 				}
 				sameEdges(t, model, "stream/chunk parity", got, want)
@@ -126,12 +96,12 @@ func TestConformance(t *testing.T) {
 			// any worker count.
 			for _, workers := range []int{1, 3} {
 				sink := &collectSink{}
-				if err := Stream(s, workers, sink); err != nil {
+				if err := Stream(gen, workers, sink); err != nil {
 					t.Fatalf("Stream workers=%d: %v", workers, err)
 				}
-				if sink.n != whole.N || sink.pes != s.PEs() {
+				if sink.n != whole.N || sink.pes != gen.PEs() {
 					t.Fatalf("sink header (%d, %d), want (%d, %d)",
-						sink.n, sink.pes, whole.N, s.PEs())
+						sink.n, sink.pes, whole.N, gen.PEs())
 				}
 				if !sink.closed {
 					t.Fatal("sink not closed")
@@ -182,47 +152,53 @@ func (c *collectSink) Close() error {
 	return nil
 }
 
-// TestStreamerConstructorsMatchRegistry: the dedicated streamer
-// constructors produce the same streams as the registry's streaming view.
+// TestStreamerConstructorsMatchRegistry: the one-shot helpers generate
+// exactly what the registry's generators stream for the same parameters.
 func TestStreamerConstructorsMatchRegistry(t *testing.T) {
 	opt := Options{Seed: 4, PEs: 3}
-	direct := []struct {
-		name string
-		s    Streamer
-		gen  Generator
+	cases := []struct {
+		model  Model
+		p      ModelParams
+		helper func() (*EdgeList, error)
 	}{
-		{"rgg2d", NewRGGStreamer(300, 0.08, 2, opt), NewRGG(300, 0.08, 2, opt)},
-		{"rgg3d", NewRGGStreamer(200, 0.2, 3, opt), NewRGG(200, 0.2, 3, opt)},
-		{"rdg2d", NewRDGStreamer(250, 2, opt), NewRDG(250, 2, opt)},
-		{"rdg3d", NewRDGStreamer(120, 3, opt), NewRDG(120, 3, opt)},
-		{"srhg", NewSRHGStreamer(300, 8, 2.8, opt), NewSRHG(300, 8, 2.8, opt)},
+		{ModelRGG2D, ModelParams{N: 300, R: 0.08}, func() (*EdgeList, error) { return RGG2D(300, 0.08, opt) }},
+		{ModelRGG3D, ModelParams{N: 200, R: 0.2}, func() (*EdgeList, error) { return RGG3D(200, 0.2, opt) }},
+		{ModelRDG2D, ModelParams{N: 250}, func() (*EdgeList, error) { return RDG2D(250, opt) }},
+		{ModelRDG3D, ModelParams{N: 120}, func() (*EdgeList, error) { return RDG3D(120, opt) }},
+		{ModelRHG, ModelParams{N: 300, AvgDeg: 8, Gamma: 2.8}, func() (*EdgeList, error) { return RHG(300, 8, 2.8, opt) }},
+		{ModelSRHG, ModelParams{N: 300, AvgDeg: 8, Gamma: 2.8}, func() (*EdgeList, error) { return SRHG(300, 8, 2.8, opt) }},
+		{ModelSBM, ModelParams{N: 300, Blocks: 3, PIn: 0.05, POut: 0.005}, func() (*EdgeList, error) { return SBM(300, 3, 0.05, 0.005, opt) }},
 	}
-	for _, c := range direct {
-		for pe := uint64(0); pe < c.s.PEs(); pe++ {
-			want, err := c.gen.Chunk(pe)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			var got []Edge
-			if err := c.s.StreamChunk(pe, func(e Edge) { got = append(got, e) }); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			sameEdges(t, Model(c.name), "constructor stream", got, want)
+	for _, c := range cases {
+		want, err := c.helper()
+		if err != nil {
+			t.Fatalf("%s: %v", c.model, err)
 		}
+		sink := &collectSink{}
+		if err := Stream(mustNew(t, c.model, c.p, opt), 2, sink); err != nil {
+			t.Fatalf("%s: %v", c.model, err)
+		}
+		sameEdges(t, c.model, "helper vs registry stream", sink.edges, want.Edges)
 	}
 }
 
 func TestSpatialStreamerErrors(t *testing.T) {
-	if err := NewRGGStreamer(100, 2.0, 2, Options{}).StreamChunk(0, func(Edge) {}); err == nil {
+	stream := func(model Model, p ModelParams, opt Options, pe uint64) error {
+		return mustNew(t, model, p, opt).StreamChunk(pe, func(Edge) {})
+	}
+	if stream(ModelRGG2D, ModelParams{N: 100, R: 2.0}, Options{}, 0) == nil {
 		t.Error("rgg: invalid radius accepted")
 	}
-	if err := NewRDGStreamer(100, 4, Options{}).StreamChunk(0, func(Edge) {}); err == nil {
-		t.Error("rdg: invalid dim accepted")
+	if stream(ModelRDG3D, ModelParams{N: 4}, Options{}, 0) == nil {
+		t.Error("rdg: fewer than dim+2 points accepted")
 	}
-	if err := NewSRHGStreamer(100, 8, 1.0, Options{}).StreamChunk(0, func(Edge) {}); err == nil {
+	if stream(ModelSRHG, ModelParams{N: 100, AvgDeg: 8, Gamma: 1.0}, Options{}, 0) == nil {
 		t.Error("srhg: invalid gamma accepted")
 	}
-	if err := NewRGGStreamer(100, 0.1, 2, Options{PEs: 2}).StreamChunk(7, func(Edge) {}); err == nil {
+	if stream(ModelRGG2D, ModelParams{N: 100, R: 0.1}, Options{PEs: 2}, 7) == nil {
 		t.Error("rgg: out-of-range PE accepted")
+	}
+	if stream(ModelRMAT, ModelParams{Scale: 8, M: 100}, Options{PEs: 2}, 2) == nil {
+		t.Error("rmat: out-of-range PE accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package kagen
 
 import (
+	"bufio"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -102,21 +103,18 @@ func (f Format) AppendHeader(buf []byte, n uint64) []byte {
 // front rather than surface as a corrupt file or a lost run at Close.
 // The compressed formats always use sentinel framing.
 func NewFormatSink(w io.Writer, f Format) Sink {
-	switch f {
-	case FormatBinary:
+	if f == FormatBinary {
 		if ws, ok := w.(io.WriteSeeker); ok && seekPatchable(ws) {
-			return NewBinarySink(ws)
+			return &binarySink{streamSink: streamSink{format: f, bw: bufio.NewWriterSize(ws, 1<<20)}, ws: ws}
 		}
-		return NewBinaryStreamSink(w)
-	case FormatTextGz:
-		gz := gzip.NewWriter(w)
-		return &gzSink{inner: NewTextSink(gz), gz: gz}
-	case FormatBinaryGz:
-		gz := gzip.NewWriter(w)
-		return &gzSink{inner: NewBinaryStreamSink(gz), gz: gz}
-	default:
-		return NewTextSink(w)
 	}
+	s := &streamSink{format: f}
+	if f.Compressed() {
+		s.gz = gzip.NewWriter(w)
+		w = s.gz
+	}
+	s.bw = bufio.NewWriterSize(w, 1<<20)
+	return s
 }
 
 // ReadEdgeList reads one edge-list stream in the given format,
@@ -157,23 +155,4 @@ func seekPatchable(ws io.WriteSeeker) bool {
 		}
 	}
 	return true
-}
-
-// gzSink funnels an inner sink through a gzip stream: Close first flushes
-// the inner sink's buffers into the gzip writer, then finishes the gzip
-// member.
-type gzSink struct {
-	inner Sink
-	gz    *gzip.Writer
-}
-
-func (s *gzSink) Begin(n, pes uint64) error           { return s.inner.Begin(n, pes) }
-func (s *gzSink) Batch(pe uint64, edges []Edge) error { return s.inner.Batch(pe, edges) }
-func (s *gzSink) EndPE(pe uint64) error               { return s.inner.EndPE(pe) }
-func (s *gzSink) Close() error {
-	err := s.inner.Close()
-	if cerr := s.gz.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -37,7 +37,7 @@ func TestFormatSinkRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Stream(c.s, 3, NewFormatSink(f, format)); err != nil {
+			if err := Stream(c.gen, 3, NewFormatSink(f, format)); err != nil {
 				t.Fatalf("%s/%s: %v", c.name, format, err)
 			}
 			if err := f.Close(); err != nil {
@@ -56,12 +56,12 @@ func TestFormatSinkRoundTrip(t *testing.T) {
 // no seeking and reads back until EOF; a torn trailing record is an
 // error, not silent truncation.
 func TestBinaryStreamSinkSentinel(t *testing.T) {
-	s := NewGNMStreamer(300, 1500, true, Options{Seed: 4, PEs: 3})
-	var buf bytes.Buffer
-	if err := Stream(s, 2, NewBinaryStreamSink(&buf)); err != nil {
+	s := mustNew(t, ModelGNMDirected, ModelParams{N: 300, M: 1500}, Options{Seed: 4, PEs: 3})
+	var buf bytes.Buffer // not seekable: the binary sink falls back to the sentinel
+	if err := Stream(s, 2, NewFormatSink(&buf, FormatBinary)); err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewGNM(300, 1500, true, Options{Seed: 4, PEs: 3}).Generate()
+	want, err := s.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBinaryStreamSinkSentinel(t *testing.T) {
 // pure suffix/slice of the full stream — for every split point, streaming
 // [0, k) and then [k, P) concatenates to exactly the full run's sequence.
 func TestStreamChunksFromMatchesFullStream(t *testing.T) {
-	s := NewRGGStreamer(400, 0.08, 2, Options{Seed: 21, PEs: 6})
+	s := mustNew(t, ModelRGG2D, ModelParams{N: 400, R: 0.08}, Options{Seed: 21, PEs: 6})
 	full := collectStream(t, s, 0, s.PEs())
 	for k := uint64(0); k <= s.PEs(); k++ {
 		head := collectStream(t, s, 0, k)
@@ -106,7 +106,7 @@ func TestStreamChunksFromMatchesFullStream(t *testing.T) {
 // TestStreamChunksFromRejectsBadRange: out-of-range chunk windows error
 // and still close the sink.
 func TestStreamChunksFromRejectsBadRange(t *testing.T) {
-	s := NewGNMStreamer(300, 1500, true, Options{Seed: 4, PEs: 3})
+	s := mustNew(t, ModelGNMDirected, ModelParams{N: 300, M: 1500}, Options{Seed: 4, PEs: 3})
 	sink := &failingSink{failAt: ^uint64(0)}
 	if err := StreamChunksFrom(s, 2, 2, 1, 0, sink); err == nil {
 		t.Fatal("range past PEs accepted")

@@ -66,17 +66,17 @@ func TestGoldenStreams(t *testing.T) {
 		wantCount uint64
 		wantHash  uint64
 	}{
-		{"rgg2d", NewRGGStreamer(400, 0.08, 2, opt), 3042, 0xde0663fc97ffefcd},
-		{"rgg3d", NewRGGStreamer(300, 0.2, 3, opt), 2290, 0x6790dd562cdce521},
-		{"rdg2d", NewRDGStreamer(300, 2, opt), 1800, 0xf27bb576d30214fd},
-		{"rdg3d", NewRDGStreamer(150, 3, opt), 2354, 0x7aa5a7b658d90345},
-		{"srhg", NewSRHGStreamer(400, 8, 2.8, opt), 2352, 0x1906675efad96fad},
-		{"gnm_undirected", NewGNMStreamer(500, 2000, false, opt), 4000, 0x0ea16647178254c1},
-		{"gnp_undirected", NewGNPStreamer(500, 0.01, false, opt), 2496, 0xf9a7284063168c29},
-		{"sbm", NewSBMStreamer(500, 2, 0.05, 0.005, opt), 6872, 0x078072506fcc5f45},
+		{"rgg2d", mustNew(t, ModelRGG2D, ModelParams{N: 400, R: 0.08}, opt), 3042, 0xde0663fc97ffefcd},
+		{"rgg3d", mustNew(t, ModelRGG3D, ModelParams{N: 300, R: 0.2}, opt), 2290, 0x6790dd562cdce521},
+		{"rdg2d", mustNew(t, ModelRDG2D, ModelParams{N: 300}, opt), 1800, 0xf27bb576d30214fd},
+		{"rdg3d", mustNew(t, ModelRDG3D, ModelParams{N: 150}, opt), 2354, 0x7aa5a7b658d90345},
+		{"srhg", mustNew(t, ModelSRHG, ModelParams{N: 400, AvgDeg: 8, Gamma: 2.8}, opt), 2352, 0x1906675efad96fad},
+		{"gnm_undirected", mustNew(t, ModelGNMUndirected, ModelParams{N: 500, M: 2000}, opt), 4000, 0x0ea16647178254c1},
+		{"gnp_undirected", mustNew(t, ModelGNPUndirected, ModelParams{N: 500, P: 0.01}, opt), 2496, 0xf9a7284063168c29},
+		{"sbm", mustNew(t, ModelSBM, ModelParams{N: 500, Blocks: 2, PIn: 0.05, POut: 0.005}, opt), 6872, 0x078072506fcc5f45},
 		// Edge-index order; scale 14 = two full-table draws + a 2-level
 		// remainder (rmat instance version 2).
-		{"rmat", NewRMATStreamer(14, 3000, opt), 3000, 0x5760282d05a95283},
+		{"rmat", mustNew(t, ModelRMAT, ModelParams{Scale: 14, M: 3000}, opt), 3000, 0x5760282d05a95283},
 	}
 	for _, c := range cases {
 		count, hash := streamDigest(t, c.s)

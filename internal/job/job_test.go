@@ -549,15 +549,18 @@ func TestSpecValidation(t *testing.T) {
 		{Model: "nope", N: 10, PEs: 1, Workers: 1, Format: "text"},
 		{Model: "gnm_undirected", N: 10, M: 5, PEs: 2, Workers: 4, Format: "text"},
 		{Model: "gnm_undirected", N: 10, M: 5, PEs: 1, Workers: 1, Format: "sharded-avian"},
-		{Model: "rhg", N: 100, AvgDeg: 8, Gamma: 2.8, PEs: 1, Workers: 1, Format: "text"}, // materialize-only
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d validated: %+v", i, s)
 		}
 	}
-	good := Spec{Model: "rgg2d", N: 1000, R: 0.05, PEs: 4, ChunksPerPE: 2, Workers: 2, Format: "binary.gz"}
-	if err := good.Validate(); err != nil {
-		t.Errorf("good spec rejected: %v", err)
+	for _, good := range []Spec{
+		{Model: "rgg2d", N: 1000, R: 0.05, PEs: 4, ChunksPerPE: 2, Workers: 2, Format: "binary.gz"},
+		{Model: "rhg", N: 100, AvgDeg: 8, Gamma: 2.8, PEs: 1, Workers: 1, Format: "text"},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("good spec %+v rejected: %v", good, err)
+		}
 	}
 }

@@ -159,6 +159,35 @@ func TestShardGoldenAcrossCommits(t *testing.T) {
 			"3f12e341b247ce350c21de9528838e95597ebf2546e066354aa2cb9e69053611"},
 		{Spec{Model: "rgg2d", N: 500, R: 0.07, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary"},
 			"4bb350e4262c6f17a4aa9855c399be853e05bb5b03f98526827d55e5a1ec990f"},
+		// One row per remaining model, every format at least once. These were
+		// pinned before the model table replaced the per-model wrappers, so
+		// they prove that refactor moved no shard byte, digest, Merkle root
+		// or spec hash. rgg3d and sbm use the registry defaults (connectivity
+		// radius; 2 blocks, pIn = 8p, pOut = p).
+		{Spec{Model: "gnm_directed", N: 600, M: 3000, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text"},
+			"74f4ffeb0c933aaf9ff486d2cf840164e4ea77ba3fbccda536f26bfff49ecbf8"},
+		{Spec{Model: "gnp_directed", N: 400, Prob: 0.02, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary.gz"},
+			"8e5856e102e8c1b059bff01d4e0399f6741f5116d03a9b78d1cf0f1dcb884313"},
+		{Spec{Model: "gnp_undirected", N: 400, Prob: 0.02, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text"},
+			"ec2d184ae2f533d02fc515f18a093d21a88c47bc72ff7134e2c4d2aa3a57cc32"},
+		{Spec{Model: "rgg3d", N: 400, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary.gz"},
+			"f7e340673007566d1f662456e1ede6510a7182150ec7aba5b4e8e1b1e4f28917"},
+		{Spec{Model: "rdg2d", N: 300, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text.gz"},
+			"3f320abd20f9f34c2224d7df16257fe083064700641b394a523f1c86d6991465"},
+		{Spec{Model: "rdg3d", N: 150, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary"},
+			"56aa22494f5519a194f8eea6b8a31cf768b71e28c96fa8eeb057e4b652f80eed"},
+		{Spec{Model: "srhg", N: 400, AvgDeg: 8, Gamma: 2.8, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary.gz"},
+			"65b8a3ab2db6031d97f63f4aa0482a6d9a41d6794b1b2ef78534fc6171d5c31e"},
+		{Spec{Model: "ba", N: 500, D: 3, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text"},
+			"e76995497a44df3bbea61dc047741bcd9ab19bb400b3ffea0a6f7b7e030e7811"},
+		{Spec{Model: "rmat", Scale: 10, M: 4000, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary"},
+			"99b05b519fa1f3184a832a25e09218a11c577059e9b057a09393612cd4dbd55c"},
+		{Spec{Model: "sbm", N: 500, Prob: 0.01, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text.gz"},
+			"525c033d4217a16f4360655ba1785f9146c2a3a71571bdbaf93e6aa587d604f0"},
+		// rhg was materialize-only before the model table and could not run
+		// as a job; this row is pinned at its introduction.
+		{Spec{Model: "rhg", N: 400, AvgDeg: 8, Gamma: 2.8, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text"},
+			"6c869bb1409e25649d22ed1d1e47d2b5305ba33ea9db89de02b9cfdbd8bad7ec"},
 	} {
 		for _, g := range []int{1, 3} {
 			dir := t.TempDir()

@@ -92,8 +92,8 @@ func (s Spec) Normalized() Spec {
 	return s
 }
 
-// Validate checks the execution shape of the spec (model known and
-// streamable, format known, partition sizes sane). Model parameter errors
+// Validate checks the execution shape of the spec (model known, format
+// known, partition sizes sane). Model parameter errors
 // surface when the first chunk streams, exactly as in a direct run.
 func (s Spec) Validate() error {
 	s = s.Normalized()
@@ -126,21 +126,19 @@ func (s Spec) ShardFormat() kagen.Format {
 	return f
 }
 
-// Streamer constructs the streaming generator defined by the spec.
-func (s Spec) Streamer() (kagen.Streamer, error) {
-	s = s.Normalized()
-	gen, err := kagen.New(kagen.Model(s.Model), kagen.ModelParams{
+// Params returns the spec's model parameters — the one mapping from
+// Spec's flat fields, whose JSON encoding is the spec hash and so stays
+// fixed, to kagen.ModelParams.
+func (s Spec) Params() kagen.ModelParams {
+	return kagen.ModelParams{
 		N: s.N, M: s.M, P: s.Prob, R: s.R, AvgDeg: s.AvgDeg, Gamma: s.Gamma,
 		D: s.D, Scale: s.Scale, Blocks: s.Blocks, PIn: s.PIn, POut: s.POut,
-	}, kagen.Options{Seed: s.Seed, PEs: s.TotalChunks()})
-	if err != nil {
-		return nil, err
 	}
-	st, ok := kagen.AsStreamer(gen)
-	if !ok {
-		return nil, fmt.Errorf("job: model %q is materialize-only and cannot run as a job", s.Model)
-	}
-	return st, nil
+}
+
+// Streamer constructs the streaming generator defined by the spec.
+func (s Spec) Streamer() (kagen.Streamer, error) {
+	return kagen.New(kagen.Model(s.Model), s.Params(), kagen.Options{Seed: s.Seed, PEs: s.TotalChunks()})
 }
 
 // Hash returns the SHA-256 hex digest of the normalized spec's canonical

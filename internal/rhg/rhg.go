@@ -285,6 +285,15 @@ func GenerateChunk(p Params, peID uint64) core.Result {
 	return res
 }
 
+// StreamChunk emits the edges of GenerateChunk in order. The in-memory
+// generator answers neighbourhood queries against the whole sector, so it
+// buffers one chunk's edges; sRHG is the memory-bounded streaming variant.
+func StreamChunk(p Params, peID uint64, emit func(graph.Edge)) {
+	for _, e := range GenerateChunk(p, peID).Edges {
+		emit(e)
+	}
+}
+
 // scanWindow visits every point of annulus i whose angle lies within
 // [v.Theta-dt, v.Theta+dt] (mod 2*pi) exactly once.
 func (inst *instance) scanWindow(i int, v hyperbolic.Point, dt float64,

@@ -58,40 +58,86 @@ type Sink interface {
 	Close() error
 }
 
-// TextSink streams edges as one "u v" line per edge behind a "# n" header
-// line. The edge count is not part of the header (it is unknown until the
-// stream ends); ReadEdgeListText accepts the format regardless.
-type TextSink struct {
+// streamSink writes a format's header and edge payload through one
+// buffered writer, formatting each batch into a reusable scratch buffer
+// and writing it with a single buffered write. Its header is final from
+// the start — text omits the edge count, binary carries the
+// StreamingEdgeCount sentinel, and readers consume until EOF — so it
+// never seeks: it serves pipes and, for the compressed formats, the
+// inside of a gzip stream.
+type streamSink struct {
+	format  Format
 	bw      *bufio.Writer
+	gz      *gzip.Writer // non-nil for the compressed formats
 	scratch []byte
 }
 
-// NewTextSink returns a Sink writing the text edge-list format to w.
-//
-// Deprecated: use OpenSink (for destinations) or NewFormatSink (for an
-// existing io.Writer).
-func NewTextSink(w io.Writer) *TextSink {
-	return &TextSink{bw: bufio.NewWriterSize(w, 1<<20)}
+func (s *streamSink) Begin(n, pes uint64) error {
+	return s.write(s.format.AppendHeader(s.scratch[:0], n))
 }
 
-// Begin writes the header line.
-func (s *TextSink) Begin(n, pes uint64) error {
-	_, err := fmt.Fprintf(s.bw, "# %d\n", n)
+func (s *streamSink) Batch(pe uint64, edges []Edge) error {
+	return s.write(s.format.AppendEdges(s.scratch[:0], edges))
+}
+
+// EndPE is a no-op: the edge-list formats have no per-PE structure.
+func (s *streamSink) EndPE(pe uint64) error { return nil }
+
+func (s *streamSink) write(b []byte) error {
+	s.scratch = b[:0]
+	_, err := s.bw.Write(b)
 	return err
 }
 
-// Batch formats the whole batch into a reusable scratch buffer with
-// strconv.AppendUint and writes it with a single buffered write.
-func (s *TextSink) Batch(pe uint64, edges []Edge) error {
-	buf := appendEdgeText(s.scratch[:0], edges)
-	s.scratch = buf[:0]
-	_, err := s.bw.Write(buf)
+// Close flushes the buffered output and finishes the gzip member.
+func (s *streamSink) Close() error {
+	err := s.bw.Flush()
+	if s.gz != nil {
+		if cerr := s.gz.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// binarySink writes the plain binary format of WriteEdgeListBinary to a
+// seekable writer (for example an *os.File): a placeholder edge count at
+// Begin, patched with the true count at Close.
+type binarySink struct {
+	streamSink
+	ws    io.WriteSeeker
+	count uint64
+}
+
+func (s *binarySink) Begin(n, pes uint64) error {
+	return s.write(appendBinaryHeader(s.scratch[:0], n, 0))
+}
+
+func (s *binarySink) Batch(pe uint64, edges []Edge) error {
+	s.count += uint64(len(edges))
+	return s.streamSink.Batch(pe, edges)
+}
+
+// Close flushes the stream and patches the edge count into the header.
+func (s *binarySink) Close() error {
+	if err := s.bw.Flush(); err != nil {
+		return err
+	}
+	if _, err := s.ws.Seek(8, io.SeekStart); err != nil {
+		return fmt.Errorf("kagen: binary sink cannot patch edge count: %w", err)
+	}
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], s.count)
+	if _, err := s.ws.Write(buf[:]); err != nil {
+		return err
+	}
+	_, err := s.ws.Seek(0, io.SeekEnd)
 	return err
 }
 
 // appendEdgeText appends "u v\n" lines for edges to buf with
-// strconv.AppendUint and returns the grown buffer; shared by the text
-// sinks (the binary counterpart is appendEdgeBinary).
+// strconv.AppendUint and returns the grown buffer (the binary counterpart
+// is appendEdgeBinary).
 func appendEdgeText(buf []byte, edges []Edge) []byte {
 	for _, e := range edges {
 		buf = strconv.AppendUint(buf, e.U, 10)
@@ -101,54 +147,6 @@ func appendEdgeText(buf []byte, edges []Edge) []byte {
 	}
 	return buf
 }
-
-// EndPE is a no-op: the text format has no per-PE structure.
-func (s *TextSink) EndPE(pe uint64) error { return nil }
-
-// Close flushes the buffered output.
-func (s *TextSink) Close() error { return s.bw.Flush() }
-
-// BinarySink streams the little-endian binary edge-list format of
-// WriteEdgeListBinary: n, m, then m (u, v) pairs. Because m is unknown
-// until the stream ends, the writer must be an io.WriteSeeker (for
-// example an *os.File): a placeholder edge count is written at Begin and
-// patched at Close.
-type BinarySink struct {
-	ws      io.WriteSeeker
-	bw      *bufio.Writer
-	count   uint64
-	scratch []byte
-}
-
-// NewBinarySink returns a Sink writing the binary edge-list format to ws.
-//
-// Deprecated: use OpenSink (for destinations) or NewFormatSink (for an
-// existing io.Writer), which also handle non-seekable writers.
-func NewBinarySink(ws io.WriteSeeker) *BinarySink {
-	return &BinarySink{ws: ws, bw: bufio.NewWriterSize(ws, 1<<20)}
-}
-
-// Begin writes the header with a placeholder edge count.
-func (s *BinarySink) Begin(n, pes uint64) error {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:], n)
-	binary.LittleEndian.PutUint64(buf[8:], 0) // patched at Close
-	_, err := s.bw.Write(buf[:])
-	return err
-}
-
-// Batch encodes the whole batch as one little-endian frame in a reusable
-// scratch buffer and writes it with a single buffered write.
-func (s *BinarySink) Batch(pe uint64, edges []Edge) error {
-	frame := appendEdgeBinary(s.scratch[:0], edges)
-	s.scratch = frame[:0]
-	s.count += uint64(len(edges))
-	_, err := s.bw.Write(frame)
-	return err
-}
-
-// EndPE is a no-op: the binary format has no per-PE structure.
-func (s *BinarySink) EndPE(pe uint64) error { return nil }
 
 // appendEdgeBinary appends the 16-byte little-endian encodings of edges
 // to buf, growing it as needed, and returns the grown buffer.
@@ -176,61 +174,6 @@ func appendBinaryHeader(buf []byte, n, m uint64) []byte {
 	return append(buf, h[:]...)
 }
 
-// BinaryStreamSink streams the binary edge-list format to a plain
-// io.Writer — a pipe, or the inside of a gzip stream — by writing the
-// StreamingEdgeCount sentinel instead of seeking back to patch the true
-// edge count: readers consume pairs until EOF (see ReadEdgeListBinary).
-type BinaryStreamSink struct {
-	bw      *bufio.Writer
-	scratch []byte
-}
-
-// NewBinaryStreamSink returns a Sink writing the sentinel-framed binary
-// edge-list format to w.
-//
-// Deprecated: use OpenSink (for destinations) or NewFormatSink (for an
-// existing io.Writer).
-func NewBinaryStreamSink(w io.Writer) *BinaryStreamSink {
-	return &BinaryStreamSink{bw: bufio.NewWriterSize(w, 1<<20)}
-}
-
-// Begin writes the header with the sentinel edge count.
-func (s *BinaryStreamSink) Begin(n, pes uint64) error {
-	_, err := s.bw.Write(appendBinaryHeader(nil, n, StreamingEdgeCount))
-	return err
-}
-
-// Batch encodes the whole batch as one little-endian frame.
-func (s *BinaryStreamSink) Batch(pe uint64, edges []Edge) error {
-	frame := appendEdgeBinary(s.scratch[:0], edges)
-	s.scratch = frame[:0]
-	_, err := s.bw.Write(frame)
-	return err
-}
-
-// EndPE is a no-op: the binary format has no per-PE structure.
-func (s *BinaryStreamSink) EndPE(pe uint64) error { return nil }
-
-// Close flushes the buffered output.
-func (s *BinaryStreamSink) Close() error { return s.bw.Flush() }
-
-// Close flushes the stream and patches the edge count into the header.
-func (s *BinarySink) Close() error {
-	if err := s.bw.Flush(); err != nil {
-		return err
-	}
-	if _, err := s.ws.Seek(8, io.SeekStart); err != nil {
-		return fmt.Errorf("kagen: binary sink cannot patch edge count: %w", err)
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], s.count)
-	if _, err := s.ws.Write(buf[:]); err != nil {
-		return err
-	}
-	_, err := s.ws.Seek(0, io.SeekEnd)
-	return err
-}
-
 // ShardedSink writes one self-contained edge-list file per PE under a
 // destination — a directory, or an object-store prefix when the
 // destination is a URI: <prefix>-pe<id>.<ext>, each readable with
@@ -251,7 +194,6 @@ type ShardedSink struct {
 	format Format
 	be     storage.Backend
 	n      uint64
-	pes    uint64
 
 	w       storage.Writer
 	gz      *gzip.Writer
@@ -261,41 +203,19 @@ type ShardedSink struct {
 	scratch []byte
 }
 
-// NewShardedSink returns a Sink writing per-PE shard files into dir,
-// creating it if necessary, in the given streaming format.
-//
-// Deprecated: use OpenSink with SinkSharded, which also accepts
-// object-store destinations.
-func NewShardedSink(dir, prefix string, format Format) *ShardedSink {
-	return &ShardedSink{dest: dir, prefix: prefix, format: format}
-}
-
 // ShardPath returns the destination of one PE's shard.
 func (s *ShardedSink) ShardPath(pe uint64) string {
 	return shardDest(s.dest, s.prefix, pe, s.format)
 }
 
-// Begin resolves the destination's backend and prepares the shard
-// directory.
+// Begin prepares the shard directory.
 func (s *ShardedSink) Begin(n, pes uint64) error {
-	s.n, s.pes = n, pes
-	if s.be == nil {
-		be, err := storage.Resolve(s.dest)
-		if err != nil {
-			return err
-		}
-		s.be = be
-	}
+	s.n = n
 	return s.be.EnsureDir(s.dest)
 }
 
 // openShard starts the PE's shard object and writes its header.
 func (s *ShardedSink) openShard(pe uint64) error {
-	if s.be == nil {
-		if err := s.Begin(s.n, s.pes); err != nil {
-			return err
-		}
-	}
 	w, err := s.be.Create(s.ShardPath(pe), true)
 	if err != nil {
 		return err

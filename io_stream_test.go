@@ -10,19 +10,17 @@ import (
 // cover the three streamer families.
 func streamRoundTripCases(t *testing.T) []struct {
 	name string
-	s    Streamer
 	gen  Generator
 } {
 	t.Helper()
 	opt := Options{Seed: 21, PEs: 4}
 	return []struct {
 		name string
-		s    Streamer
 		gen  Generator
 	}{
-		{"gnm", NewGNMStreamer(500, 3000, true, opt), NewGNM(500, 3000, true, opt)},
-		{"rgg2d", NewRGGStreamer(400, 0.08, 2, opt), NewRGG(400, 0.08, 2, opt)},
-		{"srhg", NewSRHGStreamer(400, 8, 2.8, opt), NewSRHG(400, 8, 2.8, opt)},
+		{"gnm", mustNew(t, ModelGNMDirected, ModelParams{N: 500, M: 3000}, opt)},
+		{"rgg2d", mustNew(t, ModelRGG2D, ModelParams{N: 400, R: 0.08}, opt)},
+		{"srhg", mustNew(t, ModelSRHG, ModelParams{N: 400, AvgDeg: 8, Gamma: 2.8}, opt)},
 	}
 }
 
@@ -53,7 +51,7 @@ func TestTextSinkRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Stream(c.s, 3, NewTextSink(f)); err != nil {
+		if err := Stream(c.gen, 3, NewFormatSink(f, FormatText)); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if err := f.Close(); err != nil {
@@ -85,7 +83,7 @@ func TestBinarySinkRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Stream(c.s, 3, NewBinarySink(f)); err != nil {
+		if err := Stream(c.gen, 3, NewFormatSink(f, FormatBinary)); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if err := f.Close(); err != nil {
@@ -114,18 +112,18 @@ func TestShardedSinkRoundTrip(t *testing.T) {
 		}
 		for _, format := range Formats() {
 			dir := t.TempDir()
-			sink := NewShardedSink(dir, c.name, format)
-			if err := Stream(c.s, 3, sink); err != nil {
+			sink := openSharded(t, dir, c.name, format)
+			if err := Stream(c.gen, 3, sink); err != nil {
 				t.Fatalf("%s/%s: %v", c.name, format, err)
 			}
-			got, err := ReadShardedEdgeList(dir, c.name, format, c.s.PEs())
+			got, err := ReadShardedEdgeList(dir, c.name, format, c.gen.PEs())
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.name, format, err)
 			}
 			requireSameList(t, c.name, got, want)
 
 			// Spot-check one shard against its chunk.
-			pe := c.s.PEs() - 1
+			pe := c.gen.PEs() - 1
 			chunk, err := c.gen.Chunk(pe)
 			if err != nil {
 				t.Fatal(err)
@@ -150,7 +148,7 @@ func TestShardedSinkRoundTrip(t *testing.T) {
 // TestStreamSinkErrorPropagates: a failing sink aborts the run and the
 // error surfaces through Stream.
 func TestStreamSinkErrorPropagates(t *testing.T) {
-	s := NewGNMStreamer(500, 3000, true, Options{Seed: 1, PEs: 4})
+	s := mustNew(t, ModelGNMDirected, ModelParams{N: 500, M: 3000}, Options{Seed: 1, PEs: 4})
 	sink := &failingSink{failAt: 2}
 	err := Stream(s, 2, sink)
 	if err == nil {
@@ -165,10 +163,10 @@ func TestStreamSinkErrorPropagates(t *testing.T) {
 // a shard file that would later read back as a valid (empty or truncated)
 // edge list — the open shard is deleted at Close.
 func TestShardedSinkAbortRemovesPartialShard(t *testing.T) {
-	s := NewGNMStreamer(500, 3000, true, Options{Seed: 1, PEs: 4})
+	s := mustNew(t, ModelGNMDirected, ModelParams{N: 500, M: 3000}, Options{Seed: 1, PEs: 4})
 	for _, format := range Formats() {
 		dir := t.TempDir()
-		sink := NewShardedSink(dir, "gnm", format)
+		sink := openSharded(t, dir, "gnm", format)
 		// Fail while PE 2's shard is open: its first batch errors after
 		// openShard has created the file.
 		ferr := &failAfterOpen{ShardedSink: sink, failPE: 2}
@@ -185,6 +183,15 @@ func TestShardedSinkAbortRemovesPartialShard(t *testing.T) {
 			}
 		}
 	}
+}
+
+func openSharded(t *testing.T, dir, prefix string, format Format) *ShardedSink {
+	t.Helper()
+	sink, err := OpenSink(dir, format, SinkSharded(prefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sink.(*ShardedSink)
 }
 
 // failAfterOpen lets the embedded ShardedSink open the failPE shard, then

@@ -9,26 +9,25 @@ import (
 func TestStreamersMatchChunk(t *testing.T) {
 	opt := Options{Seed: 17, PEs: 4}
 	cases := []struct {
-		name     string
-		streamer Streamer
-		gen      Generator
+		name string
+		gen  Generator
 	}{
-		{"gnm", NewGNMStreamer(1000, 8000, true, opt), NewGNM(1000, 8000, true, opt)},
-		{"gnm_undirected", NewGNMStreamer(1000, 8000, false, opt), NewGNM(1000, 8000, false, opt)},
-		{"gnp", NewGNPStreamer(1000, 0.01, true, opt), NewGNP(1000, 0.01, true, opt)},
-		{"gnp_undirected", NewGNPStreamer(1000, 0.01, false, opt), NewGNP(1000, 0.01, false, opt)},
-		{"sbm", NewSBMStreamer(1000, 4, 0.04, 0.004, opt), NewSBM(1000, 4, 0.04, 0.004, opt)},
-		{"ba", NewBAStreamer(1000, 3, opt), NewBA(1000, 3, opt)},
-		{"rmat", NewRMATStreamer(10, 5000, opt), NewRMAT(10, 5000, opt)},
+		{"gnm", mustNew(t, ModelGNMDirected, ModelParams{N: 1000, M: 8000}, opt)},
+		{"gnm_undirected", mustNew(t, ModelGNMUndirected, ModelParams{N: 1000, M: 8000}, opt)},
+		{"gnp", mustNew(t, ModelGNPDirected, ModelParams{N: 1000, P: 0.01}, opt)},
+		{"gnp_undirected", mustNew(t, ModelGNPUndirected, ModelParams{N: 1000, P: 0.01}, opt)},
+		{"sbm", mustNew(t, ModelSBM, ModelParams{N: 1000, Blocks: 4, PIn: 0.04, POut: 0.004}, opt)},
+		{"ba", mustNew(t, ModelBA, ModelParams{N: 1000, D: 3}, opt)},
+		{"rmat", mustNew(t, ModelRMAT, ModelParams{Scale: 10, M: 5000}, opt)},
 	}
 	for _, c := range cases {
-		for pe := uint64(0); pe < c.streamer.PEs(); pe++ {
+		for pe := uint64(0); pe < c.gen.PEs(); pe++ {
 			want, err := c.gen.Chunk(pe)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 			var got []Edge
-			if err := c.streamer.StreamChunk(pe, func(e Edge) { got = append(got, e) }); err != nil {
+			if err := c.gen.StreamChunk(pe, func(e Edge) { got = append(got, e) }); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 			if len(got) != len(want) {
@@ -55,10 +54,10 @@ func TestStreamBatchSizeInvariance(t *testing.T) {
 		name Model
 		s    Streamer
 	}{
-		{"gnm", NewGNMStreamer(600, 4000, true, opt)},
-		{"gnm_undirected", NewGNMStreamer(600, 4000, false, opt)},
-		{"gnp_undirected", NewGNPStreamer(600, 0.02, false, opt)},
-		{"sbm", NewSBMStreamer(600, 3, 0.05, 0.005, opt)},
+		{"gnm", mustNew(t, ModelGNMDirected, ModelParams{N: 600, M: 4000}, opt)},
+		{"gnm_undirected", mustNew(t, ModelGNMUndirected, ModelParams{N: 600, M: 4000}, opt)},
+		{"gnp_undirected", mustNew(t, ModelGNPUndirected, ModelParams{N: 600, P: 0.02}, opt)},
+		{"sbm", mustNew(t, ModelSBM, ModelParams{N: 600, Blocks: 3, PIn: 0.05, POut: 0.005}, opt)},
 	}
 	for _, c := range cases {
 		want := &collectSink{}
@@ -81,11 +80,11 @@ func TestStreamBatchSizeInvariance(t *testing.T) {
 }
 
 func TestStreamerErrors(t *testing.T) {
-	s := NewGNMStreamer(10, 1000, false, Options{PEs: 2}) // m too large
+	s := mustNew(t, ModelGNMUndirected, ModelParams{N: 10, M: 1000}, Options{PEs: 2}) // m too large
 	if err := s.StreamChunk(0, func(Edge) {}); err == nil {
 		t.Error("invalid params accepted")
 	}
-	s = NewGNMStreamer(100, 50, true, Options{PEs: 2})
+	s = mustNew(t, ModelGNMDirected, ModelParams{N: 100, M: 50}, Options{PEs: 2})
 	if err := s.StreamChunk(5, func(Edge) {}); err == nil {
 		t.Error("out-of-range PE accepted")
 	}
@@ -96,7 +95,7 @@ func TestStreamerErrors(t *testing.T) {
 // the expected count without building a slice.
 func TestStreamerCounts(t *testing.T) {
 	const n, m = 1 << 14, 1 << 18
-	s := NewGNMStreamer(n, m, true, Options{Seed: 3, PEs: 8})
+	s := mustNew(t, ModelGNMDirected, ModelParams{N: n, M: m}, Options{Seed: 3, PEs: 8})
 	total := 0
 	for pe := uint64(0); pe < s.PEs(); pe++ {
 		if err := s.StreamChunk(pe, func(Edge) { total++ }); err != nil {
@@ -114,7 +113,7 @@ func TestStreamerCounts(t *testing.T) {
 // state.
 func TestUndirectedStreamerCounts(t *testing.T) {
 	const n, m = 1 << 13, 1 << 16
-	s := NewGNMStreamer(n, m, false, Options{Seed: 3, PEs: 8})
+	s := mustNew(t, ModelGNMUndirected, ModelParams{N: n, M: m}, Options{Seed: 3, PEs: 8})
 	total := 0
 	for pe := uint64(0); pe < s.PEs(); pe++ {
 		if err := s.StreamChunk(pe, func(Edge) { total++ }); err != nil {
