@@ -112,12 +112,8 @@ func jobInit(args []string) {
 	fs.Parse(args)
 	applyLog()
 	dest := jobDest(fs, *dir, *out)
-	spec := job.Spec{
-		Model: *model, N: p.N, M: p.M, Prob: p.P, R: p.R, AvgDeg: p.AvgDeg,
-		Gamma: p.Gamma, D: p.D, Scale: p.Scale, Blocks: p.Blocks, PIn: p.PIn,
-		POut: p.POut, Seed: *seed, PEs: *pes, ChunksPerPE: *cpp,
-		Workers: *workers, Format: *format,
-	}
+	spec := job.SpecFor(*model, p)
+	spec.Seed, spec.PEs, spec.ChunksPerPE, spec.Workers, spec.Format = *seed, *pes, *cpp, *workers, *format
 	if err := job.Init(dest, spec); err != nil {
 		fatal(err)
 	}

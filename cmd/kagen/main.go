@@ -5,8 +5,12 @@
 // generator runs all PEs on a worker pool and the edge stream is written
 // straight to the sink in deterministic PE order, so instances larger
 // than memory can be generated (formats: text, binary, text.gz,
-// binary.gz, their sharded-<fmt> variants, and none; with the sharded
-// formats -o names a directory of per-PE files).
+// binary.gz, their sharded-<fmt> variants, and none). A sharded-<fmt>
+// stream writes one shard per PE as a job with one chunk per PE, its PEs
+// split over -workers job workers that run in this process at once: -o
+// names the job directory, which `kagen job verify`, `merge` and
+// `validate -job` read, and a failed run names the
+// `kagen job resume -dir DEST -worker W` of each worker it left unfinished.
 //
 // The `kagen job` subcommands plan, execute, checkpoint and resume
 // multi-process generation runs with zero inter-worker communication;
@@ -22,19 +26,25 @@
 //	kagen -model rhg -n 1048576 -deg 16 -gamma 2.8 -pes 8 -format metis -o graph.metis
 //	kagen -model rgg2d -n 100000 -stats
 //	kagen -model rgg2d -n 100000000 -pes 256 -stream -format binary.gz -o huge.bin.gz
-//	kagen -model srhg -n 10000000 -pes 64 -stream -format sharded-text.gz -o shards/
+//	kagen -model srhg -n 10000000 -pes 64 -stream -format sharded-text.gz -o srhg-job/
 //	kagen job init -dir j -model gnm_undirected -n 100000000 -m 1000000000 -pes 128 -chunks-per-pe 8 -job-workers 4 -format binary.gz
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	kagen "repro"
+	"repro/internal/job"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // logFlags registers the shared -log-level/-log-format flags on a
@@ -73,7 +83,7 @@ func main() {
 		pes     = flag.Uint64("pes", 1, "number of logical PEs (chunks)")
 		workers = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		seed    = flag.Uint64("seed", 1, "random seed")
-		out     = flag.String("o", "", "output destination: a file, file:// or s3:// URI (default: stdout; a directory or URI prefix for sharded formats)")
+		out     = flag.String("o", "", "output destination: a file, file:// or s3:// URI (default: stdout; the job directory or URI for sharded formats)")
 		format  = flag.String("format", "text", "output format: text, binary, metis, none; with -stream also text.gz, binary.gz and sharded-<fmt>")
 		stats   = flag.Bool("stats", false, "print graph statistics to stderr")
 		stream  = flag.Bool("stream", false, "stream edges to the sink without materializing the graph")
@@ -90,6 +100,12 @@ func main() {
 	}
 
 	if *stream {
+		if f, ok := strings.CutPrefix(*format, "sharded-"); ok {
+			spec := job.SpecFor(*model, params)
+			spec.Seed, spec.PEs, spec.Format = *seed, *pes, f
+			runSharded(spec, gen.N(), *out, *workers, *stats)
+			return
+		}
 		runStream(gen, *model, *format, *out, *workers, *stats)
 		return
 	}
@@ -108,29 +124,44 @@ func main() {
 			*model, s.N, s.M, s.AvgDegree, s.MaxDegree, s.Components, s.SelfLoops, elapsed)
 	}
 
-	var w *os.File = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
-	case "text":
-		err = kagen.WriteEdgeListText(w, el)
-	case "binary":
-		err = kagen.WriteEdgeListBinary(w, el)
-	case "metis":
-		err = kagen.WriteMetis(w, el)
-	case "none":
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
+	if err := writeGraph(el, *format, *out); err != nil {
 		fatal(err)
 	}
+}
+
+// writeGraph writes a materialized graph to out ("" or "-" is stdout)
+// through the backend's single-shot writer: nothing is published at out
+// unless the whole graph was written.
+func writeGraph(el *kagen.EdgeList, format, out string) error {
+	var write func(io.Writer, *kagen.EdgeList) error
+	switch format {
+	case "text":
+		write = kagen.WriteEdgeListText
+	case "binary":
+		write = kagen.WriteEdgeListBinary
+	case "metis":
+		write = kagen.WriteMetis
+	case "none":
+		return nil
+	default:
+		return fmt.Errorf("unknown format %q", format)
+	}
+	if out == "" || out == "-" {
+		return write(os.Stdout, el)
+	}
+	store, err := storage.Resolve(out)
+	if err != nil {
+		return err
+	}
+	w, err := store.Create(out)
+	if err != nil {
+		return err
+	}
+	if err := write(w, el); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.Finalize()
 }
 
 // countingSink wraps a Sink and counts the delivered edges for -stats.
@@ -153,23 +184,8 @@ func (discardSink) EndPE(pe uint64) error                 { return nil }
 func (discardSink) Close() error                          { return nil }
 
 func runStream(s kagen.Streamer, model, format, out string, workers int, stats bool) {
-	var sink kagen.Sink
-	switch {
-	case format == "none":
-		sink = discardSink{}
-	case strings.HasPrefix(format, "sharded-"):
-		f, err := kagen.ParseFormat(strings.TrimPrefix(format, "sharded-"))
-		if err != nil {
-			fatal(err)
-		}
-		if out == "" {
-			fatal(fmt.Errorf("format %q needs -o <directory or URI>", format))
-		}
-		sink, err = kagen.OpenSink(out, f, kagen.SinkSharded(model))
-		if err != nil {
-			fatal(err)
-		}
-	default:
+	var sink kagen.Sink = discardSink{}
+	if format != "none" {
 		f, err := kagen.ParseFormat(format)
 		if err != nil {
 			fatal(err)
@@ -193,6 +209,89 @@ func runStream(s kagen.Streamer, model, format, out string, workers int, stats b
 		fmt.Fprintf(os.Stderr, "model=%s n=%d edges=%d pes=%d time=%s\n",
 			model, s.N(), counting.edges, s.PEs(), time.Since(start))
 	}
+}
+
+func runSharded(spec job.Spec, n uint64, out string, workers int, stats bool) {
+	start := time.Now()
+	edges, err := streamSharded(spec, out, workers, job.RunOptions{Goroutines: 1})
+	if err != nil {
+		fatal(err)
+	}
+	if stats {
+		fmt.Fprintf(os.Stderr, "model=%s n=%d edges=%d pes=%d time=%s\n",
+			spec.Model, n, edges, spec.PEs, time.Since(start))
+	}
+}
+
+// streamSharded writes one shard per PE as a job at out with one chunk
+// per PE: its PEs*1 chunks are the -pes chunks of a direct stream, so
+// each shard holds exactly that PE's edges. The PEs are split over
+// min(PEs, workers) job workers (0 = GOMAXPROCS), which all run here at
+// once; shard bytes do not depend on the split. It returns the edge total.
+func streamSharded(spec job.Spec, out string, workers int, opts job.RunOptions) (uint64, error) {
+	if out == "" || out == "-" {
+		return 0, fmt.Errorf("format sharded-%s needs -o <job directory or URI>", spec.Format)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	spec = spec.Normalized()
+	spec.ChunksPerPE, spec.Workers = 1, min(spec.PEs, uint64(workers))
+	if err := job.Init(out, spec); err != nil {
+		return 0, fmt.Errorf("%w%s", err, continueHint(out))
+	}
+	errs := make([]error, spec.Workers)
+	var wg sync.WaitGroup
+	for w := range spec.Workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := job.Run(out, w, opts); err != nil {
+				errs[w] = fmt.Errorf("%w (continue with: kagen job resume -dir %s -worker %d)", err, out, w)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return 0, err
+	}
+	st, err := job.Inspect(out)
+	if err != nil {
+		return 0, err
+	}
+	var edges uint64
+	for _, w := range st.Workers {
+		for _, pe := range w.PEs {
+			edges += pe.Edges
+		}
+	}
+	return edges, nil
+}
+
+// continueHint names the commands that finish the unfinished workers of
+// the job at dir, or is empty if dir holds no job or a complete one.
+func continueHint(dir string) string {
+	st, err := job.Inspect(dir)
+	if err != nil {
+		return ""
+	}
+	var cmds []string
+	for _, w := range st.Workers {
+		for _, pe := range w.PEs {
+			if !pe.Done {
+				verb := "resume"
+				if !w.Started {
+					verb = "run"
+				}
+				cmds = append(cmds, fmt.Sprintf("kagen job %s -dir %s -worker %d", verb, dir, w.Worker))
+				break
+			}
+		}
+	}
+	if len(cmds) == 0 {
+		return ""
+	}
+	return " (continue with: " + strings.Join(cmds, "; ") + ")"
 }
 
 func modelList() string {

@@ -1,0 +1,108 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	kagen "repro"
+	"repro/internal/job"
+)
+
+// gnmSharded is the spec kagen -stream -format sharded-<format> builds
+// for a 4-PE gnm_undirected instance.
+func gnmSharded(format string) job.Spec {
+	spec := job.SpecFor("gnm_undirected", kagen.ModelParams{N: 4096, M: 32768})
+	spec.Seed, spec.PEs, spec.Format = 7, 4, format
+	return spec
+}
+
+// TestShardedStreamRunsWorkersAtOnce pins that a sharded stream generates
+// its PEs on more than one goroutine: each of two workers' first
+// checkpoint waits until the other worker has reached its own, which
+// workers run one after another never do. The shards equal a one-worker
+// run's.
+func TestShardedStreamRunsWorkersAtOnce(t *testing.T) {
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	hook := func(pe, _, _ uint64) error {
+		if pe != 0 && pe != 2 { // the first PEs of workers 0 and 1
+			return nil
+		}
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+			return nil
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("PE %d: the other worker never ran beside this one", pe)
+		}
+	}
+	two := filepath.Join(t.TempDir(), "two")
+	edges, err := streamSharded(gnmSharded("binary.gz"), two, 2, job.RunOptions{Goroutines: 1, OnCheckpoint: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec, err := job.Load(two); err != nil || spec.Workers != 2 || spec.ChunksPerPE != 1 {
+		t.Fatalf("job spec %+v, %v: want 2 workers, 1 chunk per PE", spec, err)
+	}
+	one := filepath.Join(t.TempDir(), "one")
+	edges1, err := streamSharded(gnmSharded("binary.gz"), one, 1, job.RunOptions{Goroutines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edges == 0 || edges != edges1 {
+		t.Fatalf("edges: 2 workers %d, 1 worker %d", edges, edges1)
+	}
+	for pe := range uint64(4) {
+		a, err := os.ReadFile(job.ShardPath(two, pe, kagen.FormatBinaryGz))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(job.ShardPath(one, pe, kagen.FormatBinaryGz))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("PE %d: shard differs between 2 workers and 1", pe)
+		}
+	}
+}
+
+// TestShardedStreamNamesUnfinishedWorkers pins the hints a failed sharded
+// stream gives: the failure names the resume of the worker that failed,
+// re-running the command names it again, and once the job is complete
+// the refusal names none.
+func TestShardedStreamNamesUnfinishedWorkers(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "job")
+	stop := errors.New("stop")
+	opts := job.RunOptions{Goroutines: 1, OnCheckpoint: func(pe, _, _ uint64) error {
+		if pe == 2 {
+			return stop
+		}
+		return nil
+	}}
+	want := fmt.Sprintf("kagen job resume -dir %s -worker 1", dir)
+	_, err := streamSharded(gnmSharded("text"), dir, 2, opts)
+	if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "-worker 0") {
+		t.Fatalf("failed run: %v; want it to name only %q", err, want)
+	}
+	_, err = streamSharded(gnmSharded("text"), dir, 2, job.RunOptions{})
+	if err == nil || !strings.Contains(err.Error(), "already holds a job") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("re-run: %v; want a refusal naming %q", err, want)
+	}
+	if err := job.Resume(dir, 1, job.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = streamSharded(gnmSharded("text"), dir, 2, job.RunOptions{})
+	if err == nil || strings.Contains(err.Error(), "continue with") {
+		t.Fatalf("re-run of a complete job: %v; want a refusal with no hint", err)
+	}
+}

@@ -2,14 +2,14 @@
 // and distributional properties of its network model, printing one line
 // per check. Exit status 1 if any check fails.
 //
-// The input is a single edge-list file in any streaming format (text,
-// binary, text.gz, binary.gz), or — with -sharded — the directory of
-// per-PE shard files written by `kagen -stream -format sharded-<fmt>`,
-// merged in PE order before checking. With -job the argument is a kagen
-// job directory: the model and its parameters come from the job spec, the
-// worker manifests decide which PE shards are complete, only those are
-// read, and unfinished PEs are reported as resumable gaps (an incomplete
-// job fails the "job complete" check, so exit status still gates CI).
+// The input is a single edge-list file or URI in any streaming format
+// (text, binary, text.gz, binary.gz). With -job the argument is a kagen
+// job directory — including the output of `kagen -stream -format
+// sharded-<fmt>`: the model and its parameters come from the job spec,
+// the worker manifests decide which PE shards are complete, only those
+// are read, merged in PE order, and unfinished PEs are reported as
+// resumable gaps (an incomplete job fails the "job complete" check, so
+// exit status still gates CI).
 //
 // The model parameter flags and their defaults are kagen's own, so
 // `validate -model X file` without parameters checks exactly what
@@ -19,7 +19,6 @@
 //
 //	validate -model gnm_undirected -n 65536 -m 1048576 graph.txt
 //	validate -model rhg -n 1048576 -deg 16 -gamma 2.8 -binary graph.bin
-//	validate -model sbm -n 65536 -pin 0.01 -pout 0.001 -sharded 8 shards/
 //	validate -model rgg2d -n 1000000 -format binary.gz graph.bin.gz
 //	validate -job jobdir/
 package main
@@ -39,15 +38,13 @@ func main() {
 		model    = flag.String("model", "", "model the file claims to be")
 		binary   = flag.Bool("binary", false, "input is the binary format (shorthand for -format binary)")
 		informat = flag.String("format", "", "input format: text, binary, text.gz, binary.gz (default: text, or binary with -binary)")
-		sharded  = flag.Uint64("sharded", 0, "input is a ShardedSink directory with this many PE shards")
-		prefix   = flag.String("prefix", "", "shard file prefix (default: the model name)")
 		jobDir   = flag.Bool("job", false, "input is a kagen job directory (model and parameters from its spec)")
 		params   kagen.ModelParams
 	)
 	params.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 || (*model == "" && !*jobDir) {
-		fmt.Fprintln(os.Stderr, "usage: validate -model <name> [params] file|shard-dir\n       validate -job jobdir")
+		fmt.Fprintln(os.Stderr, "usage: validate -model <name> [params] file\n       validate -job jobdir")
 		os.Exit(2)
 	}
 	if *jobDir {
@@ -64,7 +61,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	el, err := readInput(flag.Arg(0), *model, format, *sharded, *prefix)
+	el, err := kagen.ReadEdgeListFrom(flag.Arg(0), format)
 	if err != nil {
 		fatal(err)
 	}
@@ -146,21 +143,6 @@ func report(checks []validate.Check) {
 		os.Exit(1)
 	}
 	fmt.Printf("all %d checks passed\n", len(checks))
-}
-
-// readInput loads the edge list to check: a single edge-list object in
-// any streaming format, or — when sharded > 0 — a sharded-sink
-// destination whose per-PE shards are merged in PE order. Destinations
-// are URIs: a bare path or file:// reads the local filesystem, s3://
-// reads straight from the object store.
-func readInput(path, model string, format kagen.Format, sharded uint64, prefix string) (*kagen.EdgeList, error) {
-	if sharded > 0 {
-		if prefix == "" {
-			prefix = model
-		}
-		return kagen.ReadShardedEdgeListFrom(path, prefix, format, sharded)
-	}
-	return kagen.ReadEdgeListFrom(path, format)
 }
 
 func fatal(err error) {

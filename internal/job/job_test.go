@@ -1,6 +1,7 @@
 package job
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -8,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	kagen "repro"
 	"repro/internal/failpoint"
 	"repro/internal/merkle"
+	"repro/internal/storage"
 )
 
 var errSimCrash = errors.New("simulated crash")
@@ -175,7 +178,11 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 // TestJobMatchesDirectStream: the job's merged edge list equals the
 // direct generator output for the same instance definition (same seed,
 // Chunks = PEs*ChunksPerPE) — the job runner adds durability, not a new
-// instance.
+// instance. With one chunk per PE — what `kagen -stream -format
+// sharded-<fmt>` runs — every shard decodes to exactly the direct
+// generator's Chunk(pe), in every format. The pinned text digests were
+// taken from the per-PE files the sharded stream wrote before it ran as a
+// job, so a text shard must not move by a byte.
 func TestJobMatchesDirectStream(t *testing.T) {
 	spec := Spec{Model: "gnm_undirected", N: 600, M: 4000, Seed: 7,
 		PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text.gz"}
@@ -202,6 +209,70 @@ func TestJobMatchesDirectStream(t *testing.T) {
 	for i := range want.Edges {
 		if got.Edges[i] != want.Edges[i] {
 			t.Fatalf("edge %d: job %v, direct %v", i, got.Edges[i], want.Edges[i])
+		}
+	}
+
+	models := []struct {
+		model kagen.Model
+		p     kagen.ModelParams
+		text  [4]string // SHA-256 of the text shards of PEs 0-3
+	}{
+		{kagen.ModelGNMDirected, kagen.ModelParams{N: 500, M: 3000}, [4]string{
+			"0b093181705ddcf433e71fc78aa8fed0c714a69fda0242f0c623b7b5fb249a26",
+			"91491a2d74af764c832c48335167d01480ff528fea032c374055297f577d5178",
+			"49eec18d3488b55e0d23ffe40240acc37e0eb33ff64a85347187bd62a5040894",
+			"370b80c423d95190b1d62089d6d8dbfdc2b4ea54f07cd3eb42e0be9ded441d99"}},
+		{kagen.ModelRGG2D, kagen.ModelParams{N: 400, R: 0.08}, [4]string{
+			"3adc33ad16cc18b8e2e32de7e2283c47d8aab96df6df571ea173f37fab1b699d",
+			"19bbedf4da9d9cd872c5ebf361c449732b9b98b4bfb10780bfe391cde4f9b0e2",
+			"3675e5642e662b740f72a72c46934a4a6fbe4a6de715aa69f6e90ce751793429",
+			"78b485a87f661c42960ec7d8f33a3803db8b75944886dae61a567c7131b5ba39"}},
+		{kagen.ModelSBM, kagen.ModelParams{N: 500, Blocks: 2, PIn: 0.05, POut: 0.005}, [4]string{
+			"3cb4b0085c34d42f3b2ef60a6c095d4e07d504300f0b6f9af510e19e8ec8d4dd",
+			"f6efc6edfe2a1978222dc453f23242e7a07f9fafa39291b6cffba968d778efb5",
+			"ab213fd7bbec4344a659364d6f7b7982423bc65655c3e7b09b4afbc2da9a361b",
+			"d02a07428d1ab0580708451624eee4877398e551fef5444d26188554b903c4f7"}},
+		{kagen.ModelSRHG, kagen.ModelParams{N: 400, AvgDeg: 8, Gamma: 2.8}, [4]string{
+			"1f18da117f292df2bfd1ef557c061bb78b9d5000f50156397549cd3185b36424",
+			"0751eafa7cbcb515cc1cd0bf292a805406becc7c6eee2cee1be6874592ce0374",
+			"d393f6bac93b0ce5a5d6d288e1593722e815d39586d0b07ff900d5bf49cbdbbe",
+			"31032c644ede1de1123a2f3794b90a4b8505868899a391874898d1f3ec842d31"}},
+	}
+	for _, m := range models {
+		gen, err := kagen.New(m.model, m.p, kagen.Options{Seed: 21, PEs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, format := range kagen.Formats() {
+			t.Run(fmt.Sprintf("%s-%s", m.model, format), func(t *testing.T) {
+				spec := SpecFor(string(m.model), m.p)
+				spec.Seed, spec.PEs, spec.ChunksPerPE, spec.Workers, spec.Format = 21, 4, 1, 1, string(format)
+				dir := t.TempDir()
+				if err := Init(dir, spec); err != nil {
+					t.Fatal(err)
+				}
+				runAll(t, dir, spec)
+				for pe, b := range readShards(t, dir, spec) {
+					shard, err := kagen.ReadEdgeList(bytes.NewReader(b), format)
+					if err != nil {
+						t.Fatalf("shard %d: %v", pe, err)
+					}
+					chunk, err := gen.Chunk(pe)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if shard.N != gen.N() || !slices.Equal(shard.Edges, chunk) {
+						t.Errorf("shard %d: n=%d with %d edges, want Chunk(%d): n=%d with %d edges",
+							pe, shard.N, shard.Len(), pe, gen.N(), len(chunk))
+					}
+					if format != kagen.FormatText {
+						continue
+					}
+					if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != m.text[pe] {
+						t.Errorf("text shard %d: sha256 %x, pinned %s", pe, sum, m.text[pe])
+					}
+				}
+			})
 		}
 	}
 }
@@ -503,14 +574,47 @@ func TestResumeRequiresManifest(t *testing.T) {
 	}
 }
 
+// TestInitRefusesExistingJob: a destination that already holds a job —
+// a finished one here, with shards — refuses a second Init, with the same
+// spec or another, and the refusal leaves job.json and every shard byte
+// as they were, on the filesystem and on an object backend.
 func TestInitRefusesExistingJob(t *testing.T) {
-	dir := t.TempDir()
 	spec := Spec{Model: "gnm_undirected", N: 100, M: 200, Seed: 1, PEs: 2, Workers: 1, Format: "text"}
-	if err := Init(dir, spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := Init(dir, spec); err == nil {
-		t.Fatal("second init over the same directory succeeded")
+	other := spec
+	other.Seed, other.Format = 2, "binary"
+	for name, dir := range map[string]string{"fs": t.TempDir(), "mem": "mem://init-refuses/job"} {
+		store, err := storage.Resolve(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Init(dir, spec); err != nil {
+			t.Fatal(err)
+		}
+		runAll(t, dir, spec)
+		snapshot := func() map[string]string {
+			names := []string{SpecPath(dir)}
+			for pe := uint64(0); pe < spec.PEs; pe++ {
+				names = append(names, ShardPath(dir, pe, spec.ShardFormat()))
+			}
+			out := map[string]string{}
+			for _, n := range names {
+				b, err := store.Get(n)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				out[n] = string(b)
+			}
+			return out
+		}
+		before := snapshot()
+		for _, s := range []Spec{spec, other} {
+			if err := Init(dir, s); err == nil {
+				t.Fatalf("%s: second init over the same destination succeeded", name)
+			}
+		}
+		if after := snapshot(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: a refused Init changed job.json or a shard", name)
+		}
 	}
 }
 
@@ -540,6 +644,27 @@ func TestMergeRefusesIncompleteJob(t *testing.T) {
 	}
 	if got := len(st.CompletedPEs()); got != 2 {
 		t.Fatalf("want 2 completed PEs, got %d", got)
+	}
+}
+
+// TestSpecForRoundTrip: SpecFor is the inverse of Spec.Params on every
+// field of the parameter union.
+func TestSpecForRoundTrip(t *testing.T) {
+	p := kagen.ModelParams{N: 1, M: 2, P: 0.3, R: 0.4, AvgDeg: 5, Gamma: 2.6,
+		D: 7, Scale: 8, Blocks: 9, PIn: 0.1, POut: 0.2}
+	// Every field is set, so a field SpecFor drops cannot hide as a zero.
+	v := reflect.ValueOf(p)
+	for i := range v.NumField() {
+		if v.Field(i).IsZero() {
+			t.Fatalf("test parameters leave %s zero", v.Type().Field(i).Name)
+		}
+	}
+	s := SpecFor("sbm", p)
+	if s.Model != "sbm" {
+		t.Errorf("SpecFor model %q", s.Model)
+	}
+	if got := s.Params(); got != p {
+		t.Errorf("SpecFor(m, p).Params() = %+v, want %+v", got, p)
 	}
 }
 

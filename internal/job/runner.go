@@ -648,7 +648,7 @@ func MergeToFile(dir, path string) error {
 	if err != nil {
 		return err
 	}
-	w, err := store.Create(path, false)
+	w, err := store.Create(path)
 	if err != nil {
 		return err
 	}

@@ -128,11 +128,22 @@ func (s Spec) ShardFormat() kagen.Format {
 
 // Params returns the spec's model parameters — the one mapping from
 // Spec's flat fields, whose JSON encoding is the spec hash and so stays
-// fixed, to kagen.ModelParams.
+// fixed, to kagen.ModelParams. SpecFor is its inverse.
 func (s Spec) Params() kagen.ModelParams {
 	return kagen.ModelParams{
 		N: s.N, M: s.M, P: s.Prob, R: s.R, AvgDeg: s.AvgDeg, Gamma: s.Gamma,
 		D: s.D, Scale: s.Scale, Blocks: s.Blocks, PIn: s.PIn, POut: s.POut,
+	}
+}
+
+// SpecFor returns the spec of model with parameters p and every other
+// field zero: the caller sets Seed, PEs, ChunksPerPE, Workers and Format
+// (the last four take their Normalized defaults when left zero).
+// SpecFor(m, p).Params() == p.
+func SpecFor(model string, p kagen.ModelParams) Spec {
+	return Spec{
+		Model: model, N: p.N, M: p.M, Prob: p.P, R: p.R, AvgDeg: p.AvgDeg, Gamma: p.Gamma,
+		D: p.D, Scale: p.Scale, Blocks: p.Blocks, PIn: p.PIn, POut: p.POut,
 	}
 }
 

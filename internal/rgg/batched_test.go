@@ -16,7 +16,8 @@ import (
 // phases are the data-parallel kernels and the prefix sum sizes the device
 // allocation; on the CPU the benefit is a single exact allocation instead
 // of append growth. The emitted edge multiset is identical to
-// GenerateChunk (verified by tests).
+// GenerateChunk (TestBatchedMatchesStandard). It lives with the tests:
+// nothing in production runs it.
 func GenerateChunkBatched(p Params, peID uint64) core.Result {
 	g := p.grid()
 	acc := NewCellAccess(g)

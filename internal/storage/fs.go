@@ -151,51 +151,31 @@ func (fsBackend) Put(name string, data []byte, opts PutOptions) error {
 }
 
 // fsWriter is the single-shot writer: it streams into <name>.tmp and
-// publishes with rename at Finalize. With excl the final name is
-// reserved up front with O_EXCL, so a dirty destination fails at Create
-// instead of being truncated — the reservation (an empty file) is what
-// the rename atomically replaces.
+// publishes with rename at Finalize.
 type fsWriter struct {
-	f        *os.File
-	name     string // final path
-	tmp      string
-	reserved bool
+	f    *os.File
+	name string // final path
+	tmp  string
 }
 
-func (fsBackend) Create(name string, excl bool) (Writer, error) {
+func (fsBackend) Create(name string) (Writer, error) {
 	p := fsPath(name)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return nil, err
 	}
-	reserved := false
-	if excl {
-		r, err := os.OpenFile(p, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err != nil {
-			if os.IsExist(err) {
-				return nil, fmt.Errorf("%w: destination %s already exists — refusing to overwrite", ErrExists, name)
-			}
-			return nil, err
-		}
-		r.Close()
-		reserved = true
-	}
 	f, err := os.OpenFile(p+".tmp", os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
-		if reserved {
-			os.Remove(p)
-		}
 		return nil, err
 	}
-	return &fsWriter{f: f, name: p, tmp: p + ".tmp", reserved: reserved}, nil
+	return &fsWriter{f: f, name: p, tmp: p + ".tmp"}, nil
 }
 
 func (w *fsWriter) Write(p []byte) (int, error) { return w.f.Write(p) }
 
-// Seek and WriteAt expose the staging file's random access: the binary
-// sinks probe for io.WriteSeeker to patch the header edge count before
-// the object is published.
+// Seek exposes the staging file's random access: the binary sink probes
+// for io.WriteSeeker to patch the header edge count before the object is
+// published.
 func (w *fsWriter) Seek(offset int64, whence int) (int64, error) { return w.f.Seek(offset, whence) }
-func (w *fsWriter) WriteAt(p []byte, off int64) (int, error)     { return w.f.WriteAt(p, off) }
 
 func (w *fsWriter) Finalize() error {
 	err := w.f.Sync()
@@ -217,9 +197,6 @@ func (w *fsWriter) Abort() error {
 	err := w.f.Close()
 	if rerr := os.Remove(w.tmp); err == nil && !os.IsNotExist(rerr) {
 		err = rerr
-	}
-	if w.reserved {
-		os.Remove(w.name)
 	}
 	return err
 }

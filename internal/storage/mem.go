@@ -12,9 +12,9 @@ import (
 
 // memSpace is the in-memory backend: a process-lifetime map of objects
 // keyed by full mem:// destination. It mimics the object-store model —
-// atomic Put, single-shot Create invisible until Finalize, exclusive
-// create — while staying readable mid-shard (PartialReads), so the unit
-// tests of every layer above can run against it without a filesystem.
+// atomic Put, single-shot Create invisible until Finalize — while staying
+// readable mid-shard (PartialReads), so the unit tests of every layer
+// above can run against it without a filesystem.
 type memSpace struct {
 	name string
 	mu   sync.Mutex
@@ -118,21 +118,12 @@ func (s *memSpace) Put(name string, data []byte, opts PutOptions) error {
 type memWriter struct {
 	s    *memSpace
 	name string
-	excl bool
 	buf  bytes.Buffer
 	done bool
 }
 
-func (s *memSpace) Create(name string, excl bool) (Writer, error) {
-	if excl {
-		s.mu.Lock()
-		_, exists := s.obj[name]
-		s.mu.Unlock()
-		if exists {
-			return nil, fmt.Errorf("%w: destination %s already exists — refusing to overwrite", ErrExists, name)
-		}
-	}
-	return &memWriter{s: s, name: name, excl: excl}, nil
+func (s *memSpace) Create(name string) (Writer, error) {
+	return &memWriter{s: s, name: name}, nil
 }
 
 func (w *memWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
@@ -142,7 +133,7 @@ func (w *memWriter) Finalize() error {
 		return nil
 	}
 	w.done = true
-	return w.s.Put(w.name, w.buf.Bytes(), PutOptions{IfAbsent: w.excl})
+	return w.s.Put(w.name, w.buf.Bytes(), PutOptions{})
 }
 
 func (w *memWriter) Abort() error {

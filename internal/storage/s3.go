@@ -636,7 +636,7 @@ func (b *s3Backend) doTransient(build func() (*http.Request, error)) (*http.Resp
 	return nil, b.cfg.maxAttempts, fmt.Errorf("storage: s3 part upload failed after %d attempts: %w", b.cfg.maxAttempts, lastErr)
 }
 
-func (b *s3Backend) completeMultipart(bucket, key, uploadID string, parts []s3Part, excl bool) error {
+func (b *s3Backend) completeMultipart(bucket, key, uploadID string, parts []s3Part) error {
 	type xmlPart struct {
 		XMLName        xml.Name `xml:"Part"`
 		PartNumber     int      `xml:"PartNumber"`
@@ -657,9 +657,6 @@ func (b *s3Backend) completeMultipart(bucket, key, uploadID string, parts []s3Pa
 	}
 	hdr := http.Header{}
 	hdr.Set("Content-Type", "application/xml")
-	if excl {
-		hdr.Set("If-None-Match", "*")
-	}
 	resp, _, err := b.do(func() (*http.Request, error) {
 		return b.newReq(http.MethodPost, bucket, key, buildQuery(map[string]string{"uploadId": uploadID}), body, hdr)
 	})

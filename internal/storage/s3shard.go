@@ -38,7 +38,6 @@ type s3Shard struct {
 	bucket string
 	key    string
 	upload string // multipart UploadId
-	excl   bool   // If-None-Match on Complete (single-shot writers)
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -332,17 +331,14 @@ func (w *s3Shard) Finalize() error {
 		if err := w.b.abortMultipart(w.bucket, w.key, w.upload); err != nil {
 			return err
 		}
-		return w.b.Put("s3://"+w.bucket+"/"+w.key, nil, PutOptions{IfAbsent: w.excl})
+		return w.b.Put("s3://"+w.bucket+"/"+w.key, nil, PutOptions{})
 	}
 	if failpoint.Armed() && failpoint.Eval("storage/s3-finalize-crash") {
 		// Simulated crash after every part uploaded but before Complete:
 		// the upload (and all its parts) survives for resume.
 		return failpoint.Crash("storage/s3-finalize-crash")
 	}
-	if err := w.b.completeMultipart(w.bucket, w.key, w.upload, parts, w.excl); err != nil {
-		if w.excl && errors.Is(err, ErrExists) {
-			return fmt.Errorf("%w: destination s3://%s/%s already exists — refusing to overwrite", ErrExists, w.bucket, w.key)
-		}
+	if err := w.b.completeMultipart(w.bucket, w.key, w.upload, parts); err != nil {
 		return err
 	}
 	w.finalized = true
@@ -389,31 +385,21 @@ func (s *finalizedShard) Close() error         { return nil }
 func (s *finalizedShard) Abort() error         { return nil }
 
 // s3Writer is the single-shot object writer: small objects buffer in
-// memory and publish with one conditional PUT; anything reaching the
-// part-size threshold spills into a striped multipart upload.
+// memory and publish with one PUT; anything reaching the part-size
+// threshold spills into a striped multipart upload.
 type s3Writer struct {
 	b     *s3Backend
 	name  string
-	excl  bool
 	buf   []byte
 	shard *s3Shard
 	done  bool
 }
 
-func (b *s3Backend) Create(name string, excl bool) (Writer, error) {
+func (b *s3Backend) Create(name string) (Writer, error) {
 	if _, _, err := splitS3(name); err != nil {
 		return nil, err
 	}
-	if excl {
-		// Early refusal for a clear error at Create time; the conditional
-		// PUT / Complete still guards the race at publish time.
-		if _, err := b.Stat(name); err == nil {
-			return nil, fmt.Errorf("%w: destination %s already exists — refusing to overwrite", ErrExists, name)
-		} else if !errors.Is(err, ErrNotExist) {
-			return nil, err
-		}
-	}
-	return &s3Writer{b: b, name: name, excl: excl}, nil
+	return &s3Writer{b: b, name: name}, nil
 }
 
 func (w *s3Writer) Write(p []byte) (int, error) {
@@ -438,7 +424,6 @@ func (w *s3Writer) Write(p []byte) (int, error) {
 			return len(p), err
 		}
 		w.shard = w.b.newShard(bucket, key, id, 0, nil)
-		w.shard.excl = w.excl
 		if _, err := w.shard.Write(w.buf); err != nil {
 			return len(p), err
 		}
@@ -460,11 +445,7 @@ func (w *s3Writer) Finalize() error {
 		w.shard.cancel()
 		return err
 	}
-	err := w.b.Put(w.name, w.buf, PutOptions{IfAbsent: w.excl})
-	if err != nil && errors.Is(err, ErrExists) {
-		return fmt.Errorf("%w: destination %s already exists — refusing to overwrite", ErrExists, w.name)
-	}
-	return err
+	return w.b.Put(w.name, w.buf, PutOptions{})
 }
 
 func (w *s3Writer) Abort() error {

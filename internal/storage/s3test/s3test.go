@@ -143,7 +143,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case q.Has("uploadId") && q.Has("partNumber") && r.Method == http.MethodPut:
 		s.uploadPart(w, r, b, bucketName, key, q.Get("uploadId"), q.Get("partNumber"), body)
 	case q.Has("uploadId") && r.Method == http.MethodPost:
-		s.completeUpload(w, r, b, bucketName, key, q.Get("uploadId"), body)
+		s.completeUpload(w, b, bucketName, key, q.Get("uploadId"), body)
 	case q.Has("uploadId") && r.Method == http.MethodDelete:
 		s.abortUpload(w, b, key, q.Get("uploadId"))
 	case q.Has("uploadId") && r.Method == http.MethodGet:
@@ -300,7 +300,7 @@ func (s *Server) uploadPart(w http.ResponseWriter, r *http.Request, b *bucket, b
 	w.WriteHeader(http.StatusOK)
 }
 
-func (s *Server) completeUpload(w http.ResponseWriter, r *http.Request, b *bucket, bucketName, key, id string, body []byte) {
+func (s *Server) completeUpload(w http.ResponseWriter, b *bucket, bucketName, key, id string, body []byte) {
 	var req struct {
 		Parts []struct {
 			PartNumber     int    `xml:"PartNumber"`
@@ -318,12 +318,6 @@ func (s *Server) completeUpload(w http.ResponseWriter, r *http.Request, b *bucke
 	if u == nil || u.key != key {
 		xmlError(w, http.StatusNotFound, "NoSuchUpload", id)
 		return
-	}
-	if r.Header.Get("If-None-Match") == "*" {
-		if _, exists := b.obj[key]; exists {
-			xmlError(w, http.StatusPreconditionFailed, "PreconditionFailed", key)
-			return
-		}
 	}
 	var stored []part
 	size, last := 0, 0

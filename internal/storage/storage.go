@@ -22,9 +22,10 @@
 //     returns the contiguous durable prefix, which can lag Commit on
 //     every backend. Checkpoint manifests must only ever record offsets
 //     a Sync has returned.
-//   - Single-shot objects (merged outputs, ShardedSink shards) are
-//     invisible until Finalize and can be created exclusively, so a dirty
-//     destination is an explicit error instead of a silent truncate.
+//   - Single-shot objects (merged outputs, one-shot streams) are
+//     invisible until Finalize, which replaces whatever the name held;
+//     Abort leaves the destination as it was. Per-PE output is always a
+//     checkpointed shard of a job, never a single-shot object.
 package storage
 
 import (
@@ -85,8 +86,8 @@ type Reader interface {
 // visible at the destination until Finalize, and Abort discards
 // everything. Exactly one of Finalize or Abort must be called.
 //
-// The filesystem implementation also supports io.Seeker/io.WriterAt on
-// the staging file, which the binary sinks detect to patch headers.
+// The filesystem implementation also supports io.Seeker on the staging
+// file, which the binary sink detects to patch the header edge count.
 type Writer interface {
 	io.Writer
 	Finalize() error
@@ -164,9 +165,8 @@ type Backend interface {
 
 	// Put atomically replaces name with data.
 	Put(name string, data []byte, opts PutOptions) error
-	// Create opens a single-shot writer; excl makes Finalize (and, where
-	// the backend can, Create itself) fail with ErrExists if name exists.
-	Create(name string, excl bool) (Writer, error)
+	// Create opens a single-shot writer whose Finalize replaces name.
+	Create(name string) (Writer, error)
 
 	// CreateShard starts a fresh checkpointed shard at name.
 	CreateShard(name string) (ShardWriter, error)

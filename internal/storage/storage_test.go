@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -127,7 +126,9 @@ func TestBackendReader(t *testing.T) {
 	}
 }
 
-func TestBackendCreateExclusive(t *testing.T) {
+// TestBackendCreate: a single-shot object is invisible until Finalize,
+// Abort leaves nothing, and a second Create replaces the object.
+func TestBackendCreate(t *testing.T) {
 	for name, root := range backendCases(t) {
 		t.Run(name, func(t *testing.T) {
 			be, err := storage.Resolve(root)
@@ -135,38 +136,44 @@ func TestBackendCreateExclusive(t *testing.T) {
 				t.Fatal(err)
 			}
 			obj := storage.Join(root, "out.txt")
-			w, err := be.Create(obj, true)
+			w, err := be.Create(obj)
 			if err != nil {
 				t.Fatal(err)
 			}
 			io.WriteString(w, "first")
+			if _, err := be.Stat(obj); !errors.Is(err, storage.ErrNotExist) {
+				t.Fatalf("object visible before Finalize: %v", err)
+			}
 			if err := w.Finalize(); err != nil {
 				t.Fatal(err)
 			}
 			if b, _ := be.Get(obj); string(b) != "first" {
 				t.Fatalf("finalized object: %q", b)
 			}
-			// Dirty destination: exclusive create refuses.
-			if _, err := be.Create(obj, true); !errors.Is(err, storage.ErrExists) {
-				t.Fatalf("excl Create over existing: got %v, want ErrExists", err)
-			} else if !strings.Contains(err.Error(), "refusing to overwrite") {
-				t.Fatalf("error should explain the refusal: %v", err)
-			}
-			// Abort leaves nothing.
+			// Abort leaves nothing: neither a fresh object nor a change to an
+			// existing one.
 			obj2 := storage.Join(root, "aborted.txt")
-			w2, err := be.Create(obj2, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.WriteString(w2, "garbage")
-			if err := w2.Abort(); err != nil {
-				t.Fatal(err)
+			for _, name := range []string{obj2, obj} {
+				w, err := be.Create(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.WriteString(w, "garbage that is long enough to spill into a multipart upload")
+				if err := w.Abort(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if _, err := be.Stat(obj2); !errors.Is(err, storage.ErrNotExist) {
 				t.Fatalf("aborted object exists: %v", err)
 			}
-			// Non-exclusive create replaces.
-			w3, err := be.Create(obj, false)
+			if b, _ := be.Get(obj); string(b) != "first" {
+				t.Fatalf("aborted replace changed the object: %q", b)
+			}
+			if names, err := be.List(root); err != nil || len(names) != 1 || names[0] != obj {
+				t.Fatalf("aborted writers left objects behind: %v, %v", names, err)
+			}
+			// Create replaces.
+			w3, err := be.Create(obj)
 			if err != nil {
 				t.Fatal(err)
 			}

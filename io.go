@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"repro/internal/graph"
-	"repro/internal/storage"
 )
 
 // WriteEdgeListText writes "# n m" followed by one "u v" pair per line.
@@ -172,156 +171,4 @@ func appendBinaryHeader(buf []byte, n, m uint64) []byte {
 	binary.LittleEndian.PutUint64(h[0:], n)
 	binary.LittleEndian.PutUint64(h[8:], m)
 	return append(buf, h[:]...)
-}
-
-// ShardedSink writes one self-contained edge-list file per PE under a
-// destination — a directory, or an object-store prefix when the
-// destination is a URI: <prefix>-pe<id>.<ext>, each readable with
-// ReadEdgeList and carrying the global vertex count — the per-PE
-// partitioned output a distributed consumer expects. All four streaming
-// formats are supported; compressed shards are gzipped whole. Each shard
-// is written incrementally batch by batch: a shard object is created at
-// the PE's first batch and finalized at its EndPE, so no chunk is ever
-// held in memory. Shards are created exclusively: a pre-existing shard
-// at the destination is an error, never a silent truncate. Plain binary
-// shards get their edge count patched into the header at EndPE when the
-// backend's writer supports it (the filesystem's staging file does);
-// otherwise — and always for text and compressed shards — the streaming
-// header the readers accept is used.
-type ShardedSink struct {
-	dest   string
-	prefix string
-	format Format
-	be     storage.Backend
-	n      uint64
-
-	w       storage.Writer
-	gz      *gzip.Writer
-	bw      *bufio.Writer
-	patch   bool   // open shard's header count is patched at EndPE
-	count   uint64 // edges written to the open shard
-	scratch []byte
-}
-
-// ShardPath returns the destination of one PE's shard.
-func (s *ShardedSink) ShardPath(pe uint64) string {
-	return shardDest(s.dest, s.prefix, pe, s.format)
-}
-
-// Begin prepares the shard directory.
-func (s *ShardedSink) Begin(n, pes uint64) error {
-	s.n = n
-	return s.be.EnsureDir(s.dest)
-}
-
-// openShard starts the PE's shard object and writes its header.
-func (s *ShardedSink) openShard(pe uint64) error {
-	w, err := s.be.Create(s.ShardPath(pe), true)
-	if err != nil {
-		return err
-	}
-	s.w = w
-	var target io.Writer = w
-	if s.format.Compressed() {
-		if s.gz == nil {
-			s.gz = gzip.NewWriter(target)
-		} else {
-			s.gz.Reset(target)
-		}
-		target = s.gz
-	}
-	if s.bw == nil {
-		s.bw = bufio.NewWriterSize(target, 1<<20)
-	} else {
-		s.bw.Reset(target)
-	}
-	s.count = 0
-	s.patch = false
-	if s.format == FormatBinary {
-		if ws, ok := w.(io.WriteSeeker); ok && seekPatchable(ws) {
-			s.patch = true
-		}
-	}
-	if s.patch {
-		// Seekable plain binary: placeholder count, patched at EndPE.
-		_, err = s.bw.Write(appendBinaryHeader(s.scratch[:0], s.n, 0))
-		s.scratch = s.scratch[:0]
-	} else {
-		buf := s.format.AppendHeader(s.scratch[:0], s.n)
-		s.scratch = buf[:0]
-		_, err = s.bw.Write(buf)
-	}
-	return err
-}
-
-// Batch appends one batch to the PE's shard, opening it first if this is
-// the PE's first batch.
-func (s *ShardedSink) Batch(pe uint64, edges []Edge) error {
-	if s.w == nil {
-		if err := s.openShard(pe); err != nil {
-			return err
-		}
-	}
-	s.count += uint64(len(edges))
-	frame := s.format.AppendEdges(s.scratch[:0], edges)
-	s.scratch = frame[:0]
-	_, err := s.bw.Write(frame)
-	return err
-}
-
-// EndPE finalizes the PE's shard: it flushes the buffered edges, finishes
-// the gzip stream of a compressed shard, patches the plain-binary edge
-// count, and publishes the object. A PE without any batches still
-// produces a complete (empty) shard. If finalization fails the partial
-// object is aborted — a shard at the destination is always complete.
-func (s *ShardedSink) EndPE(pe uint64) error {
-	if s.w == nil {
-		if err := s.openShard(pe); err != nil {
-			return err
-		}
-	}
-	err := s.bw.Flush()
-	if s.format.Compressed() {
-		if cerr := s.gz.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err == nil && s.patch {
-		ws := s.w.(io.WriteSeeker)
-		if _, serr := ws.Seek(8, io.SeekStart); serr != nil {
-			err = fmt.Errorf("kagen: sharded sink cannot patch edge count: %w", serr)
-		} else {
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], s.count)
-			if _, err = ws.Write(buf[:]); err == nil {
-				_, err = ws.Seek(0, io.SeekEnd)
-			}
-		}
-	}
-	w := s.w
-	s.w = nil
-	if err != nil {
-		w.Abort() // best effort: never leave a truncated shard behind
-		return err
-	}
-	return w.Finalize()
-}
-
-// Close handles a shard left open by an aborted run: the partial object
-// is aborted, so an abort never leaves a shard that would later read
-// back as a valid (but truncated or empty) edge list.
-func (s *ShardedSink) Close() error {
-	if s.w == nil {
-		return nil
-	}
-	err := s.w.Abort()
-	s.w = nil
-	return err
-}
-
-// ReadShardedEdgeList reads the shard files written by a ShardedSink with
-// the given directory, prefix and format, and merges them in PE order.
-// ReadShardedEdgeListFrom is the same over any destination URI.
-func ReadShardedEdgeList(dir, prefix string, format Format, pes uint64) (*EdgeList, error) {
-	return ReadShardedEdgeListFrom(dir, prefix, format, pes)
 }

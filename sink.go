@@ -19,32 +19,11 @@ import (
 //	"s3://b/k"    object store (striped multipart upload)
 //	"mem://s/k"   in-memory backend (tests)
 //
-// A single-object destination is written through the backend's
-// single-shot writer: nothing is visible at the destination until the
-// sink's Close, and a sink that saw an error aborts instead of
-// publishing. With SinkSharded the destination is a directory (or
-// object-store prefix) receiving one self-contained shard per PE, each
-// created exclusively — a pre-existing shard is an error, never a
-// silent truncate.
-func OpenSink(dest string, format Format, opts ...SinkOption) (Sink, error) {
-	var cfg sinkConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.sharded {
-		if dest == "" || dest == "-" {
-			return nil, fmt.Errorf("kagen: sharded output needs a directory or URI destination, not stdout")
-		}
-		prefix := cfg.prefix
-		if prefix == "" {
-			prefix = "kagen"
-		}
-		be, err := storage.Resolve(dest)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardedSink{dest: dest, prefix: prefix, format: format, be: be}, nil
-	}
+// A destination other than stdout is written through the backend's
+// single-shot writer: nothing is visible there until the sink's Close,
+// and a sink that saw an error aborts instead of publishing. Per-PE
+// sharded output is a job (see internal/job), not a sink.
+func OpenSink(dest string, format Format) (Sink, error) {
 	if dest == "" || dest == "-" {
 		return NewFormatSink(os.Stdout, format), nil
 	}
@@ -52,30 +31,11 @@ func OpenSink(dest string, format Format, opts ...SinkOption) (Sink, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := be.Create(dest, false)
+	w, err := be.Create(dest)
 	if err != nil {
 		return nil, err
 	}
 	return &objectSink{inner: NewFormatSink(w, format), w: w}, nil
-}
-
-// SinkOption configures OpenSink.
-type SinkOption func(*sinkConfig)
-
-type sinkConfig struct {
-	sharded bool
-	prefix  string
-}
-
-// SinkSharded makes OpenSink write one self-contained edge-list file per
-// PE under the destination, named <prefix>-pe<id>.<ext> (prefix "kagen"
-// when empty) — the per-PE partitioned output a distributed consumer
-// expects.
-func SinkSharded(prefix string) SinkOption {
-	return func(c *sinkConfig) {
-		c.sharded = true
-		c.prefix = prefix
-	}
 }
 
 // objectSink runs a format sink into a backend's single-shot writer and
@@ -112,11 +72,6 @@ func (s *objectSink) Close() error {
 	return s.w.Finalize()
 }
 
-// shardDest names one PE's shard under a sharded destination.
-func shardDest(dest, prefix string, pe uint64, f Format) string {
-	return storage.Join(dest, fmt.Sprintf("%s-pe%05d.%s", prefix, pe, f.Ext()))
-}
-
 // ReadEdgeListFrom reads one edge-list object from a destination URI
 // ("" and "-" read stdin), decompressing the gzip formats. It is the
 // backend-aware counterpart of ReadEdgeListFile: a bare path reads the
@@ -135,21 +90,4 @@ func ReadEdgeListFrom(src string, f Format) (*EdgeList, error) {
 	}
 	defer r.Close()
 	return ReadEdgeList(io.Reader(r), f)
-}
-
-// ReadShardedEdgeListFrom reads the per-PE shards written by a sharded
-// sink under a destination URI and merges them in PE order.
-func ReadShardedEdgeListFrom(dest, prefix string, format Format, pes uint64) (*EdgeList, error) {
-	merged := &EdgeList{}
-	for pe := uint64(0); pe < pes; pe++ {
-		el, err := ReadEdgeListFrom(shardDest(dest, prefix, pe, format), format)
-		if err != nil {
-			return nil, err
-		}
-		if el.N > merged.N {
-			merged.N = el.N
-		}
-		merged.Edges = append(merged.Edges, el.Edges...)
-	}
-	return merged, nil
 }

@@ -39,102 +39,9 @@ func TestOpenSinkObjectURI(t *testing.T) {
 	requireSameList(t, "object URI", got, &EdgeList{N: 4, Edges: edges})
 }
 
-// TestOpenSinkShardedURI: a sharded destination on an object backend
-// writes one self-contained shard per PE, read back and merged in PE
-// order by the sharded reader.
-func TestOpenSinkShardedURI(t *testing.T) {
-	dest := "mem://sinkuri-sharded/out"
-	s, err := OpenSink(dest, FormatText, SinkSharded("g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e0 := []Edge{{U: 0, V: 1}}
-	e1 := []Edge{{U: 2, V: 3}, {U: 3, V: 0}}
-	if err := s.Begin(4, 2); err != nil {
-		t.Fatal(err)
-	}
-	for pe, edges := range [][]Edge{e0, e1} {
-		if err := s.Batch(uint64(pe), edges); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.EndPE(uint64(pe)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadShardedEdgeListFrom(dest, "g", FormatText, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameList(t, "sharded URI", got, &EdgeList{N: 4, Edges: append(append([]Edge{}, e0...), e1...)})
-}
-
-// TestShardedSinkRefusesDirtyDestination: a shard already present at the
-// destination is an error at open time — never a silent truncate. The
-// pre-existing bytes must survive untouched.
-func TestShardedSinkRefusesDirtyDestination(t *testing.T) {
-	dir := t.TempDir()
-	stale := []byte("precious bytes from an earlier run\n")
-	path := shardDest(dir, "g", 0, FormatText)
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenSink(dir, FormatText, SinkSharded("g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Begin(4, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Batch(0, []Edge{{U: 0, V: 1}}); err == nil {
-		t.Fatal("sink overwrote an existing shard")
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != string(stale) {
-		t.Fatalf("existing shard was modified: %q", b)
-	}
-
-	// Same contract on an object backend.
-	dest := "mem://sinkuri-dirty/out"
-	s2, err := OpenSink(dest, FormatText, SinkSharded("g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Begin(4, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Batch(0, []Edge{{U: 0, V: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.EndPE(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := OpenSink(dest, FormatText, SinkSharded("g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s3.Begin(4, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s3.Batch(0, []Edge{{U: 0, V: 1}}); err == nil {
-		t.Fatal("sink overwrote an existing object-store shard")
-	}
-}
-
-// TestOpenSinkRejectsBadDestinations: sharded output cannot go to
-// stdout, and an unknown scheme fails at open time, not mid-stream.
+// TestOpenSinkRejectsBadDestinations: an unknown scheme fails at open
+// time, not mid-stream.
 func TestOpenSinkRejectsBadDestinations(t *testing.T) {
-	if _, err := OpenSink("-", FormatText, SinkSharded("")); err == nil {
-		t.Fatal("sharded sink accepted stdout")
-	}
 	if _, err := OpenSink("gopher://x/y", FormatText); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
