@@ -11,6 +11,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -783,6 +784,53 @@ func All() []Case {
 				})
 			}
 		}
+	}
+
+	// --- Read side: merging a finished job (segment copy + digest check,
+	// gzip members inflated for the check only) and a sampled verify, on
+	// GOMAXPROCS goroutines ---
+	{
+		finishedJob := func(b *testing.B, format string) (string, job.Spec) {
+			spec := job.Spec{Model: "gnm_directed", N: 1 << 16, M: 1 << 17, Seed: 1,
+				PEs: 2, ChunksPerPE: 8, Workers: 1, Format: format}
+			dir := b.TempDir()
+			if err := job.Init(dir, spec); err != nil {
+				b.Fatal(err)
+			}
+			if err := job.Run(dir, 0, job.RunOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			return dir, spec
+		}
+		for _, format := range []string{"text", "binary", "text.gz"} {
+			format := format
+			add("Job/merge/"+format, func(b *testing.B) {
+				dir, spec := finishedJob(b, format)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := job.Merge(dir, io.Discard); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(spec.M), "ns/edge")
+			})
+		}
+		add("Job/verify-sample/binary", func(b *testing.B) {
+			dir, spec := finishedJob(b, "binary")
+			var checked int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := job.Verify(dir, job.VerifyOptions{Sample: 2, Seed: int64(i)})
+				if err != nil || !res.OK() {
+					b.Fatal(err, res)
+				}
+				checked = res.ChunksChecked
+			}
+			checkedEdges := float64(spec.M) * float64(checked) / float64(spec.TotalChunks())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/checkedEdges, "ns/edge")
+		})
 	}
 
 	// --- Checkpoint path: what a generator pays per chunk boundary (a

@@ -182,15 +182,31 @@ func ReadManifest(path string, spec Spec) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readManifest(store, path, spec)
-}
-
-// readManifest is ReadManifest on an already resolved backend.
-func readManifest(store storage.Backend, path string, spec Spec) (*Manifest, error) {
 	b, err := store.Get(path)
 	if err != nil {
 		return nil, err
 	}
+	return parseManifest(b, path, spec)
+}
+
+// readManifest is ReadManifest of worker w's manifest in a job directory,
+// refusing one that records another worker: a manifest copied to the
+// wrong name must not pass for w's progress.
+func readManifest(store storage.Backend, dir string, spec Spec, w uint64) (*Manifest, error) {
+	path := ManifestPath(dir, w)
+	b, err := store.Get(path)
+	if err != nil {
+		return nil, err
+	}
+	m, err := parseManifest(b, path, spec)
+	if err == nil && m.Worker != w {
+		return nil, fmt.Errorf("job: corrupt manifest %s: records worker %d", path, m.Worker)
+	}
+	return m, err
+}
+
+// parseManifest decodes and validates manifest bytes read from path.
+func parseManifest(b []byte, path string, spec Spec) (*Manifest, error) {
 	m := &Manifest{}
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()

@@ -2,12 +2,10 @@ package job
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log/slog"
 	"os"
@@ -15,7 +13,6 @@ import (
 	"time"
 
 	kagen "repro"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/pe"
 	"repro/internal/storage"
@@ -249,7 +246,7 @@ func runWorker(store storage.Backend, dir string, worker uint64, spec Spec, stre
 	switch _, serr := store.Stat(mpath); {
 	case serr == nil:
 		var err error
-		if manifest, err = readManifest(store, mpath, spec); err != nil {
+		if manifest, err = readManifest(store, dir, spec, worker); err != nil {
 			return err
 		}
 	case errors.Is(serr, fs.ErrNotExist):
@@ -485,21 +482,16 @@ func Inspect(dir string) (*Status, error) {
 	if err != nil {
 		return nil, err
 	}
+	manifests, err := loadManifests(store, dir, spec)
+	if err != nil {
+		return nil, err
+	}
 	st := &Status{Dir: dir, Spec: spec, SpecHash: spec.Hash()}
-	for w := uint64(0); w < spec.Workers; w++ {
-		ws := WorkerStatus{Worker: w}
-		lo, hi := spec.WorkerPEs(w)
-		var m *Manifest
-		if _, serr := store.Stat(ManifestPath(dir, w)); serr == nil {
-			if m, err = readManifest(store, ManifestPath(dir, w), spec); err != nil {
-				return nil, err
-			}
-			ws.Started = true
-		} else if !errors.Is(serr, fs.ErrNotExist) {
-			return nil, fmt.Errorf("job: cannot stat manifest for worker %d: %w", w, serr)
-		}
+	for w, m := range manifests {
+		ws := WorkerStatus{Worker: uint64(w), Started: m != nil}
+		lo, hi := spec.WorkerPEs(uint64(w))
 		for pe := lo; pe < hi; pe++ {
-			ps := PEStatus{PE: pe, Worker: w, Chunks: spec.ChunksPerPE}
+			ps := PEStatus{PE: pe, Worker: uint64(w), Chunks: spec.ChunksPerPE}
 			if m != nil {
 				if p := m.progress(pe); p != nil {
 					ps.ChunksDone, ps.Edges, ps.Done = p.ChunksDone, p.Edges, p.Done
@@ -510,6 +502,26 @@ func Inspect(dir string) (*Status, error) {
 		st.Workers = append(st.Workers, ws)
 	}
 	return st, nil
+}
+
+// loadManifests reads every worker manifest of a job, indexed by worker;
+// a worker that has not started has none (nil).
+func loadManifests(store storage.Backend, dir string, spec Spec) ([]*Manifest, error) {
+	manifests := make([]*Manifest, spec.Workers)
+	for w := range manifests {
+		path := ManifestPath(dir, uint64(w))
+		if _, err := store.Stat(path); errors.Is(err, fs.ErrNotExist) {
+			continue
+		} else if err != nil {
+			return nil, fmt.Errorf("job: cannot stat manifest for worker %d: %w", w, err)
+		}
+		m, err := readManifest(store, dir, spec, uint64(w))
+		if err != nil {
+			return nil, err
+		}
+		manifests[w] = m
+	}
+	return manifests, nil
 }
 
 // Complete reports whether every PE of every worker is done.
@@ -549,112 +561,4 @@ func (st *Status) Gaps() []PEStatus {
 		}
 	}
 	return gaps
-}
-
-// Merge streams every finalized shard, in PE order, into one edge-list
-// stream of the job's format on out. It refuses to merge an incomplete
-// job — use Inspect to report the gaps instead.
-func Merge(dir string, out io.Writer) error {
-	// Merge spans land on the process-global trace: merge runs outside
-	// any worker, so there is no RunOptions to thread a trace through.
-	sp := obs.Active().Start("job", "merge", obs.LaneWorker, obs.Span{})
-	defer sp.End(obs.Str("dir", dir))
-	store, err := storage.Resolve(dir)
-	if err != nil {
-		return err
-	}
-	st, err := Inspect(dir)
-	if err != nil {
-		return err
-	}
-	spec := st.Spec
-	if gaps := st.Gaps(); len(gaps) > 0 {
-		return fmt.Errorf("job: %d of %d PEs incomplete — run or resume the missing workers before merging", len(gaps), spec.PEs)
-	}
-	streamer, err := spec.Streamer()
-	if err != nil {
-		return err
-	}
-	format := spec.ShardFormat()
-	sink := kagen.NewFormatSink(out, format)
-	err = sink.Begin(streamer.N(), spec.PEs)
-	for pe := uint64(0); pe < spec.PEs && err == nil; pe++ {
-		// Shards are decoded incrementally and re-encoded batch by batch,
-		// so merge memory stays O(batch) — a job sized to generate within
-		// tens of MB must not materialize whole shards to merge.
-		err = streamShardEdges(store, ShardPath(dir, pe, format), format, func(batch []kagen.Edge) error {
-			return sink.Batch(pe, batch)
-		})
-		if err == nil {
-			err = sink.EndPE(pe)
-		}
-	}
-	if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// streamShardEdges reads one shard object and delivers its edges in
-// bounded, non-empty batches, using the shared graph decoders so the
-// parsing rules stay identical to the materializing readers.
-func streamShardEdges(store storage.Backend, path string, format kagen.Format, deliver func([]kagen.Edge) error) error {
-	f, err := store.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var r io.Reader = f
-	if format.Compressed() {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return err
-		}
-		defer gz.Close()
-		r = gz
-	}
-	const batchCap = 8192
-	batch := make([]kagen.Edge, 0, batchCap)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		err := deliver(batch)
-		batch = batch[:0]
-		return err
-	}
-	edge := func(u, v uint64) error {
-		batch = append(batch, kagen.Edge{U: u, V: v})
-		if len(batch) == batchCap {
-			return flush()
-		}
-		return nil
-	}
-	if format.Binary() {
-		err = graph.StreamEdgeListBinary(r, nil, edge)
-	} else {
-		err = graph.StreamEdgeListText(r, nil, edge)
-	}
-	if err != nil {
-		return fmt.Errorf("job: shard %s: %w", path, err)
-	}
-	return flush()
-}
-
-// MergeToFile is Merge writing to a freshly created destination, local
-// or object store; nothing is visible there until the merge succeeds.
-func MergeToFile(dir, path string) error {
-	store, err := storage.Resolve(path)
-	if err != nil {
-		return err
-	}
-	w, err := store.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Merge(dir, w); err != nil {
-		w.Abort()
-		return err
-	}
-	return w.Finalize()
 }

@@ -1,9 +1,16 @@
 package job
 
 import (
+	"bufio"
+	"compress/gzip"
+	"crypto/sha256"
+	"errors"
 	"fmt"
+	"hash"
+	"io"
 
 	kagen "repro"
+	"repro/internal/merkle"
 	"repro/internal/storage"
 )
 
@@ -147,5 +154,159 @@ func (w *shardWriter) Close() error {
 	}
 	err := w.sw.Close()
 	w.sw = nil
+	return err
+}
+
+// readAhead bounds a shardReader's read-ahead buffer, which grows to the
+// largest segment read: one pread, or one ranged GET on an object store.
+const readAhead = 1 << 20
+
+// errStopped ends an emitting read whose run has already failed.
+var errStopped = errors.New("job: run stopped")
+
+// shardReader reads committed segments of shards back and digests their
+// payload — the bytes themselves, or for a compressed format what their
+// gzip members inflate to: the shard check of Merge, Verify and the
+// resume audit. One reader serves one goroutine for a whole pass, keeping
+// the open shard, read-ahead buffer, decompressor and hash, so a segment
+// costs no allocation. Raw bytes are read into blocks and digested from
+// there, and every full block goes to send: Merge's passes it on, so the
+// read that checks a segment also copies it; a checking reader's hands
+// it straight back.
+type shardReader struct {
+	store   storage.Backend
+	format  kagen.Format
+	blocks  *blockList
+	send    func(*block, bool) bool
+	path    string // the open shard
+	f       storage.Reader
+	src     *bufio.Reader // the segment being read
+	hash    hash.Hash
+	gz      *gzip.Reader
+	scratch []byte // decompressed bytes on their way into hash
+	cur     *block // where raw bytes land
+	pos     int    // bytes of cur already digested
+}
+
+// checkingReader returns a reader that only checks segments, recycling
+// one block of its own.
+func checkingReader(store storage.Backend, format kagen.Format) shardReader {
+	blocks := new(blockList)
+	return shardReader{store: store, format: format, hash: sha256.New(), blocks: blocks, cur: blocks.get(),
+		send: func(b *block, _ bool) bool { blocks.put(b); return true }}
+}
+
+// open makes path the reader's shard, keeping it if it already is.
+func (r *shardReader) open(path string) error {
+	if r.f != nil && r.path == path {
+		return nil
+	}
+	r.close()
+	f, err := r.store.Open(path)
+	if err != nil {
+		return err
+	}
+	r.f, r.path = f, path
+	return nil
+}
+
+func (r *shardReader) close() {
+	if r.f != nil {
+		r.f.Close()
+		r.f = nil
+	}
+}
+
+// digest reads the open shard's segment [start, end) into cur and returns
+// the SHA-256 of its payload: the chunk digest a manifest records for it.
+// A segment reaching past the end of the shard fails with io.EOF before
+// anything is read.
+func (r *shardReader) digest(start, end int64) (d merkle.Digest, err error) {
+	if end < start {
+		return d, fmt.Errorf("inverted segment [%d,%d)", start, end)
+	}
+	if end > r.f.Size() {
+		return d, io.EOF
+	}
+	if size := int(min(end-start, readAhead)); r.src == nil || r.src.Size() < size {
+		r.src = bufio.NewReaderSize(nil, size)
+	}
+	r.src.Reset(io.NewSectionReader(r.f, start, end-start))
+	r.hash.Reset()
+	r.pos = r.cur.n
+	if r.format.Compressed() && end > start {
+		err = r.inflate()
+	} else {
+		for err == nil {
+			if err = r.fill(); err == nil {
+				r.hash.Write(r.cur.buf[r.pos:r.cur.n])
+				r.pos = r.cur.n
+			}
+		}
+		if err == io.EOF {
+			err = nil
+		}
+	}
+	r.hash.Sum(d[:0])
+	return d, err
+}
+
+// inflate feeds what the segment's gzip members decompress to into hash.
+// The decompressor reads the raw bytes straight out of the blocks.
+func (r *shardReader) inflate() error {
+	var err error
+	if r.gz == nil {
+		r.gz, err = gzip.NewReader(r)
+		r.scratch = make([]byte, 32<<10)
+	} else {
+		err = r.gz.Reset(r)
+	}
+	if err == nil {
+		_, err = io.CopyBuffer(r.hash, r.gz, r.scratch)
+	}
+	return err
+}
+
+// Read and ReadByte serve the decompressor the segment's raw bytes.
+func (r *shardReader) Read(p []byte) (int, error) {
+	if r.pos == r.cur.n {
+		if err := r.fill(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, r.cur.buf[r.pos:r.cur.n])
+	r.pos += n
+	return n, nil
+}
+
+func (r *shardReader) ReadByte() (byte, error) {
+	if r.pos == r.cur.n {
+		if err := r.fill(); err != nil {
+			return 0, err
+		}
+	}
+	c := r.cur.buf[r.pos]
+	r.pos++
+	return c, nil
+}
+
+// fill reads more of the segment into cur, sending it first and taking a
+// fresh block if it is full.
+func (r *shardReader) fill() error {
+	if r.cur.n == blockSize {
+		live := r.send(r.cur, false)
+		r.cur, r.pos = r.blocks.get(), 0
+		if !live {
+			return errStopped
+		}
+	}
+	n, err := r.src.Read(r.cur.buf[r.cur.n:])
+	r.cur.n += n
+	if n > 0 {
+		return nil
+	}
+	if err == nil {
+		err = io.ErrNoProgress
+	}
 	return err
 }

@@ -7,15 +7,18 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	kagen "repro"
 	"repro/internal/merkle"
 	"repro/internal/obs"
+	"repro/internal/pe"
 	"repro/internal/storage"
 )
 
@@ -83,6 +86,12 @@ func (r *VerifyResult) OK() bool { return len(r.Faults) == 0 }
 // PE's Merkle root (for finalized PEs, through an inclusion proof), and
 // the bytes on disk. No worker's manifest is trusted over the spec.
 //
+// The chunks to check are drawn first, worker by worker and PE by PE from
+// the one seeded source, so equal seeds check equal chunks. Each check is
+// then one unit of pe.Ordered on GOMAXPROCS goroutines, and the faults
+// come back in the order the checks were drawn: the result does not
+// depend on the goroutine count.
+//
 // Workers that have not started are skipped — absence of progress is not
 // a fault. An incomplete job verifies its committed prefix.
 func Verify(dir string, opts VerifyOptions) (*VerifyResult, error) {
@@ -103,14 +112,15 @@ func Verify(dir string, opts VerifyOptions) (*VerifyResult, error) {
 	log.Info("verify starting", "dir", dir, "spec", spec.Hash(), "all", opts.All)
 	res := &VerifyResult{}
 	rng := rand.New(rand.NewSource(opts.Seed))
+	var checks []chunkCheck
 	for w := uint64(0); w < spec.Workers; w++ {
 		mpath := ManifestPath(dir, w)
 		if _, serr := store.Stat(mpath); errors.Is(serr, fs.ErrNotExist) {
 			continue
 		}
-		m, err := readManifest(store, mpath, spec)
+		m, err := readManifest(store, dir, spec, w)
 		if err != nil {
-			res.Faults = append(res.Faults, Fault{Worker: w, PE: -1, Chunk: -1, Reason: FaultManifest, Detail: err.Error()})
+			checks = append(checks, chunkCheck{fault: &Fault{Worker: w, PE: -1, Chunk: -1, Reason: FaultManifest, Detail: err.Error()}})
 			continue
 		}
 		for i := range m.PEs {
@@ -119,8 +129,38 @@ func Verify(dir string, opts VerifyOptions) (*VerifyResult, error) {
 				continue
 			}
 			res.PEsChecked++
-			res.Faults = append(res.Faults, verifyPE(store, dir, spec, streamer, format, w, prog, opts, rng, &res.ChunksChecked)...)
+			// A shard that cannot be opened is one fault for its PE, and
+			// draws no sample.
+			path := ShardPath(dir, prog.PE, format)
+			f, err := store.Open(path)
+			if err != nil {
+				checks = append(checks, chunkCheck{fault: &Fault{Worker: w, PE: int64(prog.PE), Chunk: -1, Reason: FaultShard, Detail: err.Error()}})
+				continue
+			}
+			f.Close()
+			sample := sampleIndices(int(prog.ChunksDone), opts, rng)
+			res.ChunksChecked += len(sample)
+			for _, c := range sample {
+				checks = append(checks, chunkCheck{worker: w, prog: prog, chunk: c, path: path})
+			}
 		}
+	}
+	verifiers := make([]verifier, runtime.GOMAXPROCS(0))
+	for i := range verifiers {
+		verifiers[i] = verifier{spec: spec, streamer: streamer,
+			capture: captureSink{format: format, hash: sha256.New()}, shards: checkingReader(store, format)}
+	}
+	pe.Ordered(0, len(checks), len(verifiers),
+		func(worker, i int, send func(*Fault, bool) bool) { send(verifiers[worker].check(&checks[i]), true) },
+		func(_ int, f *Fault, _ bool) error {
+			if f != nil {
+				res.Faults = append(res.Faults, *f)
+			}
+			return nil
+		},
+		func(*Fault) {})
+	for i := range verifiers {
+		verifiers[i].shards.close()
 	}
 	if res.OK() {
 		log.Info("verify clean", "dir", dir, "pes_checked", res.PEsChecked, "chunks_checked", res.ChunksChecked)
@@ -131,64 +171,65 @@ func Verify(dir string, opts VerifyOptions) (*VerifyResult, error) {
 	return res, nil
 }
 
-// verifyPE checks a sample (or all) of one PE's committed chunks,
-// reading the shard bytes straight from the backend (ranged GETs on an
-// object store — no local staging).
-func verifyPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer, format kagen.Format, worker uint64, prog *PEProgress, opts VerifyOptions, rng *rand.Rand, checked *int) []Fault {
-	var faults []Fault
-	pe := int64(prog.PE)
-	path := ShardPath(dir, prog.PE, format)
-	f, err := store.Open(path)
-	if err != nil {
-		return []Fault{{Worker: worker, PE: pe, Chunk: -1, Reason: FaultShard, Detail: err.Error()}}
-	}
-	defer f.Close()
+// chunkCheck is one unit of a verify pass: a sampled chunk of a PE, or a
+// fault found while drawing them, kept in its place in the report.
+type chunkCheck struct {
+	fault  *Fault
+	worker uint64
+	prog   *PEProgress
+	chunk  int // within the PE
+	path   string
+}
 
-	leaves, err := prog.leafDigests()
-	if err != nil {
-		// ReadManifest validated the digests already; this is unreachable
-		// short of a bug, but fail loudly rather than skip.
-		return []Fault{{Worker: worker, PE: pe, Chunk: -1, Reason: FaultManifest, Detail: err.Error()}}
-	}
-	var root merkle.Digest
-	haveRoot := prog.Done && decodeDigest(prog.Root, &root) == nil
+// verifier is one verify goroutine's scratch. It re-derives chunks through
+// its own encoder (StreamChunksFrom into captureSink's
+// Format.AppendEdges), not the job's chunk encoder, so Verify stays an
+// independent check of what Run wrote.
+type verifier struct {
+	spec     Spec
+	streamer kagen.Streamer
+	capture  captureSink
+	shards   shardReader
+}
 
-	first, _ := spec.ChunkRange(prog.PE)
-	for _, c := range sampleIndices(int(prog.ChunksDone), opts, rng) {
-		*checked++
-		rec := prog.Chunks[c]
-		payload, edges, err := regenChunk(streamer, format, first+uint64(c))
-		if err != nil {
-			faults = append(faults, Fault{Worker: worker, PE: pe, Chunk: int64(c), Reason: FaultManifestDigest,
-				Detail: fmt.Sprintf("cannot re-derive chunk: %v", err)})
-			continue
-		}
-		leaf := sha256.Sum256(payload)
-		if hex.EncodeToString(leaf[:]) != rec.Digest || edges != rec.Edges {
-			faults = append(faults, Fault{Worker: worker, PE: pe, Chunk: int64(c), Reason: FaultManifestDigest,
-				Detail: fmt.Sprintf("manifest records digest %.12s…/%d edges, spec derives %.12s…/%d", rec.Digest, rec.Edges, hex.EncodeToString(leaf[:]), edges)})
-			continue
-		}
-		if haveRoot {
-			if !merkle.VerifyProof(leaf, merkle.Proof(leaves, c), root) {
-				faults = append(faults, Fault{Worker: worker, PE: pe, Chunk: int64(c), Reason: FaultMerkleRoot,
-					Detail: "inclusion proof does not reach the committed root"})
-				continue
-			}
-		}
-		start, end := prog.chunkBounds(c)
-		disk, err := readChunkPayload(f, format, start, end)
-		if err != nil {
-			faults = append(faults, Fault{Worker: worker, PE: pe, Chunk: int64(c), Reason: FaultShard,
-				Detail: fmt.Sprintf("bytes [%d,%d): %v", start, end, err)})
-			continue
-		}
-		if sha256.Sum256(disk) != leaf {
-			faults = append(faults, Fault{Worker: worker, PE: pe, Chunk: int64(c), Reason: FaultShard,
-				Detail: fmt.Sprintf("bytes [%d,%d) do not reproduce the chunk digest", start, end)})
+// check runs one unit of a verify pass and returns its fault, if any.
+func (v *verifier) check(k *chunkCheck) *Fault {
+	if k.fault != nil {
+		return k.fault
+	}
+	p, c := k.prog, k.chunk
+	fault := func(reason, format string, args ...any) *Fault {
+		return &Fault{Worker: k.worker, PE: int64(p.PE), Chunk: int64(c), Reason: reason, Detail: fmt.Sprintf(format, args...)}
+	}
+	first, _ := v.spec.ChunkRange(p.PE)
+	if err := v.capture.regen(v.streamer, first+uint64(c)); err != nil {
+		return fault(FaultManifestDigest, "cannot re-derive chunk: %v", err)
+	}
+	var leaf, root merkle.Digest
+	v.capture.hash.Sum(leaf[:0])
+	if rec := p.Chunks[c]; hex.EncodeToString(leaf[:]) != rec.Digest || v.capture.edges != rec.Edges {
+		return fault(FaultManifestDigest, "manifest records digest %.12s…/%d edges, spec derives %.12s…/%d", rec.Digest, rec.Edges, hex.EncodeToString(leaf[:]), v.capture.edges)
+	}
+	if p.Done {
+		leaves, _ := p.leafDigests() // readManifest has checked them and the root
+		decodeDigest(p.Root, &root)
+		if !merkle.VerifyProof(leaf, merkle.Proof(leaves, c), root) {
+			return fault(FaultMerkleRoot, "inclusion proof does not reach the committed root")
 		}
 	}
-	return faults
+	start, end := p.chunkBounds(c)
+	err := v.shards.open(k.path)
+	var disk merkle.Digest
+	if err == nil {
+		disk, err = v.shards.digest(start, end)
+	}
+	if err != nil {
+		return fault(FaultShard, "bytes [%d,%d): %v", start, end, err)
+	}
+	if disk != leaf {
+		return fault(FaultShard, "bytes [%d,%d) do not reproduce the chunk digest", start, end)
+	}
+	return nil
 }
 
 // sampleIndices picks the chunk indices a pass checks: all of them, or a
@@ -211,63 +252,38 @@ func sampleIndices(n int, opts VerifyOptions, rng *rand.Rand) []int {
 	return rng.Perm(n)[:s]
 }
 
-// regenChunk re-derives one global chunk from the spec and returns its
-// payload bytes (format-encoded edges, pre-compression) and edge count.
-func regenChunk(streamer kagen.Streamer, format kagen.Format, globalChunk uint64) ([]byte, uint64, error) {
-	sink := &captureSink{format: format}
-	if err := kagen.StreamChunksFrom(streamer, globalChunk, 1, 1, 0, sink); err != nil {
-		return nil, 0, err
-	}
-	return sink.buf, sink.edges, nil
-}
-
-// captureSink collects one chunk's format-encoded payload in memory.
+// captureSink re-derives one chunk's payload, its format-encoded edges
+// before compression: whole in buf, or with hash set only hashed, buf
+// then holding one batch at a time whatever the chunk's size.
 type captureSink struct {
 	format kagen.Format
+	hash   hash.Hash
 	buf    []byte
 	edges  uint64
+}
+
+// regen re-derives one global chunk into the sink, reusing its buffer.
+func (s *captureSink) regen(streamer kagen.Streamer, globalChunk uint64) error {
+	s.buf, s.edges = s.buf[:0], 0
+	if s.hash != nil {
+		s.hash.Reset()
+	}
+	return kagen.StreamChunksFrom(streamer, globalChunk, 1, 1, 0, s)
 }
 
 func (s *captureSink) Begin(n, pes uint64) error { return nil }
 func (s *captureSink) Batch(chunk uint64, edges []kagen.Edge) error {
 	s.edges += uint64(len(edges))
-	s.buf = s.format.AppendEdges(s.buf, edges)
+	if s.hash == nil {
+		s.buf = s.format.AppendEdges(s.buf, edges)
+		return nil
+	}
+	s.buf = s.format.AppendEdges(s.buf[:0], edges)
+	s.hash.Write(s.buf)
 	return nil
 }
 func (s *captureSink) EndPE(chunk uint64) error { return nil }
 func (s *captureSink) Close() error             { return nil }
-
-// readChunkPayload reads the payload bytes of one committed chunk from
-// its shard segment [start, end): verbatim for plain formats, the
-// decompressed gzip member for compressed ones. An empty segment is an
-// empty payload.
-func readChunkPayload(ra io.ReaderAt, format kagen.Format, start, end int64) ([]byte, error) {
-	if end < start {
-		return nil, fmt.Errorf("inverted segment [%d,%d)", start, end)
-	}
-	if end == start {
-		return nil, nil
-	}
-	raw := make([]byte, end-start)
-	if _, err := ra.ReadAt(raw, start); err != nil {
-		return nil, err
-	}
-	if !format.Compressed() {
-		return raw, nil
-	}
-	gz, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	payload, err := io.ReadAll(gz)
-	if cerr := gz.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
 
 // encodeOnDisk returns the exact bytes a shard stores for a chunk
 // payload: verbatim for plain formats, one gzip member for compressed
@@ -367,11 +383,12 @@ func Repair(dir string, faults []Fault) (*RepairResult, error) {
 // repairShards fixes shard-corrupt faults of one worker: chunk splices
 // where the regenerated bytes fit, PE resets where they do not.
 func repairShards(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer, format kagen.Format, worker uint64, faults []Fault, res *RepairResult) error {
-	m, err := readManifest(store, ManifestPath(dir, worker), spec)
+	m, err := readManifest(store, dir, spec, worker)
 	if err != nil {
 		return err
 	}
 	resetPEs := map[uint64]bool{}
+	regen := captureSink{format: format}
 	lock, err := acquireWorkerLock(dir, worker)
 	if err != nil {
 		return err
@@ -388,12 +405,11 @@ func repairShards(store storage.Backend, dir string, spec Spec, streamer kagen.S
 		}
 		start, end := prog.chunkBounds(int(f.Chunk))
 		first, _ := spec.ChunkRange(pe)
-		payload, _, err := regenChunk(streamer, format, first+uint64(f.Chunk))
-		if err != nil {
+		if err := regen.regen(streamer, first+uint64(f.Chunk)); err != nil {
 			lock.Release()
 			return err
 		}
-		member, err := encodeOnDisk(format, payload)
+		member, err := encodeOnDisk(format, regen.buf)
 		if err != nil {
 			lock.Release()
 			return err
@@ -559,11 +575,12 @@ func rebuildPE(store storage.Backend, dir string, spec Spec, streamer kagen.Stre
 	prog.Offset, prog.HeaderEnd = off, off
 
 	first, count := spec.ChunkRange(prog.PE)
+	regen := captureSink{format: format}
 	for c := uint64(0); c < count; c++ {
-		payload, edges, err := regenChunk(streamer, format, first+c)
-		if err != nil {
+		if err := regen.regen(streamer, first+c); err != nil {
 			return err
 		}
+		payload, edges := regen.buf, regen.edges
 		member, err := encodeOnDisk(format, payload)
 		if err != nil {
 			return err
@@ -618,31 +635,7 @@ func prefixMatches(f io.ReaderAt, off int64, want []byte, size int64) bool {
 // "complete" job, which is the one failure mode a tamper-evident store
 // must not have.
 func auditCommitted(store storage.Backend, path string, format kagen.Format, n uint64, manifest *Manifest, mpath string, prog *PEProgress) error {
-	good := 0 // chunks verified intact
-	headerOK := false
-	f, err := store.Open(path)
-	if err == nil {
-		func() {
-			defer f.Close()
-			payload, herr := readChunkPayload(f, format, 0, prog.HeaderEnd)
-			if herr != nil || !bytes.Equal(payload, format.AppendHeader(nil, n)) {
-				return
-			}
-			headerOK = true
-			var d merkle.Digest
-			for c := range prog.Chunks {
-				start, end := prog.chunkBounds(c)
-				disk, rerr := readChunkPayload(f, format, start, end)
-				if rerr != nil {
-					return
-				}
-				if decodeDigest(prog.Chunks[c].Digest, &d) != nil || sha256.Sum256(disk) != d {
-					return
-				}
-				good = c + 1
-			}
-		}()
-	}
+	headerOK, good := intactPrefix(store, path, format, n, prog)
 	if headerOK && good == len(prog.Chunks) {
 		return nil // everything committed is intact
 	}
@@ -669,6 +662,29 @@ func auditCommitted(store storage.Backend, path string, format kagen.Format, n u
 		prog.Edges = edges
 	}
 	return writeManifest(store, mpath, manifest)
+}
+
+// intactPrefix reports whether a shard's committed header is intact and how
+// many of its committed chunks, from the first, reproduce their digests.
+func intactPrefix(store storage.Backend, path string, format kagen.Format, n uint64, prog *PEProgress) (headerOK bool, good int) {
+	r := checkingReader(store, format)
+	defer r.close()
+	if r.open(path) != nil {
+		return false, 0
+	}
+	if d, err := r.digest(0, prog.HeaderEnd); err != nil || d != sha256.Sum256(format.AppendHeader(nil, n)) {
+		return false, 0
+	}
+	var want merkle.Digest
+	for c := range prog.Chunks {
+		start, end := prog.chunkBounds(c)
+		d, err := r.digest(start, end)
+		if err != nil || decodeDigest(prog.Chunks[c].Digest, &want) != nil || d != want {
+			break
+		}
+		good = c + 1
+	}
+	return true, good
 }
 
 // quarantine copies the corrupt part of a shard (the whole object if the

@@ -644,9 +644,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s is %s, not complete", js.id, state)
 		return
 	}
-	// The spec hash determines every output byte, so it is a perfect
-	// strong ETag: a client that has the bytes for this hash has *the*
-	// bytes, forever.
+	// The result is the job's shard bytes, copied: the spec hash fixes
+	// them — for .gz, whose gzip members are what the writer's deflate
+	// made, together with the build that wrote the shards, which this
+	// job directory keeps for good. So the hash is a strong ETag: a
+	// client that has the bytes for this hash has *the* bytes, forever.
 	etag := `"` + js.id + `"`
 	w.Header().Set("ETag", etag)
 	if r.Header.Get("If-None-Match") == etag {
