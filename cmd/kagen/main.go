@@ -153,15 +153,7 @@ func writeGraph(el *kagen.EdgeList, format, out string) error {
 	if err != nil {
 		return err
 	}
-	w, err := store.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := write(w, el); err != nil {
-		w.Abort()
-		return err
-	}
-	return w.Finalize()
+	return storage.WriteObject(store, out, func(w io.Writer) error { return write(w, el) })
 }
 
 // countingSink wraps a Sink and counts the delivered edges for -stats.

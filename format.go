@@ -12,8 +12,8 @@ import (
 
 // Format identifies a streaming edge-list encoding. The gzip-compressed
 // variants are first-class formats: long streaming runs write them
-// directly (no recompression pass), and every reader in the repository —
-// ReadEdgeList, cmd/validate, the job runner's merge — decompresses them
+// directly (no recompression pass), and every edge reader in the
+// repository — ReadEdgeList, cmd/validate — decompresses them
 // transparently. Compressed binary streams carry the StreamingEdgeCount
 // sentinel in their header (the count cannot be patched into compressed
 // bytes), which ReadEdgeListBinary reads as until-EOF framing.

@@ -1,7 +1,7 @@
 // Package baseline implements the competitor algorithms the paper
-// benchmarks KaGen against: the sequential linear-time Erdős–Rényi
-// generators of Batagelj and Brandes (the algorithm family behind the
-// Boost generator of Fig. 6), the naive and Holtgrewe-style random
+// benchmarks KaGen against: the sequential linear-time G(n,m) generator
+// of Batagelj and Brandes (the algorithm family behind the Boost
+// generator of Fig. 6), the naive and Holtgrewe-style random
 // geometric graph generators (Fig. 9), and a query-centric random
 // hyperbolic generator without precomputed trigonometry in the spirit of
 // NkGen (Fig. 14).
@@ -11,7 +11,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/dist"
 	"repro/internal/geometry"
 	"repro/internal/graph"
 	"repro/internal/hyperbolic"
@@ -69,33 +68,6 @@ func decodeEdge(idx, n uint64, directed bool) graph.Edge {
 		row++
 	}
 	return graph.Edge{U: row, V: idx - row*(row-1)/2}
-}
-
-// GNPBatageljBrandes draws G(n,p) by geometric skip sampling (Algorithm D
-// family), O(n + m) expected.
-func GNPBatageljBrandes(n uint64, p float64, directed bool, seed uint64) *graph.EdgeList {
-	r := prng.NewFromRaw(seed)
-	universe := n * (n - 1)
-	if !directed {
-		universe /= 2
-	}
-	el := &graph.EdgeList{N: n}
-	if p <= 0 {
-		return el
-	}
-	if p >= 1 {
-		for idx := uint64(0); idx < universe; idx++ {
-			el.Edges = append(el.Edges, decodeEdge(idx, n, directed))
-		}
-		return el
-	}
-	idx := dist.GeometricSkip(r, p)
-	for idx < universe {
-		el.Edges = append(el.Edges, decodeEdge(idx, n, directed))
-		idx += 1 + dist.GeometricSkip(r, p)
-	}
-	graph.BuildCSR(el)
-	return el
 }
 
 // RGGNaive is the Θ(n²) all-pairs random geometric graph reference (§3.2).

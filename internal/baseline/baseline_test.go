@@ -51,23 +51,6 @@ func TestGNMBatageljBrandesUniform(t *testing.T) {
 	}
 }
 
-func TestGNPBatageljBrandesDensity(t *testing.T) {
-	const n = 2000
-	const p = 0.004
-	el := GNPBatageljBrandes(n, p, true, 7)
-	mean := float64(n) * (n - 1) * p
-	sigma := math.Sqrt(mean)
-	if math.Abs(float64(el.Len())-mean) > 6*sigma {
-		t.Errorf("%d edges, want %v +- %v", el.Len(), mean, 6*sigma)
-	}
-	if GNPBatageljBrandes(100, 0, true, 1).Len() != 0 {
-		t.Error("p=0 not empty")
-	}
-	if GNPBatageljBrandes(20, 1, true, 1).Len() != 20*19 {
-		t.Error("p=1 not complete")
-	}
-}
-
 // TestHoltgreweMatchesNaive: the sort-and-exchange generator produces the
 // exact RGG of its point set.
 func TestHoltgreweMatchesNaive(t *testing.T) {

@@ -27,9 +27,9 @@ func WriteEdgeListText(w io.Writer, e *EdgeList) error {
 // StreamEdgeListText incrementally parses the format written by
 // WriteEdgeListText: header (if non-nil) is called with the vertex count
 // of a leading "# n ..." comment, then edge is called once per edge line
-// in file order. It is the single text decoder — the materializing
-// ReadEdgeListText and the job runner's streaming shard merge are both
-// built on it, so the parsing rules cannot drift apart.
+// in file order. It is the single text decoder: the materializing
+// ReadEdgeListText is built on it, so the parsing rules cannot drift
+// apart.
 func StreamEdgeListText(r io.Reader, header func(n uint64) error, edge func(u, v uint64) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -129,8 +129,7 @@ const StreamingEdgeCount = ^uint64(0)
 // and edge counts (m may be StreamingEdgeCount), then edge is called once
 // per record. A fixed count reads exactly m records; the sentinel reads
 // until EOF, where a trailing partial record is an error. It is the
-// single binary decoder, shared by ReadEdgeListBinary and the job
-// runner's streaming shard merge.
+// single binary decoder: ReadEdgeListBinary is built on it.
 func StreamEdgeListBinary(r io.Reader, header func(n, m uint64) error, edge func(u, v uint64) error) error {
 	br := bufio.NewReader(r)
 	var buf [16]byte

@@ -4,6 +4,7 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"hash"
+	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -139,6 +140,12 @@ type chunkEncoder struct {
 	live     bool // send has not reported a failed run
 	timed    bool
 	encodeNs int64 // time inside the encoder, hand-off waits excluded (timed only)
+
+	// encodeTo's destination, the first error writing to it, and the send
+	// that writes there (built once: a chunk allocates nothing).
+	out    io.Writer
+	outErr error
+	toOut  func(*block, bool) bool
 }
 
 // begin starts a chunk whose blocks go to send. timed makes the encoder
@@ -270,6 +277,48 @@ func (e *chunkEncoder) finish(genErr error) *block {
 	return b
 }
 
+// encodeTo runs one chunk through the encoder outside a pipeline: fill
+// feeds it (through emit, or writePayload), and every finished block is
+// written to out (nil drops it) and handed straight back, so it holds one
+// block whatever the chunk's size. It returns the chunk's trailer and
+// fill's error, or else the first failed write. This is how a shard's
+// header is written, and how Repair and RebuildManifest re-derive a
+// chunk's exact shard bytes.
+func (e *chunkEncoder) encodeTo(out io.Writer, fill func(*chunkEncoder) error) (chunkTrailer, error) {
+	if e.toOut == nil {
+		e.toOut = e.writeOut
+	}
+	e.out, e.outErr = out, nil
+	e.begin(e.toOut, false)
+	last := e.finish(fill(e))
+	t := last.chunkTrailer
+	e.toOut(last, true)
+	err := t.err
+	if err == nil {
+		err = e.outErr
+	}
+	e.out = nil
+	return t, err
+}
+
+// writeOut is encodeTo's send.
+func (e *chunkEncoder) writeOut(b *block, _ bool) bool {
+	if e.outErr == nil && e.out != nil {
+		_, e.outErr = e.out.Write(b.buf[:b.n])
+	}
+	e.blocks.put(b)
+	return e.outErr == nil
+}
+
+// encodeHeader runs a shard's format header for n vertices through
+// encodeTo; for a compressed format it is a gzip member of its own.
+func (e *chunkEncoder) encodeHeader(out io.Writer, n uint64) (chunkTrailer, error) {
+	return e.encodeTo(out, func(e *chunkEncoder) error {
+		e.writePayload(e.format.AppendHeader(nil, n))
+		return nil
+	})
+}
+
 // ChunkEncodeFunc is the benchmark seam of the chunk encoder for
 // internal/benchreg: the returned function pushes one chunk's edges
 // through an encoder of the given format exactly as a pipeline goroutine
@@ -277,20 +326,15 @@ func (e *chunkEncoder) finish(genErr error) *block {
 // back as the ordered stage would after writing them, and returns the
 // chunk's wire byte count. After its first call it allocates nothing.
 func ChunkEncodeFunc(format kagen.Format) func(edges []kagen.Edge) (wireBytes uint64) {
-	encs := newChunkEncoders(format, 1)
-	enc := &encs.enc[0]
-	recycle := func(b *block, _ bool) bool {
-		encs.blocks.put(b)
-		return true
-	}
+	enc := &newChunkEncoders(format, 1).enc[0]
 	return func(edges []kagen.Edge) uint64 {
-		enc.begin(recycle, false)
-		for _, e := range edges {
-			enc.emit(e)
-		}
-		last := enc.finish(nil)
-		n := last.wireBytes
-		encs.blocks.put(last)
-		return n
+		// Cannot fail: nothing is written and fill returns nil.
+		t, _ := enc.encodeTo(nil, func(e *chunkEncoder) error {
+			for _, edge := range edges {
+				e.emit(edge)
+			}
+			return nil
+		})
+		return t.wireBytes
 	}
 }

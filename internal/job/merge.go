@@ -149,13 +149,5 @@ func MergeToFile(dir, path string) error {
 	if err != nil {
 		return err
 	}
-	w, err := store.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Merge(dir, w); err != nil {
-		w.Abort()
-		return err
-	}
-	return w.Finalize()
+	return storage.WriteObject(store, path, func(w io.Writer) error { return Merge(dir, w) })
 }

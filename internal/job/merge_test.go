@@ -329,13 +329,14 @@ func verifySequential(dir string, opts VerifyOptions) (*VerifyResult, error) {
 				fault := func(reason, detail string) {
 					res.Faults = append(res.Faults, Fault{Worker: w, PE: pe, Chunk: int64(c), Reason: reason, Detail: detail})
 				}
-				sink := &captureSink{format: format}
+				sink := &captureSink{format: format, hash: sha256.New()}
 				if err := sink.regen(streamer, first+uint64(c)); err != nil {
 					fault(FaultManifestDigest, fmt.Sprintf("cannot re-derive chunk: %v", err))
 					continue
 				}
-				payload, edges := sink.buf, sink.edges
-				leaf := sha256.Sum256(payload)
+				var leaf merkle.Digest
+				sink.hash.Sum(leaf[:0])
+				edges := sink.edges
 				if hex.EncodeToString(leaf[:]) != rec.Digest || edges != rec.Edges {
 					fault(FaultManifestDigest, fmt.Sprintf("manifest records digest %.12s…/%d edges, spec derives %.12s…/%d", rec.Digest, rec.Edges, hex.EncodeToString(leaf[:]), edges))
 					continue
@@ -480,8 +481,9 @@ func TestVerifyParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCaptureSinkHashesBatchAtATime: Verify's hashing captureSink derives
-// the digest of the payload Repair's collecting one holds whole, while
+// TestCaptureSinkHashesBatchAtATime: Verify's captureSink, which
+// re-derives chunks through StreamChunksFrom and Format.AppendEdges, finds
+// the payload digest and edge count the chunk encoder computes, while
 // keeping only one encoded batch — its memory does not grow with the
 // chunk, however large.
 func TestCaptureSinkHashesBatchAtATime(t *testing.T) {
@@ -490,20 +492,21 @@ func TestCaptureSinkHashesBatchAtATime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, hashed := captureSink{format: kagen.FormatText}, captureSink{format: kagen.FormatText, hash: sha256.New()}
+	enc := &newChunkEncoders(kagen.FormatText, 1).enc[0]
+	sink := captureSink{format: kagen.FormatText, hash: sha256.New()}
 	for chunk := uint64(0); chunk < 2; chunk++ {
-		if err := whole.regen(streamer, chunk); err != nil {
+		want, err := enc.encodeTo(nil, func(e *chunkEncoder) error { return streamer.StreamChunk(chunk, e.emit) })
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := hashed.regen(streamer, chunk); err != nil {
+		if err := sink.regen(streamer, chunk); err != nil {
 			t.Fatal(err)
 		}
-		want := sha256.Sum256(whole.buf)
-		if got := hashed.hash.Sum(nil); !bytes.Equal(got, want[:]) || hashed.edges != whole.edges {
-			t.Errorf("chunk %d: hashed %x/%d edges, collected %x/%d", chunk, got, hashed.edges, want, whole.edges)
+		if got := sink.hash.Sum(nil); !bytes.Equal(got, want.payload[:]) || sink.edges != want.edges {
+			t.Errorf("chunk %d: hashed %x/%d edges, encoder %x/%d", chunk, got, sink.edges, want.payload, want.edges)
 		}
-		if cap(hashed.buf) > len(whole.buf)/8 {
-			t.Errorf("chunk %d: hashing sink holds %d bytes of a %d-byte payload", chunk, cap(hashed.buf), len(whole.buf))
+		if uint64(cap(sink.buf)) > want.payloadBytes/8 {
+			t.Errorf("chunk %d: hashing sink holds %d bytes of a %d-byte payload", chunk, cap(sink.buf), want.payloadBytes)
 		}
 	}
 }

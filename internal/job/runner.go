@@ -324,7 +324,7 @@ func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer
 	fresh := func() (err error) {
 		// Fresh shard: the header is committed as checkpoint zero and
 		// recorded, like any chunk, by the first round whose sync covers it.
-		pc.w, pc.headerPending, err = createShard(store, path, format, streamer.N(), &encs.enc[0])
+		pc.w, pc.headerPending, err = createShard(store, path, streamer.N(), &encs.enc[0])
 		return err
 	}
 	if prog.Offset == 0 {

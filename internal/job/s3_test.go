@@ -186,61 +186,111 @@ func TestS3CrashResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestS3VerifyRepairBitflip: a byte flipped inside a committed chunk of
-// an s3 shard is caught by verify re-deriving the chunk from the spec,
-// and repair splices the regenerated bytes back through the backend.
+// TestS3VerifyRepairBitflip: bytes flipped inside committed chunks of an
+// s3 shard are caught by verify re-deriving the chunks from the spec, and
+// repair rewrites the shard once through the backend's single-shot writer
+// — with part size 1, as a multipart upload of many parts — whether one
+// chunk or two of it are bad, plain or gzip. A mem:// row runs the same
+// repair on the in-memory backend.
 func TestS3VerifyRepairBitflip(t *testing.T) {
-	spec := Spec{Model: "gnm_undirected", N: 600, M: 4000, Seed: 99,
-		PEs: 4, ChunksPerPE: 3, Workers: 2, Format: "text"}
-	srv := setupJobS3(t, 1)
+	for _, tc := range []struct {
+		name, backend, format string
+		chunks                []int // chunks of PE 0 to flip a byte in
+	}{
+		{"text", "s3", "text", []int{2}},
+		{"text.gz", "s3", "text.gz", []int{2}},
+		{"text-two-chunks", "s3", "text", []int{0, 2}},
+		{"mem-binary.gz-two-chunks", "mem", "binary.gz", []int{0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{Model: "gnm_undirected", N: 600, M: 4000, Seed: 99,
+				PEs: 4, ChunksPerPE: 3, Workers: 2, Format: tc.format}
+			srv := setupJobS3(t, 1)
 
-	local := t.TempDir()
-	if err := Init(local, spec); err != nil {
-		t.Fatal(err)
-	}
-	runAll(t, local, spec)
+			local := t.TempDir()
+			if err := Init(local, spec); err != nil {
+				t.Fatal(err)
+			}
+			runAll(t, local, spec)
 
-	dir := "s3://bkt/repairme"
-	if err := Init(dir, spec); err != nil {
-		t.Fatal(err)
-	}
-	runAll(t, dir, spec)
+			dir := "s3://bkt/repairme"
+			if tc.backend == "mem" {
+				dir = "mem://repair/" + tc.name
+			}
+			if err := Init(dir, spec); err != nil {
+				t.Fatal(err)
+			}
+			runAll(t, dir, spec)
 
-	key := s3Key(t, ShardPath(dir, 0, spec.ShardFormat()))
-	b := srv.Object("bkt", key)
-	if len(b) < 4 {
-		t.Fatalf("shard too small to corrupt: %d bytes", len(b))
-	}
-	b[len(b)-2] ^= 0x40 // inside the last committed chunk
-	srv.PutObject("bkt", key, b)
+			store, err := storage.Resolve(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := ReadManifest(ManifestPath(dir, 0), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := ShardPath(dir, 0, spec.ShardFormat())
+			b, err := store.Get(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range tc.chunks {
+				start, end := m.progress(0).chunkBounds(c)
+				b[(start+end)/2] ^= 0x40
+			}
+			if err := store.Put(path, b, storage.PutOptions{}); err != nil {
+				t.Fatal(err)
+			}
 
-	res, err := Verify(dir, VerifyOptions{All: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Faults) != 1 || res.Faults[0].Reason != FaultShard {
-		t.Fatalf("want exactly one shard-corrupt fault, got %v", res.Faults)
-	}
-	rep, err := Repair(dir, res.Faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ChunksSpliced != 1 || len(rep.Unrepaired) != 0 {
-		t.Fatalf("repair: %+v", rep)
-	}
-	after, err := Verify(dir, VerifyOptions{All: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !after.OK() {
-		t.Fatalf("faults survive repair: %v", after.Faults)
-	}
-	want := readShards(t, local, spec)
-	for pe := uint64(0); pe < spec.Normalized().PEs; pe++ {
-		got := srv.Object("bkt", s3Key(t, ShardPath(dir, pe, spec.ShardFormat())))
-		if !bytes.Equal(got, want[pe]) {
-			t.Errorf("shard %d differs after repair", pe)
-		}
+			res, err := Verify(dir, VerifyOptions{All: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Faults) != len(tc.chunks) {
+				t.Fatalf("want %d shard-corrupt faults, got %v", len(tc.chunks), res.Faults)
+			}
+			for _, f := range res.Faults {
+				if f.Reason != FaultShard || f.PE != 0 {
+					t.Fatalf("want shard-corrupt faults in PE 0, got %v", res.Faults)
+				}
+			}
+			// Every multipart upload of the shard starts with part 1.
+			var uploads, parts atomic.Int64
+			srv.OnPart = func(_, key string, part int) error {
+				if "s3://bkt/"+key == path {
+					parts.Add(1)
+					if part == 1 {
+						uploads.Add(1)
+					}
+				}
+				return nil
+			}
+			rep, err := Repair(dir, res.Faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ChunksSpliced != len(tc.chunks) || rep.PEsReset != 0 || len(rep.Unrepaired) != 0 {
+				t.Fatalf("repair: %+v", rep)
+			}
+			if tc.backend == "s3" && (uploads.Load() != 1 || parts.Load() < 2) {
+				t.Errorf("repair wrote the shard in %d multipart uploads of %d parts in all, want one of several parts",
+					uploads.Load(), parts.Load())
+			}
+			after, err := Verify(dir, VerifyOptions{All: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !after.OK() {
+				t.Fatalf("faults survive repair: %v", after.Faults)
+			}
+			want := readShards(t, local, spec)
+			for pe, got := range jobBytes(t, dir, spec)[:spec.PEs] {
+				if !bytes.Equal(got, want[uint64(pe)]) {
+					t.Errorf("shard %d differs after repair", pe)
+				}
+			}
+		})
 	}
 }
 

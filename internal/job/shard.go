@@ -55,33 +55,21 @@ type shardWriter struct {
 }
 
 // createShard starts a fresh shard through the backend: the format header
-// goes through enc like any chunk (for a compressed format it is a gzip
-// member of its own) and is committed as checkpoint zero. It returns the
-// writer and the committed header offset. The pipeline is not running
-// yet, so the caller may lend any of the worker's encoders.
-func createShard(store storage.Backend, path string, format kagen.Format, n uint64, enc *chunkEncoder) (*shardWriter, int64, error) {
+// goes through enc like any chunk (see encodeHeader) and is committed as
+// checkpoint zero. It returns the writer and the committed header offset.
+// The pipeline is not running yet, so the caller may lend any of the
+// worker's encoders.
+func createShard(store storage.Backend, path string, n uint64, enc *chunkEncoder) (*shardWriter, int64, error) {
 	sw, err := store.CreateShard(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	w := &shardWriter{sw: sw}
-	enc.begin(func(b *block, _ bool) bool {
-		if err == nil {
-			err = w.write(b.buf[:b.n])
-		}
-		enc.blocks.put(b)
-		return err == nil
-	}, false)
-	enc.writePayload(format.AppendHeader(nil, n))
-	last := enc.finish(nil)
-	if err == nil {
-		err = w.write(last.buf[:last.n])
-	}
+	t, err := enc.encodeHeader(sw, n)
 	var off int64
 	if err == nil {
-		off, err = w.commit(&last.chunkTrailer)
+		off, err = w.commit(&t)
 	}
-	enc.blocks.put(last)
 	if err != nil {
 		sw.Close()
 		return nil, 0, err

@@ -1,8 +1,6 @@
 package job
 
 import (
-	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -11,9 +9,8 @@ import (
 	"io"
 	"io/fs"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
+	"slices"
 
 	kagen "repro"
 	"repro/internal/merkle"
@@ -253,8 +250,8 @@ func sampleIndices(n int, opts VerifyOptions, rng *rand.Rand) []int {
 }
 
 // captureSink re-derives one chunk's payload, its format-encoded edges
-// before compression: whole in buf, or with hash set only hashed, buf
-// then holding one batch at a time whatever the chunk's size.
+// before compression, and hashes it a batch at a time: buf holds one
+// encoded batch, whatever the chunk's size.
 type captureSink struct {
 	format kagen.Format
 	hash   hash.Hash
@@ -264,50 +261,20 @@ type captureSink struct {
 
 // regen re-derives one global chunk into the sink, reusing its buffer.
 func (s *captureSink) regen(streamer kagen.Streamer, globalChunk uint64) error {
-	s.buf, s.edges = s.buf[:0], 0
-	if s.hash != nil {
-		s.hash.Reset()
-	}
+	s.edges = 0
+	s.hash.Reset()
 	return kagen.StreamChunksFrom(streamer, globalChunk, 1, 1, 0, s)
 }
 
 func (s *captureSink) Begin(n, pes uint64) error { return nil }
 func (s *captureSink) Batch(chunk uint64, edges []kagen.Edge) error {
 	s.edges += uint64(len(edges))
-	if s.hash == nil {
-		s.buf = s.format.AppendEdges(s.buf, edges)
-		return nil
-	}
 	s.buf = s.format.AppendEdges(s.buf[:0], edges)
 	s.hash.Write(s.buf)
 	return nil
 }
 func (s *captureSink) EndPE(chunk uint64) error { return nil }
 func (s *captureSink) Close() error             { return nil }
-
-// encodeOnDisk returns the exact bytes a shard stores for a chunk
-// payload: verbatim for plain formats, one gzip member for compressed
-// ones, nothing for an empty payload. For compressed shards this
-// reproduces the original member byte-for-byte only under the same
-// deflate implementation that wrote it — callers that splice must check
-// the length and fall back to PE regeneration on mismatch.
-func encodeOnDisk(format kagen.Format, payload []byte) ([]byte, error) {
-	if len(payload) == 0 {
-		return nil, nil
-	}
-	if !format.Compressed() {
-		return payload, nil
-	}
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	if _, err := gz.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := gz.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // RepairResult aggregates one repair pass.
 type RepairResult struct {
@@ -318,14 +285,16 @@ type RepairResult struct {
 }
 
 // Repair fixes the faults a Verify pass found, without regenerating
-// anything that is intact. Shard corruption is repaired by regenerating
-// exactly the failed chunks from the spec and splicing byte-identical
-// replacements into the shard (gzip-member-aligned for compressed
-// formats); if a regenerated member's length does not match the
-// committed segment (a different deflate implementation), the whole PE
-// is reset and regenerated instead. Manifest-level faults rebuild the
-// worker's manifest from the spec and the shard bytes that still match
-// it, then resume the worker to regenerate whatever did not.
+// anything that is intact. Each shard with corrupt chunks is rewritten
+// once, through the backend's single-shot writer: intact segments are
+// copied over, and exactly the failed chunks are regenerated from the spec
+// through the chunk encoder into their places (gzip-member-aligned for
+// compressed formats). If a regenerated chunk's length does not match its
+// committed segment (a different deflate implementation wrote the shard),
+// the rewrite is aborted and the whole PE is reset and regenerated
+// instead. Manifest-level faults rebuild the worker's manifest from the
+// spec and the shard bytes that still match it, then resume the worker to
+// regenerate whatever did not.
 //
 // Repair is as communication-free as generation: any worker holding the
 // spec can repair any shard.
@@ -380,51 +349,51 @@ func Repair(dir string, faults []Fault) (*RepairResult, error) {
 	return res, nil
 }
 
-// repairShards fixes shard-corrupt faults of one worker: chunk splices
-// where the regenerated bytes fit, PE resets where they do not.
+// repairShards fixes shard-corrupt faults of one worker: one rewrite per
+// shard where the regenerated chunks fit, PE resets where they do not.
 func repairShards(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer, format kagen.Format, worker uint64, faults []Fault, res *RepairResult) error {
 	m, err := readManifest(store, dir, spec, worker)
 	if err != nil {
 		return err
 	}
+	// The faulted chunks of each PE, PEs in the order the faults name them;
+	// a fault that names no committed chunk resets its PE.
+	var pes []uint64
+	chunks := map[uint64][]int{}
 	resetPEs := map[uint64]bool{}
-	regen := captureSink{format: format}
+	for _, f := range faults {
+		pe := uint64(f.PE)
+		if prog := m.progress(pe); prog == nil || f.Chunk < 0 || int(f.Chunk) >= len(prog.Chunks) {
+			resetPEs[pe] = true
+			continue
+		}
+		if chunks[pe] == nil {
+			pes = append(pes, pe)
+		}
+		chunks[pe] = append(chunks[pe], int(f.Chunk))
+	}
 	lock, err := acquireWorkerLock(dir, worker)
 	if err != nil {
 		return err
 	}
-	for _, f := range faults {
-		pe := uint64(f.PE)
+	enc := &newChunkEncoders(format, 1).enc[0]
+	for _, pe := range pes {
 		if resetPEs[pe] {
 			continue
 		}
-		prog := m.progress(pe)
-		if prog == nil || f.Chunk < 0 || int(f.Chunk) >= len(prog.Chunks) {
+		cs := chunks[pe]
+		slices.Sort(cs)
+		cs = slices.Compact(cs)
+		err := rewriteShard(store, ShardPath(dir, pe, format), spec, streamer, m.progress(pe), cs, enc)
+		if errors.Is(err, errMisfit) {
 			resetPEs[pe] = true
 			continue
 		}
-		start, end := prog.chunkBounds(int(f.Chunk))
-		first, _ := spec.ChunkRange(pe)
-		if err := regen.regen(streamer, first+uint64(f.Chunk)); err != nil {
-			lock.Release()
-			return err
-		}
-		member, err := encodeOnDisk(format, regen.buf)
 		if err != nil {
 			lock.Release()
 			return err
 		}
-		if int64(len(member)) != end-start {
-			// A foreign deflate wrote the original member: the regenerated
-			// one cannot be spliced without shifting every later offset.
-			resetPEs[pe] = true
-			continue
-		}
-		if err := spliceObject(store, ShardPath(dir, pe, format), start, end, member); err != nil {
-			lock.Release()
-			return err
-		}
-		res.ChunksSpliced++
+		res.ChunksSpliced += len(cs)
 	}
 	// Reset PEs regenerate from scratch: zero their progress under the
 	// lock, then resume the worker (which re-acquires it).
@@ -449,77 +418,60 @@ func repairShards(store storage.Backend, dir string, spec Spec, streamer kagen.S
 	return nil
 }
 
-// spliceObject atomically replaces bytes [start, end) of a shard with
-// replacement, preserving everything around them. On the local
-// filesystem the new content is assembled streaming in a temp file in
-// the same directory, synced, and renamed over the original; on an
-// object store the object is rewritten through one atomic PUT (shards
-// sized for chunk-splice repair fit in memory — a shard too large for
-// that resets its PE instead).
-func spliceObject(store storage.Backend, path string, start, end int64, replacement []byte) error {
-	if store.Local() {
-		return spliceFile(localPath(path), start, end, replacement)
-	}
-	old, err := store.Get(path)
-	if err != nil {
-		return err
-	}
-	if end > int64(len(old)) {
-		return fmt.Errorf("job: splice [%d,%d) past object end %d", start, end, len(old))
-	}
-	spliced := make([]byte, 0, int64(len(old))-(end-start)+int64(len(replacement)))
-	spliced = append(spliced, old[:start]...)
-	spliced = append(spliced, replacement...)
-	spliced = append(spliced, old[end:]...)
-	return store.Put(path, spliced, storage.PutOptions{})
-}
+// errMisfit reports a regenerated chunk whose bytes do not fill its
+// committed segment exactly: a foreign deflate wrote the member, and the
+// regenerated one cannot take its place without shifting every later
+// offset.
+var errMisfit = errors.New("job: regenerated chunk does not fit its committed segment")
 
-// spliceFile is spliceObject's streaming filesystem path.
-func spliceFile(path string, start, end int64, replacement []byte) error {
-	src, err := os.Open(path)
+// rewriteShard rewrites one shard in a single streaming pass through the
+// backend's single-shot writer: the segments around the given chunks
+// (sorted, distinct) are copied from the old object, and each of those
+// chunks is regenerated through enc straight into the new one. Nothing is
+// published unless every regenerated chunk fits its segment (errMisfit
+// otherwise); the old shard stays as it was.
+func rewriteShard(store storage.Backend, path string, spec Spec, streamer kagen.Streamer, prog *PEProgress, chunks []int, enc *chunkEncoder) error {
+	src, err := store.Open(path)
 	if err != nil {
 		return err
 	}
 	defer src.Close()
-	tmp := path + ".splice"
-	dst, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err = io.CopyN(dst, src, start); err == nil {
-		_, err = dst.Write(replacement)
-	}
-	if err == nil {
-		if _, serr := src.Seek(end, io.SeekStart); serr != nil {
-			err = serr
-		} else {
-			_, err = io.Copy(dst, src)
+	first, _ := spec.ChunkRange(prog.PE)
+	return storage.WriteObject(store, path, func(w io.Writer) error {
+		var off int64 // where src is
+		for _, c := range chunks {
+			start, end := prog.chunkBounds(c)
+			if _, err := io.CopyN(w, src, start-off); err != nil {
+				return err
+			}
+			t, err := enc.encodeTo(w, func(e *chunkEncoder) error {
+				return streamer.StreamChunk(first+uint64(c), e.emit)
+			})
+			if err != nil {
+				return err
+			}
+			if int64(t.wireBytes) != end-start {
+				return errMisfit
+			}
+			if off, err = src.Seek(end, io.SeekStart); err != nil {
+				return err
+			}
 		}
-	}
-	if err == nil {
-		err = dst.Sync()
-	}
-	if cerr := dst.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
+		_, err := io.Copy(w, src)
 		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return storage.SyncDir(filepath.Dir(path))
+	})
 }
 
 // RebuildManifest reconstructs one worker's manifest from the spec and
-// its shard files alone: each shard's bytes are compared, chunk by
-// chunk, against the spec-derived encoding, and progress is recorded for
-// exactly the prefix that matches. The old manifest — missing, corrupt,
-// or lying — is not consulted. A shard whose matching prefix covers
-// every chunk and whose length matches exactly is finalized with its
-// Merkle root; anything shorter is left resumable, so a following Run
-// regenerates only the unmatched suffix.
+// its shard files alone: the header and then each chunk are regenerated
+// through the chunk encoder, and each shard segment is checked against
+// them — the encoder's wire length, its payload digest — as the resume
+// audit and Merge check it. Progress is recorded for exactly the prefix
+// that matches. The old manifest — missing, corrupt, or lying — is not
+// consulted. A shard whose matching prefix covers every chunk and whose
+// length matches exactly is finalized with its Merkle root; anything
+// shorter is left resumable, so a following Run regenerates only the
+// unmatched suffix.
 func RebuildManifest(dir string, worker uint64) error {
 	store, err := storage.Resolve(dir)
 	if err != nil {
@@ -542,9 +494,12 @@ func RebuildManifest(dir string, worker uint64) error {
 		return err
 	}
 	defer lock.Release()
+	enc := &newChunkEncoders(format, 1).enc[0]
+	shards := checkingReader(store, format)
+	defer shards.close()
 	m := newManifest(spec, worker)
 	for i := range m.PEs {
-		if err := rebuildPE(store, dir, spec, streamer, format, &m.PEs[i]); err != nil {
+		if err := rebuildPE(ShardPath(dir, m.PEs[i].PE, format), spec, streamer, enc, &shards, &m.PEs[i]); err != nil {
 			return err
 		}
 	}
@@ -552,50 +507,44 @@ func RebuildManifest(dir string, worker uint64) error {
 }
 
 // rebuildPE fills one PE's progress from its shard's matching prefix.
-func rebuildPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer, format kagen.Format, prog *PEProgress) error {
-	path := ShardPath(dir, prog.PE, format)
-	f, err := store.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
+func rebuildPE(path string, spec Spec, streamer kagen.Streamer, enc *chunkEncoder, shards *shardReader, prog *PEProgress) error {
+	if err := shards.open(path); errors.Is(err, fs.ErrNotExist) {
 		return nil // no shard: zero progress, Run starts it fresh
+	} else if err != nil {
+		return err
 	}
+	// matches reports whether the shard holds at off the segment the
+	// encoder just produced.
+	matches := func(off int64, t *chunkTrailer) bool {
+		d, err := shards.digest(off, off+int64(t.wireBytes))
+		return err == nil && d == t.payload
+	}
+	t, err := enc.encodeHeader(nil, streamer.N())
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	size := f.Size()
-
-	header, err := encodeOnDisk(format, format.AppendHeader(nil, streamer.N()))
-	if err != nil {
-		return err
-	}
-	if !prefixMatches(f, 0, header, size) {
+	if !matches(0, &t) {
 		return nil // header does not match: regenerate the shard entirely
 	}
-	off := int64(len(header))
+	off := int64(t.wireBytes)
 	prog.Offset, prog.HeaderEnd = off, off
 
 	first, count := spec.ChunkRange(prog.PE)
-	regen := captureSink{format: format}
-	for c := uint64(0); c < count; c++ {
-		if err := regen.regen(streamer, first+c); err != nil {
-			return err
-		}
-		payload, edges := regen.buf, regen.edges
-		member, err := encodeOnDisk(format, payload)
+	for c := first; c < first+count; c++ {
+		t, err := enc.encodeTo(nil, func(e *chunkEncoder) error { return streamer.StreamChunk(c, e.emit) })
 		if err != nil {
 			return err
 		}
-		if !prefixMatches(f, off, member, size) {
+		if !matches(off, &t) {
 			return nil // mismatching suffix stays unrecorded; Run redoes it
 		}
-		off += int64(len(member))
-		leaf := sha256.Sum256(payload)
-		prog.Chunks = append(prog.Chunks, ChunkRecord{Digest: hex.EncodeToString(leaf[:]), End: off, Edges: edges})
-		prog.ChunksDone = c + 1
+		off += int64(t.wireBytes)
+		prog.Chunks = append(prog.Chunks, ChunkRecord{Digest: hex.EncodeToString(t.payload[:]), End: off, Edges: t.edges})
+		prog.ChunksDone++
 		prog.Offset = off
-		prog.Edges += edges
+		prog.Edges += t.edges
 	}
-	if off == size {
+	if off == shards.f.Size() {
 		leaves, err := prog.leafDigests()
 		if err != nil {
 			return err
@@ -607,22 +556,6 @@ func rebuildPE(store storage.Backend, dir string, spec Spec, streamer kagen.Stre
 	// off < size: a torn tail past the last good chunk — left !Done so the
 	// following Run truncates it away and finalizes.
 	return nil
-}
-
-// prefixMatches reports whether the file holds exactly want at offset
-// off (and has room for it).
-func prefixMatches(f io.ReaderAt, off int64, want []byte, size int64) bool {
-	if len(want) == 0 {
-		return true
-	}
-	if off+int64(len(want)) > size {
-		return false
-	}
-	got := make([]byte, len(want))
-	if _, err := f.ReadAt(got, off); err != nil {
-		return false
-	}
-	return bytes.Equal(got, want)
 }
 
 // auditCommitted re-hashes the committed chunks a resume is about to
@@ -709,9 +642,8 @@ func quarantine(store storage.Backend, path string, prog *PEProgress, headerOK b
 	if _, err := src.Seek(from, io.SeekStart); err != nil {
 		return err
 	}
-	bad, err := io.ReadAll(src)
-	if err != nil {
+	return storage.WriteObject(store, path+".quarantine", func(w io.Writer) error {
+		_, err := io.Copy(w, src)
 		return err
-	}
-	return store.Put(path+".quarantine", bad, storage.PutOptions{})
+	})
 }

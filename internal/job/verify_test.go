@@ -1,12 +1,16 @@
 package job
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"testing"
+	"time"
 
 	"repro/internal/failpoint"
 )
@@ -264,59 +268,266 @@ func TestShardTruncateFailpointResume(t *testing.T) {
 // TestTornManifestRepair routes the torn-manifest case through the
 // failpoint harness: a manifest truncated mid-JSON (as disk rot, not an
 // atomic writer, leaves it) fails loudly everywhere, and repair rebuilds
-// it from the spec and the shard bytes that still match — regenerating
-// only the unmatched suffix.
+// it from the spec and the shard bytes that still match — the header and
+// every chunk regenerated through the chunk encoder — regenerating only
+// the unmatched suffix, in every format.
 func TestTornManifestRepair(t *testing.T) {
-	t.Cleanup(failpoint.Reset)
-	spec := Spec{Model: "gnm_undirected", N: 600, M: 4000, Seed: 51,
-		PEs: 2, ChunksPerPE: 3, Workers: 1, Format: "text.gz"}
-	clean := t.TempDir()
-	if err := Init(clean, spec); err != nil {
-		t.Fatal(err)
-	}
-	runAll(t, clean, spec)
+	for _, format := range []string{"text", "binary", "text.gz", "binary.gz"} {
+		t.Run(format, func(t *testing.T) {
+			t.Cleanup(failpoint.Reset)
+			spec := Spec{Model: "gnm_undirected", N: 600, M: 4000, Seed: 51,
+				PEs: 2, ChunksPerPE: 3, Workers: 1, Format: format}
+			clean := t.TempDir()
+			if err := Init(clean, spec); err != nil {
+				t.Fatal(err)
+			}
+			runAll(t, clean, spec)
 
-	dir := t.TempDir()
-	if err := Init(dir, spec); err != nil {
+			dir := t.TempDir()
+			if err := Init(dir, spec); err != nil {
+				t.Fatal(err)
+			}
+			// The 4th publish, whichever chunks it covers: a worker publishes
+			// its empty manifest, then at least one round per PE for its chunks
+			// and one to finish it.
+			failpoint.Arm("job/manifest-truncate", 4)
+			before := runtime.NumGoroutine()
+			err := Run(dir, 0, RunOptions{})
+			if !errors.Is(err, failpoint.ErrCrash) {
+				t.Fatalf("injected run returned %v, want simulated crash", err)
+			}
+			assertNoGoroutineLeak(t, before)
+			if _, err := ReadManifest(ManifestPath(dir, 0), spec); err == nil {
+				t.Fatal("truncated manifest read back clean")
+			}
+			// Resume refuses: the manifest is unreadable, not merely behind.
+			if err := Resume(dir, 0, RunOptions{}); err == nil {
+				t.Fatal("resume over a torn manifest succeeded")
+			}
+			res, err := Verify(dir, VerifyOptions{All: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Faults) == 0 || res.Faults[0].Reason != FaultManifest {
+				t.Fatalf("want a manifest fault, got %v", res.Faults)
+			}
+			rep, err := Repair(dir, res.Faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.WorkersRebuilt != 1 || len(rep.Unrepaired) != 0 {
+				t.Fatalf("repair: %+v", rep)
+			}
+			after, err := Verify(dir, VerifyOptions{All: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !after.OK() {
+				t.Fatalf("faults survive repair: %v", after.Faults)
+			}
+			assertShardsAndMergeEqual(t, clean, dir, spec)
+		})
+	}
+}
+
+// flipByte flips one bit of the byte at off in a local file.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The 4th publish, whichever chunks it covers: a worker publishes its
-	// empty manifest, then at least one round per PE for its chunks and one
-	// to finish it.
-	failpoint.Arm("job/manifest-truncate", 4)
-	before := runtime.NumGoroutine()
-	err := Run(dir, 0, RunOptions{})
-	if !errors.Is(err, failpoint.ErrCrash) {
-		t.Fatalf("injected run returned %v, want simulated crash", err)
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
 	}
-	assertNoGoroutineLeak(t, before)
-	if _, err := ReadManifest(ManifestPath(dir, 0), spec); err == nil {
-		t.Fatal("truncated manifest read back clean")
+	b[0] ^= 0x01
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
 	}
-	// Resume refuses: the manifest is unreadable, not merely behind.
-	if err := Resume(dir, 0, RunOptions{}); err == nil {
-		t.Fatal("resume over a torn manifest succeeded")
+}
+
+// peakHeapGrowth runs fn and returns how far the heap's objects, live and
+// not yet swept, rose above their level before it, sampled every 200 µs.
+func peakHeapGrowth(fn func()) uint64 {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	read := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
 	}
+	runtime.GC()
+	base := read()
+	peak := base
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(200 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			peak = max(peak, read())
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	fn()
+	close(stop)
+	<-done
+	return max(peak, read()) - base
+}
+
+// TestRepairMemoryBounded: Repair rewrites a shard and RebuildManifest
+// checks one in a streaming pass, block by block, so neither holds a chunk
+// whole. On a job of two PEs with one chunk each — 29 MB of text, or 15 MB
+// of text compressed to 5 MB (half the edges: gzip dominates the test's
+// time, tenfold under -race) — repairing one flipped chunk and rebuilding
+// the worker's manifest each grow the heap by under 8 MiB, and both leave
+// the job byte-identical to the run.
+func TestRepairMemoryBounded(t *testing.T) {
+	for _, tc := range []struct {
+		format string
+		m      uint64
+	}{{"text", 1 << 22}, {"text.gz", 1 << 21}} {
+		t.Run(tc.format, func(t *testing.T) {
+			spec := Spec{Model: "gnm_directed", N: 1 << 20, M: tc.m, Seed: 3,
+				PEs: 2, ChunksPerPE: 1, Workers: 1, Format: tc.format}
+			dir := t.TempDir()
+			if err := Init(dir, spec); err != nil {
+				t.Fatal(err)
+			}
+			runAll(t, dir, spec)
+			want := readShards(t, dir, spec)
+			manifest, err := os.ReadFile(ManifestPath(dir, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := ReadManifest(ManifestPath(dir, 0), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start, end := m.progress(1).chunkBounds(0)
+			flipByte(t, ShardPath(dir, 1, spec.ShardFormat()), (start+end)/2)
+			res, err := Verify(dir, VerifyOptions{All: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Faults) != 1 || res.Faults[0].Reason != FaultShard {
+				t.Fatalf("want one shard fault, got %v", res.Faults)
+			}
+
+			const ceiling = 8 << 20
+			check := func(what string, grew uint64) {
+				t.Logf("%s grew the heap by %.1f MiB", what, float64(grew)/(1<<20))
+				if grew > ceiling {
+					t.Errorf("%s grew the heap by %.1f MiB, ceiling %d MiB", what, float64(grew)/(1<<20), ceiling>>20)
+				}
+			}
+			var rep *RepairResult
+			check(fmt.Sprintf("repair of one %d-byte chunk", end-start),
+				peakHeapGrowth(func() { rep, err = Repair(dir, res.Faults) }))
+			if err != nil || rep.ChunksSpliced != 1 || rep.PEsReset != 0 {
+				t.Fatalf("repair: %+v, %v", rep, err)
+			}
+			check("rebuilding the manifest", peakHeapGrowth(func() { err = RebuildManifest(dir, 0) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := os.ReadFile(ManifestPath(dir, 0)); string(got) != string(manifest) {
+				t.Error("rebuilt manifest differs from the run's")
+			}
+			for pe, b := range readShards(t, dir, spec) {
+				if string(b) != string(want[pe]) {
+					t.Errorf("shard %d differs after repair", pe)
+				}
+			}
+		})
+	}
+}
+
+// TestRepairForeignDeflateResetsPE: a shard whose gzip members another
+// deflate wrote decompresses to the right payloads, but no chunk the
+// encoder regenerates fits its segment. Repair of a flipped chunk there
+// aborts the rewrite — no *.tmp left under shards/ — and resets the PE,
+// which then regenerates byte-identical to a clean run.
+func TestRepairForeignDeflateResetsPE(t *testing.T) {
+	spec := Spec{Model: "gnm_undirected", N: 600, M: 4000, Seed: 71,
+		PEs: 2, ChunksPerPE: 3, Workers: 1, Format: "text.gz"}
+	clean, dir := t.TempDir(), t.TempDir()
+	for _, d := range []string{clean, dir} {
+		if err := Init(d, spec); err != nil {
+			t.Fatal(err)
+		}
+		runAll(t, d, spec)
+	}
+
+	// Recompress PE 0's chunk members with another deflate and record the
+	// new segment ends in the manifest; the payload digests stand. (Go's
+	// BestCompression writes members exactly as long as the default level
+	// does for this data, so it would not do: BestSpeed is a different
+	// compressor.)
+	mpath := ManifestPath(dir, 0)
+	m, err := ReadManifest(mpath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := m.progress(0)
+	path := ShardPath(dir, 0, spec.ShardFormat())
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	for c := range prog.Chunks {
+		start, end := prog.chunkBounds(c)
+		payload, err := readChunkPayload(bytes.NewReader(old), spec.ShardFormat(), start, end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, payload)
+	}
+	start, end := prog.chunkBounds(1)
+	ownLen := end - start
+	shard := bytes.NewBuffer(old[:prog.HeaderEnd:prog.HeaderEnd])
+	for c, payload := range payloads {
+		gz, _ := gzip.NewWriterLevel(shard, gzip.BestSpeed)
+		gz.Write(payload)
+		gz.Close()
+		prog.Chunks[c].End = int64(shard.Len())
+	}
+	prog.Offset = int64(shard.Len())
+	if start, end = prog.chunkBounds(1); end-start == ownLen {
+		t.Fatal("the foreign member of chunk 1 is as long as the encoder's: a splice would fit")
+	}
+	if err := os.WriteFile(path, shard.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteManifest(mpath, m); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := Verify(dir, VerifyOptions{All: true}); err != nil || !res.OK() {
+		t.Fatalf("recompressed shard does not verify clean: %v, %v", res, err)
+	}
+
+	flipByte(t, path, (start+end)/2)
 	res, err := Verify(dir, VerifyOptions{All: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Faults) == 0 || res.Faults[0].Reason != FaultManifest {
-		t.Fatalf("want a manifest fault, got %v", res.Faults)
+	if len(res.Faults) != 1 || res.Faults[0].Reason != FaultShard || res.Faults[0].PE != 0 {
+		t.Fatalf("want one shard fault in PE 0, got %v", res.Faults)
 	}
 	rep, err := Repair(dir, res.Faults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.WorkersRebuilt != 1 || len(rep.Unrepaired) != 0 {
-		t.Fatalf("repair: %+v", rep)
+	if rep.PEsReset != 1 || rep.ChunksSpliced != 0 || len(rep.Unrepaired) != 0 {
+		t.Fatalf("repair: %+v, want PEsReset 1, ChunksSpliced 0", rep)
 	}
-	after, err := Verify(dir, VerifyOptions{All: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !after.OK() {
-		t.Fatalf("faults survive repair: %v", after.Faults)
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "shards", "*.tmp")); len(tmps) != 0 {
+		t.Errorf("aborted rewrite left %v", tmps)
 	}
 	assertShardsAndMergeEqual(t, clean, dir, spec)
 }

@@ -4,29 +4,16 @@
 // (seed, P, peID), so the number of workers and the execution order must
 // not influence the output — a property the test suite verifies for every
 // generator.
-//
-// Per-PE wall-clock durations are recorded so experiments can report the
-// "simulated parallel time" max_i T_i, which is the quantity an actual
-// distributed run (one PE per core) would measure.
 package pe
 
 import (
 	"runtime"
 	"sync"
-	"time"
 )
 
-// Run executes fn(pe) for every pe in [0, P) using at most workers
-// goroutines. workers <= 0 selects GOMAXPROCS.
-func Run(P, workers int, fn func(pe int)) {
-	ForEach(P, workers, func(pe int) struct{} {
-		fn(pe)
-		return struct{}{}
-	})
-}
-
 // ForEach executes fn(pe) for every pe in [0, P) on a bounded worker pool
-// and returns the results indexed by PE id.
+// (workers <= 0 selects GOMAXPROCS) and returns the results indexed by PE
+// id.
 func ForEach[T any](P, workers int, fn func(pe int) T) []T {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -65,57 +52,4 @@ func ForEach[T any](P, workers int, fn func(pe int) T) []T {
 	}
 	wg.Wait()
 	return out
-}
-
-// Timing captures per-PE execution times of one run.
-type Timing struct {
-	PerPE []time.Duration
-}
-
-// Timed runs fn on all PEs like Run and records each PE's wall time.
-func Timed(P, workers int, fn func(pe int)) Timing {
-	durs := ForEach(P, workers, func(pe int) time.Duration {
-		start := time.Now()
-		fn(pe)
-		return time.Since(start)
-	})
-	return Timing{PerPE: durs}
-}
-
-// Max returns the simulated parallel makespan: the maximum PE time, i.e.
-// the wall time a real distributed run with one PE per processor needs.
-func (t Timing) Max() time.Duration {
-	var mx time.Duration
-	for _, d := range t.PerPE {
-		if d > mx {
-			mx = d
-		}
-	}
-	return mx
-}
-
-// Sum returns the total work, the sum of all PE times.
-func (t Timing) Sum() time.Duration {
-	var s time.Duration
-	for _, d := range t.PerPE {
-		s += d
-	}
-	return s
-}
-
-// Avg returns the mean PE time.
-func (t Timing) Avg() time.Duration {
-	if len(t.PerPE) == 0 {
-		return 0
-	}
-	return t.Sum() / time.Duration(len(t.PerPE))
-}
-
-// Imbalance returns Max/Avg, the load-balance factor (1.0 is perfect).
-func (t Timing) Imbalance() float64 {
-	avg := t.Avg()
-	if avg == 0 {
-		return 1
-	}
-	return float64(t.Max()) / float64(avg)
 }

@@ -3,15 +3,15 @@ package pe
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestForEachAllPEsRunOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		const P = 37
 		var counts [P]int64
-		Run(P, workers, func(pe int) {
+		ForEach(P, workers, func(pe int) struct{} {
 			atomic.AddInt64(&counts[pe], 1)
+			return struct{}{}
 		})
 		for i, c := range counts {
 			if c != 1 {
@@ -52,36 +52,5 @@ func TestForEachWorkerIndependence(t *testing.T) {
 				t.Fatalf("workers=%d changed result at PE %d", workers, i)
 			}
 		}
-	}
-}
-
-func TestTiming(t *testing.T) {
-	timing := Timed(4, 4, func(pe int) {
-		time.Sleep(time.Duration(pe+1) * time.Millisecond)
-	})
-	if len(timing.PerPE) != 4 {
-		t.Fatalf("got %d timings", len(timing.PerPE))
-	}
-	if timing.Max() < timing.Avg() {
-		t.Error("max < avg")
-	}
-	if timing.Max() < 4*time.Millisecond {
-		t.Errorf("max %v, want >= 4ms", timing.Max())
-	}
-	if timing.Sum() < timing.Max() {
-		t.Error("sum < max")
-	}
-	if timing.Imbalance() < 1 {
-		t.Errorf("imbalance %v < 1", timing.Imbalance())
-	}
-}
-
-func TestTimingEmpty(t *testing.T) {
-	var timing Timing
-	if timing.Max() != 0 || timing.Sum() != 0 || timing.Avg() != 0 {
-		t.Error("empty timing should be zero")
-	}
-	if timing.Imbalance() != 1 {
-		t.Error("empty imbalance should be 1")
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// DefaultBatchSize is the batch capacity used by Stream: 4096 items keeps
+// DefaultBatchSize is Stream's default batch capacity: 4096 items keeps
 // a batch of 16-byte edges at 64 KiB — large enough to amortize the
 // per-batch synchronization to noise, small enough that the pipeline's
 // buffered footprint stays tiny compared to whole chunks.
@@ -18,14 +18,20 @@ const DefaultBatchSize = 4096
 // window * maxQueuedBatches * batchSize regardless of chunk sizes.
 const maxQueuedBatches = 16
 
-// Stream executes produce(pe, emit) for every pe in [0, P) on a bounded
-// worker pool and hands the emitted items to consume in fixed-capacity
-// batches — in increasing PE order, and within each PE in emission order,
-// regardless of the worker count or the completion order. It is the
-// parallel streaming runtime: generation runs concurrently into pooled
-// batches while the sink observes the same deterministic item sequence a
-// serial run would produce. Batch boundaries carry no meaning: the
-// delivered concatenation is invariant under the batch size.
+// Stream executes produce(pe, emit) for every pe in [first, first+count)
+// on a bounded worker pool and hands the emitted items to consume in
+// batches of at most batchSize items (0 or negative selects
+// DefaultBatchSize) — in increasing PE order, and within each PE in
+// emission order, regardless of the worker count or the completion order.
+// It is the parallel streaming runtime: generation runs concurrently into
+// pooled batches while the sink observes the same deterministic item
+// sequence a serial run would produce. Batch boundaries carry no meaning:
+// the delivered concatenation is invariant under the batch size. produce
+// and consume receive absolute PE indices, so a worker restarted mid-run
+// re-enters at its checkpointed PE (or a PE at its checkpointed chunk,
+// when chunks are the streamed unit) and streams only the remaining range,
+// the delivered sequence identical to the corresponding suffix of a full
+// run.
 //
 // consume receives each PE's batches in order; final marks the PE's last
 // batch (a PE with no items gets exactly one final, empty batch). Batches
@@ -44,46 +50,16 @@ const maxQueuedBatches = 16
 // batches are delivered, no further chunks are started, and the error is
 // returned. A PE whose produce is already running completes, with its
 // output discarded.
-func Stream[T any](P, workers int, produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
-	return StreamBatched(P, workers, DefaultBatchSize, produce, consume)
-}
-
-// StreamRange is Stream over the PE range [first, first+count): produce
-// and consume receive absolute PE indices, delivery is in increasing PE
-// order from first. It is the resumable entry point of the pipeline — a
-// worker restarted mid-run re-enters at its checkpointed PE (or a PE at
-// its checkpointed chunk, when chunks are the streamed unit) and streams
-// only the remaining range, with the delivered item sequence identical to
-// the corresponding suffix of a full run.
-func StreamRange[T any](first, count, workers int, produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
-	return StreamRangeBatched(first, count, workers, DefaultBatchSize, produce, consume)
-}
-
-// StreamRangeBatched is StreamRange with an explicit batch capacity (0 or
-// negative selects DefaultBatchSize).
-func StreamRangeBatched[T any](first, count, workers, batchSize int, produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
+func Stream[T any](first, count, workers, batchSize int, produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
 	return streamRange(first, count, workers, newBatchPool[T](batchSize), produce, consume)
 }
 
-// StreamBatched is Stream with an explicit batch capacity (0 or negative
-// selects DefaultBatchSize). The delivered item sequence is identical for
-// every batch size; only the batch boundaries move.
-func StreamBatched[T any](P, workers, batchSize int, produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
-	return StreamRangeBatched(0, P, workers, batchSize, produce, consume)
-}
-
-// streamBatched runs the batch pipeline over [0, P) against an explicit
-// pool (separated so the tests can audit that every borrowed batch is
-// returned).
-func streamBatched[T any](P, workers int, pool *batchPool[T], produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
-	return streamRange(0, P, workers, pool, produce, consume)
-}
-
-// streamRange is the batch pipeline: Ordered with pooled item batches as
-// the delivered unit.
+// streamRange is the batch pipeline, against an explicit pool (separated
+// so the tests can audit that every borrowed batch is returned): Ordered
+// with pooled item batches as the delivered unit.
 func streamRange[T any](first, count, workers int, pool *batchPool[T], produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
 	batchSize := pool.size
 	return Ordered(first, count, workers,

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestStreamRangeMatchesSuffix: StreamRange delivers absolute PE indices
-// and exactly the sub-sequence a full run would deliver for those PEs,
-// for every split point and several worker counts.
+// TestStreamRangeMatchesSuffix: Stream over a PE range delivers absolute
+// PE indices and exactly the sub-sequence a full run would deliver for
+// those PEs, for every split point and several worker counts.
 func TestStreamRangeMatchesSuffix(t *testing.T) {
 	const P = 7
 	produce := func(pe int, emit func(string)) {
@@ -17,7 +17,7 @@ func TestStreamRangeMatchesSuffix(t *testing.T) {
 	}
 	collect := func(first, count, workers int) []string {
 		var got []string
-		err := StreamRangeBatched(first, count, workers, 2, produce,
+		err := Stream(first, count, workers, 2, produce,
 			func(pe int, batch []string, final bool) error {
 				for _, s := range batch {
 					if want := fmt.Sprintf("pe%d-", pe); len(s) < len(want) || s[:len(want)] != want {

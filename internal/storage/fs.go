@@ -78,10 +78,10 @@ func (fsBackend) Delete(name string) error { return os.Remove(fsPath(name)) }
 
 func (fsBackend) EnsureDir(name string) error { return os.MkdirAll(fsPath(name), 0o755) }
 
-// SyncDir fsyncs a directory so a freshly created or renamed entry in it
+// syncDir fsyncs a directory so a freshly created or renamed entry in it
 // survives a power loss — without it, a durable manifest could record
 // progress for a shard whose directory entry never became durable.
-func SyncDir(dir string) error {
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -135,7 +135,7 @@ func (fsBackend) Put(name string, data []byte, opts PutOptions) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := SyncDir(filepath.Dir(p)); err != nil {
+	if err := syncDir(filepath.Dir(p)); err != nil {
 		return err
 	}
 	if opts.CorruptAfter != "" && failpoint.Armed() && failpoint.Eval(opts.CorruptAfter) {
@@ -190,7 +190,7 @@ func (w *fsWriter) Finalize() error {
 		os.Remove(w.tmp)
 		return err
 	}
-	return SyncDir(filepath.Dir(w.name))
+	return syncDir(filepath.Dir(w.name))
 }
 
 func (w *fsWriter) Abort() error {
@@ -282,7 +282,7 @@ func (s *fsShard) sync(upTo int64) error {
 		return err
 	}
 	if s.dir != "" {
-		if err := SyncDir(s.dir); err != nil {
+		if err := syncDir(s.dir); err != nil {
 			return err
 		}
 		s.dir = ""

@@ -131,6 +131,22 @@ type ShardWriter interface {
 	Abort() error
 }
 
+// WriteObject writes name through the backend's single-shot writer: fill
+// streams the bytes in, and the object is published with Finalize only if
+// fill succeeds. On any error the writer is aborted and name keeps what it
+// held before.
+func WriteObject(store Backend, name string, fill func(io.Writer) error) error {
+	w, err := store.Create(name)
+	if err != nil {
+		return err
+	}
+	if err := fill(w); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.Finalize()
+}
+
 // Unlock releases a Lock.
 type Unlock interface {
 	Release() error

@@ -84,7 +84,7 @@ func StreamChunksFrom(s Streamer, first, count uint64, workers, batchSize int, s
 	if err == nil {
 		var mu sync.Mutex
 		var chunkErr error
-		err = pe.StreamRangeBatched(int(first), int(count), workers, batchSize, func(peID int, emit func(graph.Edge)) {
+		err = pe.Stream(int(first), int(count), workers, batchSize, func(peID int, emit func(graph.Edge)) {
 			if e := s.StreamChunk(uint64(peID), emit); e != nil {
 				mu.Lock()
 				if chunkErr == nil {
