@@ -103,7 +103,11 @@ func main() {
 // and writes the results as a benchFile.
 func runBench(quick bool, benchtime, out string) error {
 	if quick {
+		// -short shrinks the rows that are slow at full size.
 		benchtime = "1x"
+		if err := flag.Set("test.short", "true"); err != nil {
+			return err
+		}
 	}
 	if err := flag.Set("test.benchtime", benchtime); err != nil {
 		return fmt.Errorf("benchsuite: bad -benchtime: %w", err)

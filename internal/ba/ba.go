@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/pe"
 	"repro/internal/prng"
 )
 
@@ -66,36 +65,17 @@ func Target(seed, k, d uint64) uint64 {
 	return (r / 2) / d
 }
 
-// Generate produces the full graph: n*d directed edges (v, target), where
+// StreamChunk emits the edges of the chunk's vertex range into e without
+// materializing them: d directed edges (v, target) per vertex, where
 // self-loops occur with the same (vanishing) frequency as in the
 // sequential Batagelj–Brandes algorithm.
-func Generate(p Params, workers int) (*graph.EdgeList, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	results := pe.ForEach(int(p.chunks()), workers, func(c int) []graph.Edge {
-		return GenerateChunk(p, uint64(c))
-	})
-	return graph.Merge(p.N, results...), nil
-}
-
-// GenerateChunk emits the edges of the chunk's vertex range.
-func GenerateChunk(p Params, chunk uint64) []graph.Edge {
-	ch := core.Chunking{N: p.N, Chunks: p.chunks()}
-	edges := make([]graph.Edge, 0, ch.Size(chunk)*p.D)
-	StreamChunk(p, chunk, func(e graph.Edge) { edges = append(edges, e) })
-	return edges
-}
-
-// StreamChunk emits the chunk's edges through a callback without
-// materializing them (memory-bounded generation).
-func StreamChunk(p Params, chunk uint64, emit func(graph.Edge)) {
+func StreamChunk(p Params, chunk uint64, e *core.Emitter) {
 	ch := core.Chunking{N: p.N, Chunks: p.chunks()}
 	lo, hi := ch.Start(chunk), ch.End(chunk)
 	for v := lo; v < hi; v++ {
 		for i := uint64(0); i < p.D; i++ {
 			k := v*p.D + i
-			emit(graph.Edge{U: v, V: Target(p.Seed, k, p.D)})
+			e.Append(v, Target(p.Seed, k, p.D))
 		}
 	}
 }

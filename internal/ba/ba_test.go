@@ -4,8 +4,23 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
+
+// generate and generateChunk collect chunks from StreamChunk, the way the
+// root package's generator does.
+func generate(p Params, workers int) (*graph.EdgeList, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return core.Generate(p.N, p.chunks(), workers, func(pe uint64, e *core.Emitter) { StreamChunk(p, pe, e) }), nil
+}
+
+func generateChunk(p Params, pe uint64) []graph.Edge {
+	edges, _ := core.Collect(func(e *core.Emitter) { StreamChunk(p, pe, e) })
+	return edges
+}
 
 // TestMatchesSequentialReference: the chain-retracing resolution must
 // reproduce the Batagelj–Brandes array algorithm edge for edge.
@@ -17,7 +32,7 @@ func TestMatchesSequentialReference(t *testing.T) {
 		{N: 200, D: 8, Seed: 3, Chunks: 16},
 	} {
 		want := SequentialReference(p)
-		got, err := Generate(p, 4)
+		got, err := generate(p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +52,7 @@ func TestMatchesSequentialReference(t *testing.T) {
 
 func TestEdgeCountAndSources(t *testing.T) {
 	p := Params{N: 2000, D: 4, Seed: 5, Chunks: 8}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +78,7 @@ func TestEdgeCountAndSources(t *testing.T) {
 // with exponent ~3.
 func TestPowerLawInDegree(t *testing.T) {
 	p := Params{N: 1 << 16, D: 4, Seed: 7, Chunks: 8}
-	el, err := Generate(p, 8)
+	el, err := generate(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +96,7 @@ func TestPowerLawInDegree(t *testing.T) {
 // than late ones.
 func TestPreferentialAttachment(t *testing.T) {
 	p := Params{N: 1 << 14, D: 4, Seed: 9, Chunks: 4}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +119,11 @@ func TestPreferentialAttachment(t *testing.T) {
 
 func TestWorkerIndependence(t *testing.T) {
 	p := Params{N: 3000, D: 2, Seed: 11, Chunks: 16}
-	a, err := Generate(p, 1)
+	a, err := generate(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(p, 8)
+	b, err := generate(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +152,6 @@ func BenchmarkChunk(b *testing.B) {
 	p := Params{N: 1 << 18, D: 8, Seed: 1, Chunks: 16}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateChunk(p, 7)
+		generateChunk(p, 7)
 	}
 }

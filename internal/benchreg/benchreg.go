@@ -10,6 +10,7 @@ package benchreg
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -17,6 +18,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	kagen "repro"
@@ -30,6 +32,7 @@ import (
 	"repro/internal/hyperbolic"
 	"repro/internal/job"
 	"repro/internal/obs"
+	"repro/internal/pe"
 	"repro/internal/prng"
 	"repro/internal/rdg"
 	"repro/internal/rgg"
@@ -83,10 +86,7 @@ func All() []Case {
 			}
 			add("Fig06SeqGNM/kagen/"+name, func(b *testing.B) {
 				p := gnm.Params{N: n, M: m, Directed: directed, Seed: 1, Chunks: 1}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					gnm.GenerateChunk(p, 0)
-				}
+				runChunk(b, func(e *core.Emitter) { gnm.StreamChunk(p, 0, e) })
 			})
 			add("Fig06SeqGNM/batagelj-brandes/"+name, func(b *testing.B) {
 				b.ReportAllocs()
@@ -106,10 +106,7 @@ func All() []Case {
 				add(fmt.Sprintf("Fig07WeakGNM/P=%d/directed=%v", P, directed), func(b *testing.B) {
 					m := uint64(perPE) * P
 					p := gnm.Params{N: m / 16, M: m, Directed: directed, Seed: 1, Chunks: P}
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						gnm.GenerateChunk(p, P/2)
-					}
+					runChunk(b, func(e *core.Emitter) { gnm.StreamChunk(p, P/2, e) })
 				})
 			}
 		}
@@ -120,10 +117,7 @@ func All() []Case {
 			P := P
 			add(fmt.Sprintf("Fig08StrongGNM/P=%d", P), func(b *testing.B) {
 				p := gnm.Params{N: m / 16, M: m, Directed: true, Seed: 1, Chunks: P}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					gnm.GenerateChunk(p, P/2)
-				}
+				runChunk(b, func(e *core.Emitter) { gnm.StreamChunk(p, P/2, e) })
 			})
 		}
 	}
@@ -136,10 +130,7 @@ func All() []Case {
 		r := rgg.ConnectivityRadius(n, 2) / 4 // sqrt(P) = 4
 		add("Fig09RGG2DComparison/kagen-chunk", func(b *testing.B) {
 			p := rgg.Params{N: n, R: r, Dim: 2, Seed: 1, Chunks: P}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rgg.GenerateChunk(p, P/2)
-			}
+			runChunk(b, func(e *core.Emitter) { rgg.StreamChunk(p, P/2, e) })
 		})
 		add("Fig09RGG2DComparison/holtgrewe-perPE", func(b *testing.B) {
 			// The baseline's computation per PE: its share of the sorted
@@ -163,10 +154,7 @@ func All() []Case {
 					n := uint64(perPE) * P
 					p := rgg.Params{N: n, Dim: dim, Seed: 1, Chunks: P}
 					p.R = rgg.ConnectivityRadius(n, dim)
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						rgg.GenerateChunk(p, P/2)
-					}
+					runChunk(b, func(e *core.Emitter) { rgg.StreamChunk(p, P/2, e) })
 				})
 			}
 		}
@@ -179,10 +167,7 @@ func All() []Case {
 				add(fmt.Sprintf("Fig11StrongRGG/dim=%d/P=%d", dim, P), func(b *testing.B) {
 					p := rgg.Params{N: n, Dim: dim, Seed: 1, Chunks: P}
 					p.R = rgg.ConnectivityRadius(n, dim)
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						rgg.GenerateChunk(p, P/2)
-					}
+					runChunk(b, func(e *core.Emitter) { rgg.StreamChunk(p, P/2, e) })
 				})
 			}
 		}
@@ -196,10 +181,7 @@ func All() []Case {
 				dim, P := dim, P
 				add(fmt.Sprintf("Fig12WeakRDG/dim=%d/P=%d", dim, P), func(b *testing.B) {
 					p := rdg.Params{N: uint64(perPE) * P, Dim: dim, Seed: 1, Chunks: P}
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						rdg.GenerateChunk(p, P/2)
-					}
+					runChunk(b, func(e *core.Emitter) { rdg.StreamChunk(p, P/2, e) })
 				})
 			}
 		}
@@ -211,10 +193,7 @@ func All() []Case {
 				dim, P := dim, P
 				add(fmt.Sprintf("Fig13StrongRDG/dim=%d/P=%d", dim, P), func(b *testing.B) {
 					p := rdg.Params{N: n, Dim: dim, Seed: 1, Chunks: P}
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						rdg.GenerateChunk(p, P/2)
-					}
+					runChunk(b, func(e *core.Emitter) { rdg.StreamChunk(p, P/2, e) })
 				})
 			}
 		}
@@ -234,17 +213,11 @@ func All() []Case {
 			})
 			add(fmt.Sprintf("Fig14RHGRace/rhg/gamma=%v", gamma), func(b *testing.B) {
 				p := rhg.Params{N: n, AvgDeg: deg, Gamma: gamma, Seed: 1, Chunks: 1}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rhg.GenerateChunk(p, 0)
-				}
+				runChunk(b, func(e *core.Emitter) { rhg.StreamChunk(p, 0, e) })
 			})
 			add(fmt.Sprintf("Fig14RHGRace/srhg/gamma=%v", gamma), func(b *testing.B) {
 				p := srhg.Params{N: n, AvgDeg: deg, Gamma: gamma, Seed: 1, Chunks: 1}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					srhg.GenerateChunk(p, 0)
-				}
+				runChunk(b, func(e *core.Emitter) { srhg.StreamChunk(p, 0, e) })
 			})
 		}
 	}
@@ -256,17 +229,11 @@ func All() []Case {
 			P := P
 			add(fmt.Sprintf("Fig15WeakRHG/rhg/P=%d", P), func(b *testing.B) {
 				p := rhg.Params{N: uint64(perPE) * P, AvgDeg: 16, Gamma: 3.0, Seed: 1, Chunks: P}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rhg.GenerateChunk(p, P/2)
-				}
+				runChunk(b, func(e *core.Emitter) { rhg.StreamChunk(p, P/2, e) })
 			})
 			add(fmt.Sprintf("Fig15WeakRHG/srhg/P=%d", P), func(b *testing.B) {
 				p := srhg.Params{N: uint64(perPE) * P, AvgDeg: 16, Gamma: 3.0, Seed: 1, Chunks: P}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					srhg.GenerateChunk(p, P/2)
-				}
+				runChunk(b, func(e *core.Emitter) { srhg.StreamChunk(p, P/2, e) })
 			})
 		}
 	}
@@ -276,17 +243,11 @@ func All() []Case {
 			P := P
 			add(fmt.Sprintf("Fig16StrongRHG/rhg/P=%d", P), func(b *testing.B) {
 				p := rhg.Params{N: n, AvgDeg: 16, Gamma: 3.0, Seed: 1, Chunks: P}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rhg.GenerateChunk(p, P/2)
-				}
+				runChunk(b, func(e *core.Emitter) { rhg.StreamChunk(p, P/2, e) })
 			})
 			add(fmt.Sprintf("Fig16StrongRHG/srhg/P=%d", P), func(b *testing.B) {
 				p := srhg.Params{N: n, AvgDeg: 16, Gamma: 3.0, Seed: 1, Chunks: P}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					srhg.GenerateChunk(p, P/2)
-				}
+				runChunk(b, func(e *core.Emitter) { srhg.StreamChunk(p, P/2, e) })
 			})
 		}
 	}
@@ -303,13 +264,11 @@ func All() []Case {
 	}
 	rmatChunk := func(b *testing.B, p rmat.Params, chunk uint64) {
 		g := rmatWarm(b, p)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := g.GenerateChunk(chunk); err != nil {
+		runChunk(b, func(e *core.Emitter) {
+			if err := g.StreamChunk(chunk, e); err != nil {
 				b.Fatal(err)
 			}
-		}
+		})
 	}
 	{
 		const perPE = 1 << 14
@@ -371,38 +330,19 @@ func All() []Case {
 		const n = m / 16
 		add("StreamUndirected/gnm/P=16", func(b *testing.B) {
 			p := gnm.Params{N: n, M: m, Directed: false, Seed: 1, Chunks: P}
-			b.ReportAllocs()
-			var edges uint64
-			for i := 0; i < b.N; i++ {
-				gnm.StreamUndirectedChunk(p, P/2, func(graph.Edge) { edges++ })
-			}
-			_ = edges
+			runChunk(b, func(e *core.Emitter) { gnm.StreamChunk(p, P/2, e) })
 		})
 		add("StreamUndirected/gnp/P=16", func(b *testing.B) {
 			// Edge probability chosen so the expected edge count matches the
 			// G(n,m) case above.
 			prob := float64(m) / (float64(n) * float64(n-1) / 2)
 			p := gnp.Params{N: n, P: prob, Seed: 1, Chunks: P}
-			b.ReportAllocs()
-			var edges uint64
-			for i := 0; i < b.N; i++ {
-				gnp.StreamUndirectedChunk(p, P/2, func(graph.Edge) { edges++ })
-			}
-			_ = edges
+			runChunk(b, func(e *core.Emitter) { gnp.StreamChunk(p, P/2, e) })
 		})
 		add("StreamUndirected/sbm/P=16", func(b *testing.B) {
 			prob := float64(m) / (float64(n) * float64(n-1) / 2)
 			p := sbm.PlantedPartition(n, 4, 4*prob, prob/2, 1, P)
-			var edges uint64
-			// One warm call so the single-iteration CI quick run measures
-			// steady state, not first-call setup allocations.
-			sbm.StreamChunk(p, P/2, func(graph.Edge) { edges++ })
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sbm.StreamChunk(p, P/2, func(graph.Edge) { edges++ })
-			}
-			_ = edges
+			runChunk(b, func(e *core.Emitter) { sbm.StreamChunk(p, P/2, e) })
 		})
 	}
 
@@ -436,21 +376,11 @@ func All() []Case {
 		n := uint64(perPE * P)
 		add("CellIndex/rgg-stream-fig09", func(b *testing.B) {
 			p := rgg.Params{N: n, R: rgg.ConnectivityRadius(n, 2) / 4, Dim: 2, Seed: 1, Chunks: P}
-			b.ReportAllocs()
-			var edges uint64
-			for i := 0; i < b.N; i++ {
-				rgg.StreamChunk(p, P/2, func(graph.Edge) { edges++ })
-			}
-			_ = edges
+			runChunk(b, func(e *core.Emitter) { rgg.StreamChunk(p, P/2, e) })
 		})
 		add("CellIndex/rdg-stream", func(b *testing.B) {
 			p := rdg.Params{N: 1 << 12, Dim: 2, Seed: 1, Chunks: 4}
-			b.ReportAllocs()
-			var edges uint64
-			for i := 0; i < b.N; i++ {
-				rdg.StreamChunk(p, 2, func(graph.Edge) { edges++ })
-			}
-			_ = edges
+			runChunk(b, func(e *core.Emitter) { rdg.StreamChunk(p, 2, e) })
 		})
 	}
 
@@ -512,16 +442,12 @@ func All() []Case {
 		base := gnp.Params{N: 1 << 16, P: 1.0 / (1 << 10), Directed: true, Seed: 1, Chunks: 16}
 		add("AblationGNPSkip/binomial+vitter", func(b *testing.B) {
 			p := base
-			for i := 0; i < b.N; i++ {
-				gnp.GenerateChunk(p, 7)
-			}
+			runChunk(b, func(e *core.Emitter) { gnp.StreamChunk(p, 7, e) })
 		})
 		add("AblationGNPSkip/geometric-skip", func(b *testing.B) {
 			p := base
 			p.SkipSampling = true
-			for i := 0; i < b.N; i++ {
-				gnp.GenerateChunk(p, 7)
-			}
+			runChunk(b, func(e *core.Emitter) { gnp.StreamChunk(p, 7, e) })
 		})
 	}
 
@@ -532,9 +458,7 @@ func All() []Case {
 		r := rgg.ConnectivityRadius(n, 2) / 8 // much smaller than n^-1/2
 		add("AblationRGGCell/clamped-target", func(b *testing.B) {
 			p := rgg.Params{N: n, R: r, Dim: 2, Seed: 1, Chunks: 4}
-			for i := 0; i < b.N; i++ {
-				rgg.GenerateChunk(p, 1)
-			}
+			runChunk(b, func(e *core.Emitter) { rgg.StreamChunk(p, 1, e) })
 		})
 		// The unclamped variant is emulated by the naive baseline on the same
 		// density to show the cost of losing the grid bound entirely.
@@ -552,9 +476,7 @@ func All() []Case {
 		gamma := gamma
 		add(fmt.Sprintf("AblationSRHGGamma/gamma=%v", gamma), func(b *testing.B) {
 			p := srhg.Params{N: 1 << 13, AvgDeg: 16, Gamma: gamma, Seed: 1, Chunks: 4}
-			for i := 0; i < b.N; i++ {
-				srhg.GenerateChunk(p, 1)
-			}
+			runChunk(b, func(e *core.Emitter) { srhg.StreamChunk(p, 1, e) })
 		})
 	}
 
@@ -567,9 +489,7 @@ func All() []Case {
 		p := rgg.Params{N: n, Dim: 2, Seed: 1, Chunks: 16}
 		p.R = rgg.ConnectivityRadius(n, 2)
 		add("AblationMorton/morton-contiguous", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rgg.GenerateChunk(p, 5)
-			}
+			runChunk(b, func(e *core.Emitter) { rgg.StreamChunk(p, 5, e) })
 		})
 		// Emulated scattered ownership: the same number of chunks gathered
 		// from the four corners of the Morton range (one chunk from each
@@ -577,12 +497,11 @@ func All() []Case {
 		add("AblationMorton/scattered", func(b *testing.B) {
 			q := p
 			q.Chunks = 64
-			for i := 0; i < b.N; i++ {
-				rgg.GenerateChunk(q, 0)
-				rgg.GenerateChunk(q, 21)
-				rgg.GenerateChunk(q, 42)
-				rgg.GenerateChunk(q, 63)
-			}
+			runChunk(b, func(e *core.Emitter) {
+				for _, pe := range []uint64{0, 21, 42, 63} {
+					rgg.StreamChunk(q, pe, e)
+				}
+			})
 		})
 	}
 
@@ -591,16 +510,12 @@ func All() []Case {
 	{
 		base := rhg.Params{N: 1 << 14, AvgDeg: 16, Gamma: 2.5, Seed: 1, Chunks: 16}
 		add("AblationRHGOutward/partitioned", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rhg.GenerateChunk(base, 7)
-			}
+			runChunk(b, func(e *core.Emitter) { rhg.StreamChunk(base, 7, e) })
 		})
 		add("AblationRHGOutward/outward-only", func(b *testing.B) {
 			p := base
 			p.OutwardOnly = true
-			for i := 0; i < b.N; i++ {
-				rhg.GenerateChunk(p, 7)
-			}
+			runChunk(b, func(e *core.Emitter) { rhg.StreamChunk(p, 7, e) })
 		})
 	}
 
@@ -614,7 +529,7 @@ func All() []Case {
 	})
 	add("AblationStreamSetup/mt19937", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r := prng.NewMTHashed(42, uint64(i))
+			r := NewMTHashed(42, uint64(i))
 			r.Uint64()
 		}
 	})
@@ -740,9 +655,8 @@ func All() []Case {
 	// text.gz and binary runs on one and two pipeline goroutines ---
 	{
 		const chunkEdges = 1 << 16
-		edges := make([]graph.Edge, 0, chunkEdges)
-		gnm.StreamChunk(gnm.Params{N: 1 << 20, M: chunkEdges, Directed: true, Seed: 1, Chunks: 1}, 0,
-			func(e graph.Edge) { edges = append(edges, e) })
+		p := gnm.Params{N: 1 << 20, M: chunkEdges, Directed: true, Seed: 1, Chunks: 1}
+		edges, _ := core.Collect(func(e *core.Emitter) { gnm.StreamChunk(p, 0, e) })
 		for _, format := range []kagen.Format{kagen.FormatText, kagen.FormatBinary, kagen.FormatTextGz} {
 			format := format
 			add("Job/chunk-encode/"+string(format), func(b *testing.B) {
@@ -758,31 +672,26 @@ func All() []Case {
 		}
 		for _, format := range []string{"text.gz", "binary"} {
 			for _, goroutines := range []int{1, 2} {
-				format, goroutines := format, goroutines
 				add(fmt.Sprintf("Job/run-%s/G=%d", format, goroutines), func(b *testing.B) {
-					spec := job.Spec{Model: "gnm_directed", N: 1 << 16, M: 1 << 17, Seed: 1,
-						PEs: 2, ChunksPerPE: 8, Workers: 1, Format: format}
-					root := b.TempDir()
-					b.ReportAllocs()
-					b.StopTimer() // only job.Run is timed
-					for i := 0; i < b.N; i++ {
-						dir := filepath.Join(root, strconv.Itoa(i))
-						if err := job.Init(dir, spec); err != nil {
-							b.Fatal(err)
-						}
-						b.StartTimer()
-						err := job.Run(dir, 0, job.RunOptions{Goroutines: goroutines})
-						b.StopTimer()
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := os.RemoveAll(dir); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(spec.M), "ns/edge")
+					runJob(b, job.Spec{Model: "gnm_directed", N: 1 << 16, M: 1 << 17, Seed: 1,
+						PEs: 2, ChunksPerPE: 8, Workers: 1, Format: format}, goroutines)
 				})
 			}
+		}
+		// The job layer's cost in the number of PEs: one chunk per PE on two
+		// workers at once, as `kagen -stream -format sharded-*` runs, so
+		// every PE's finish publishes a checkpoint round of its worker's
+		// whole manifest. P = 4096 takes 13-18 s a run and stays out; a
+		// -short (benchsuite -quick) run takes P/16 PEs and n = m = 2^16.
+		for _, P := range []uint64{256, 1024} {
+			add(fmt.Sprintf("Job/run-many-pes/P=%d", P), func(b *testing.B) {
+				spec := job.Spec{Model: "gnm_directed", N: 1 << 20, M: 1 << 20, Seed: 1,
+					PEs: P, ChunksPerPE: 1, Workers: 2, Format: "binary"}
+				if testing.Short() {
+					spec.N, spec.M, spec.PEs = 1<<16, 1<<16, P/16
+				}
+				runJob(b, spec, 1)
+			})
 		}
 	}
 
@@ -905,6 +814,57 @@ func All() []Case {
 	}
 
 	return cases
+}
+
+// runJob times job.Run of every worker of spec at once, each on the given
+// number of pipeline goroutines, in a fresh directory whose Init is not
+// timed.
+func runJob(b *testing.B, spec job.Spec, goroutines int) {
+	root := b.TempDir()
+	b.ReportAllocs()
+	b.StopTimer() // only job.Run is timed
+	for i := 0; i < b.N; i++ {
+		dir := filepath.Join(root, strconv.Itoa(i))
+		if err := job.Init(dir, spec); err != nil {
+			b.Fatal(err)
+		}
+		errs := make([]error, spec.Workers)
+		var wg sync.WaitGroup
+		b.StartTimer()
+		for w := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[w] = job.Run(dir, uint64(w), job.RunOptions{Goroutines: goroutines})
+			}()
+		}
+		wg.Wait()
+		b.StopTimer()
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(spec.M), "ns/edge")
+}
+
+// runChunk times chunk down the stream path a job runs: into one Emitter,
+// reused from iteration to iteration as a pipeline goroutine reuses it
+// from chunk to chunk, whose batch is dropped as it fills. A warm-up call
+// first builds the generator's scratch, so even the one-iteration CI run
+// measures the steady state.
+func runChunk(b *testing.B, chunk func(*core.Emitter)) {
+	e := core.NewEmitter(make([]graph.Edge, 0, pe.DefaultBatchSize), func(full []graph.Edge) ([]graph.Edge, bool) {
+		return full, true
+	})
+	chunk(e)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chunk(e)
+	}
 }
 
 // ablationTrigSetup builds the shared point set of the A2 ablation.

@@ -1,9 +1,13 @@
-package prng
+package benchreg
+
+import "repro/internal/prng"
 
 // MT19937 is the 64-bit Mersenne Twister (mt19937-64) of Matsumoto and
-// Nishimura, ported from the 2004 reference implementation. It is the
-// variate source used throughout the generators, matching the choice of the
-// KaGen implementation described in §8.1 of the paper.
+// Nishimura, ported from the 2004 reference implementation — the variate
+// source of the KaGen implementation described in §8.1 of the paper. The
+// generators derive their streams with xoshiro256** instead (see
+// internal/prng); the Twister is kept here only for the ablation that
+// prices that choice (AblationStreamSetup).
 type MT19937 struct {
 	mt  [mtNN]uint64
 	mti int
@@ -22,6 +26,14 @@ func NewMT19937(seed uint64) *MT19937 {
 	m := &MT19937{}
 	m.Seed(seed)
 	return m
+}
+
+// NewMTHashed derives an MT19937 from structural ids the way prng.New
+// derives a xoshiro256** stream: the naive fidelity choice of one full
+// Twister seeding per structural stream.
+func NewMTHashed(seed uint64, ids ...uint64) *MT19937 {
+	h1, h2 := prng.HashWords128(seed, ids...)
+	return NewMT19937Array([]uint64{h1, h2, seed})
 }
 
 // NewMT19937Array returns a generator initialized with an array seed,

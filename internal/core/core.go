@@ -1,15 +1,11 @@
 // Package core holds the machinery shared by every communication-free
 // generator: the chunking of the vertex set, the seed-tag namespace that
 // keeps the pseudorandom streams of different generators and recursion
-// levels independent, and the per-PE result bookkeeping used by the
-// scaling experiments.
+// levels independent, and the Emitter every generator streams a chunk
+// into.
 package core
 
-import (
-	"math"
-
-	"repro/internal/graph"
-)
+import "math"
 
 // Seed tags namespace the hash streams of the individual generators so
 // that reusing one user seed across models cannot correlate their
@@ -60,19 +56,6 @@ func (c Chunking) Owner(v uint64) uint64 {
 	return ((v+1)*c.Chunks - 1) / c.N
 }
 
-// Result is the output of one logical PE: its local edges plus the work
-// counters that the experiments report.
-type Result struct {
-	PE    int
-	Edges []graph.Edge
-	// RedundantVertices counts vertices the PE generated that belong to
-	// another PE (ghost cells, recomputed chunks) — the recomputation
-	// overhead the paper's weak-scaling discussion attributes cost to.
-	RedundantVertices uint64
-	// Comparisons counts candidate distance evaluations (spatial models).
-	Comparisons uint64
-}
-
 // TriangularIndex maps a linear index of the strict lower triangle of a
 // matrix (row-major: (1,0), (2,0), (2,1), (3,0), ...) to its (row, col)
 // coordinates. It is the offset computation that converts samples of a
@@ -89,13 +72,4 @@ func TriangularIndex(idx uint64) (row, col uint64) {
 	}
 	col = idx - row*(row-1)/2
 	return row, col
-}
-
-// MergeResults concatenates per-PE results into a single edge list.
-func MergeResults(n uint64, results []Result) *graph.EdgeList {
-	parts := make([][]graph.Edge, len(results))
-	for i, r := range results {
-		parts[i] = r.Edges
-	}
-	return graph.Merge(n, parts...)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -89,14 +90,37 @@ func TestTriangularIndexLarge(t *testing.T) {
 	}
 }
 
+// TestMergeResults: Generate merges the collected chunks in PE order for
+// any worker count, and a flushing Emitter hands over exactly the edges a
+// collecting one keeps.
 func TestMergeResults(t *testing.T) {
-	res := []Result{
-		{PE: 0, Edges: []graph.Edge{{U: 0, V: 1}}},
-		{PE: 1, Edges: []graph.Edge{{U: 1, V: 0}, {U: 1, V: 2}}},
+	stream := func(pe uint64, e *Emitter) {
+		for i := uint64(0); i <= pe; i++ {
+			e.Append(pe, i)
+		}
+		e.Comparisons++
 	}
-	el := MergeResults(3, res)
-	if el.N != 3 || el.Len() != 3 {
-		t.Fatalf("merged n=%d m=%d", el.N, el.Len())
+	var want []graph.Edge
+	for pe := uint64(0); pe < 5; pe++ {
+		for i := uint64(0); i <= pe; i++ {
+			want = append(want, graph.Edge{U: pe, V: i})
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		el := Generate(5, 5, workers, stream)
+		if el.N != 5 || !slices.Equal(el.Edges, want) {
+			t.Fatalf("workers=%d: merged n=%d edges %v, want %v", workers, el.N, el.Edges, want)
+		}
+	}
+	var got []graph.Edge
+	e := NewEmitter(make([]graph.Edge, 0, 2), func(full []graph.Edge) ([]graph.Edge, bool) {
+		got = append(got, full...)
+		return full, true
+	})
+	stream(4, e)
+	got = append(got, e.Edges()...)
+	if !slices.Equal(got, want[10:]) || e.Comparisons != 1 {
+		t.Fatalf("flushed %v (work %+v), want %v", got, e.Work, want[10:])
 	}
 }
 

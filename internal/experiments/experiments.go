@@ -17,7 +17,10 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/gnm"
+	"repro/internal/graph"
+	"repro/internal/pe"
 	"repro/internal/rdg"
 	"repro/internal/rgg"
 	"repro/internal/rhg"
@@ -75,6 +78,19 @@ func timeIt(fn func()) float64 {
 	return time.Since(start).Seconds()
 }
 
+// streamed runs one chunk down the stream path a job runs — into an
+// Emitter whose batch is dropped as it fills — and returns how many edges
+// it emitted.
+func streamed(chunk func(*core.Emitter)) int {
+	n := 0
+	e := core.NewEmitter(make([]graph.Edge, 0, pe.DefaultBatchSize), func(full []graph.Edge) ([]graph.Edge, bool) {
+		n += len(full)
+		return full, true
+	})
+	chunk(e)
+	return n + len(e.Edges())
+}
+
 // samplePEs returns up to k PE ids spread over [0, P).
 func samplePEs(P uint64, k int) []uint64 {
 	if P <= uint64(k) {
@@ -127,7 +143,7 @@ func (r runner) fig06() {
 		for _, n := range ns {
 			for m := uint64(1 << 12); m <= maxM; m <<= 2 {
 				p := gnm.Params{N: n, M: m, Directed: directed, Seed: r.Seed, Chunks: 1}
-				tk := timeIt(func() { gnm.GenerateChunk(p, 0) })
+				tk := timeIt(func() { streamed(func(e *core.Emitter) { gnm.StreamChunk(p, 0, e) }) })
 				tb := timeIt(func() { baseline.GNMBatageljBrandes(n, m, directed, r.Seed) })
 				fmt.Fprintf(r.Out, "%s,%d,%d,%.4f,%.4f\n", variant, n, m, tk, tb)
 			}
@@ -155,7 +171,7 @@ func (r runner) fig07() {
 			for P := uint64(1); P <= maxP; P <<= 2 {
 				m := perPE * P
 				p := gnm.Params{N: m / 16, M: m, Directed: directed, Seed: r.Seed, Chunks: P}
-				s := maxChunkSeconds(P, func(pe uint64) { gnm.GenerateChunk(p, pe) })
+				s := maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { gnm.StreamChunk(p, pe, e) }) })
 				fmt.Fprintf(r.Out, "%s,%d,%d,%.4f\n", variant, perPE, P, s)
 			}
 		}
@@ -177,7 +193,7 @@ func (r runner) fig08() {
 		for _, m := range ms {
 			for P := uint64(4); P <= 256; P <<= 2 {
 				p := gnm.Params{N: m / 16, M: m, Directed: directed, Seed: r.Seed, Chunks: P}
-				s := maxChunkSeconds(P, func(pe uint64) { gnm.GenerateChunk(p, pe) })
+				s := maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { gnm.StreamChunk(p, pe, e) }) })
 				fmt.Fprintf(r.Out, "%s,%d,%d,%.4f\n", variant, m, P, s)
 			}
 		}
@@ -201,7 +217,7 @@ func (r runner) fig09() {
 		n := perPE * P
 		rad := rgg.ConnectivityRadius(n, 2) / math.Sqrt(float64(P))
 		p := rgg.Params{N: n, R: rad, Dim: 2, Seed: r.Seed, Chunks: P}
-		tk := maxChunkSeconds(P, func(pe uint64) { rgg.GenerateChunk(p, pe) })
+		tk := maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { rgg.StreamChunk(p, pe, e) }) })
 		pts := baseline.UniformPoints(n, 2, r.Seed)
 		tcompute := timeIt(func() { baseline.RGGHoltgrewe(pts, rad) }) / float64(P)
 		tcomm := cost.SimulatedExchangeSeconds(n, P)
@@ -237,7 +253,7 @@ func (r runner) fig10() {
 				n := perPE * P
 				p := rgg.Params{N: n, Dim: dim, Seed: r.Seed, Chunks: P}
 				p.R = rgg.ConnectivityRadius(n, dim)
-				s := maxChunkSeconds(P, func(pe uint64) { rgg.GenerateChunk(p, pe) })
+				s := maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { rgg.StreamChunk(p, pe, e) }) })
 				fmt.Fprintf(r.Out, "%d,%d,%d,%.4f\n", dim, perPE, P, s)
 			}
 		}
@@ -256,7 +272,7 @@ func (r runner) fig11() {
 			for P := uint64(4); P <= 64; P <<= 2 {
 				p := rgg.Params{N: n, Dim: dim, Seed: r.Seed, Chunks: P}
 				p.R = rgg.ConnectivityRadius(n, dim)
-				s := maxChunkSeconds(P, func(pe uint64) { rgg.GenerateChunk(p, pe) })
+				s := maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { rgg.StreamChunk(p, pe, e) }) })
 				fmt.Fprintf(r.Out, "%d,%d,%d,%.4f\n", dim, n, P, s)
 			}
 		}
@@ -282,7 +298,7 @@ func (r runner) fig12() {
 		for _, perPE := range perPEs {
 			for P := uint64(1); P <= maxP; P <<= 2 {
 				p := rdg.Params{N: perPE * P, Dim: dim, Seed: r.Seed, Chunks: P}
-				s := maxChunkSeconds(P, func(pe uint64) { rdg.GenerateChunk(p, pe) })
+				s := maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { rdg.StreamChunk(p, pe, e) }) })
 				fmt.Fprintf(r.Out, "%d,%d,%d,%.4f\n", dim, perPE, P, s)
 			}
 		}
@@ -297,7 +313,7 @@ func (r runner) fig13() {
 		for _, n := range ns[dim] {
 			for P := uint64(4); P <= 64; P <<= 2 {
 				p := rdg.Params{N: n, Dim: dim, Seed: r.Seed, Chunks: P}
-				s := maxChunkSeconds(P, func(pe uint64) { rdg.GenerateChunk(p, pe) })
+				s := maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { rdg.StreamChunk(p, pe, e) }) })
 				fmt.Fprintf(r.Out, "%d,%d,%d,%.4f\n", dim, n, P, s)
 			}
 		}
@@ -327,11 +343,11 @@ func (r runner) fig14() {
 				})
 				run("rhg", func() int {
 					p := rhg.Params{N: n, AvgDeg: deg, Gamma: gamma, Seed: r.Seed, Chunks: 1}
-					return len(rhg.GenerateChunk(p, 0).Edges)
+					return streamed(func(e *core.Emitter) { rhg.StreamChunk(p, 0, e) })
 				})
 				run("srhg", func() int {
 					p := srhg.Params{N: n, AvgDeg: deg, Gamma: gamma, Seed: r.Seed, Chunks: 1}
-					return len(srhg.GenerateChunk(p, 0).Edges)
+					return streamed(func(e *core.Emitter) { srhg.StreamChunk(p, 0, e) })
 				})
 			}
 		}
@@ -353,10 +369,10 @@ func (r runner) fig15() {
 		for P := uint64(1); P <= maxP; P <<= 2 {
 			n := perPE * P
 			pr := rhg.Params{N: n, AvgDeg: 16, Gamma: 3.0, Seed: r.Seed, Chunks: P}
-			s := maxChunkSeconds(P, func(pe uint64) { rhg.GenerateChunk(pr, pe) })
+			s := maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { rhg.StreamChunk(pr, pe, e) }) })
 			fmt.Fprintf(r.Out, "rhg,%d,%d,%.4f\n", perPE, P, s)
 			ps := srhg.Params{N: n, AvgDeg: 16, Gamma: 3.0, Seed: r.Seed, Chunks: P}
-			s = maxChunkSeconds(P, func(pe uint64) { srhg.GenerateChunk(ps, pe) })
+			s = maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { srhg.StreamChunk(ps, pe, e) }) })
 			fmt.Fprintf(r.Out, "srhg,%d,%d,%.4f\n", perPE, P, s)
 		}
 	}
@@ -372,10 +388,10 @@ func (r runner) fig16() {
 	for _, n := range ns {
 		for P := uint64(4); P <= 64; P <<= 2 {
 			pr := rhg.Params{N: n, AvgDeg: 16, Gamma: 3.0, Seed: r.Seed, Chunks: P}
-			s := maxChunkSeconds(P, func(pe uint64) { rhg.GenerateChunk(pr, pe) })
+			s := maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { rhg.StreamChunk(pr, pe, e) }) })
 			fmt.Fprintf(r.Out, "rhg,%d,%d,%.4f\n", n, P, s)
 			ps := srhg.Params{N: n, AvgDeg: 16, Gamma: 3.0, Seed: r.Seed, Chunks: P}
-			s = maxChunkSeconds(P, func(pe uint64) { srhg.GenerateChunk(ps, pe) })
+			s = maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { srhg.StreamChunk(ps, pe, e) }) })
 			fmt.Fprintf(r.Out, "srhg,%d,%d,%.4f\n", n, P, s)
 		}
 	}
@@ -402,7 +418,7 @@ func (r runner) fig17() {
 			// The first sampled PE also builds the alias tables, as every
 			// real PE would; the sweep's parameters are valid by construction.
 			g := rmat.NewGenerator(rmat.Params{Scale: scale, M: m, Seed: r.Seed, Chunks: P})
-			s := maxChunkSeconds(P, func(pe uint64) { _, _ = g.GenerateChunk(pe) })
+			s := maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { g.StreamChunk(pe, e) }) })
 			fmt.Fprintf(r.Out, "%d,%d,%.4f\n", perPE, P, s)
 		}
 	}
@@ -418,7 +434,7 @@ func (r runner) fig18() {
 	for _, m := range ms {
 		for P := uint64(4); P <= 256; P <<= 2 {
 			g := rmat.NewGenerator(rmat.Params{Scale: 16, M: m, Seed: r.Seed, Chunks: P})
-			s := maxChunkSeconds(P, func(pe uint64) { _, _ = g.GenerateChunk(pe) })
+			s := maxChunkSeconds(P, func(pe uint64) { streamed(func(e *core.Emitter) { g.StreamChunk(pe, e) }) })
 			fmt.Fprintf(r.Out, "%d,%d,%.4f\n", m, P, s)
 		}
 	}

@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
-	"repro/internal/pe"
 	"repro/internal/prng"
 	"repro/internal/sampling"
 )
@@ -50,42 +48,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Generate produces the full graph by running all chunks on a worker pool
-// and merging their local edge lists. Undirected edges appear once per
-// endpoint (both orientations in the merged list).
-func Generate(p Params, workers int) (*graph.EdgeList, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	chunks := int(p.chunks())
-	results := pe.ForEach(chunks, workers, func(c int) []graph.Edge {
-		return GenerateChunk(p, uint64(c))
-	})
-	return graph.Merge(p.N, results...), nil
-}
-
-// GenerateChunk returns the local edges of one logical PE: all sampled
-// edges incident to the PE's vertex range, oriented away from local
-// vertices (partitioned output convention).
-func GenerateChunk(p Params, chunk uint64) []graph.Edge {
-	if p.Directed {
-		return directedChunk(p, chunk)
-	}
-	return undirectedChunk(p, chunk)
-}
-
-// --- Directed case (§4.1) ---
-
-// directedChunk samples the edges whose source vertex lies in the chunk.
-// The chunk's edge count is known before sampling, so the slice is
-// allocated exactly once.
-func directedChunk(p Params, chunk uint64) []graph.Edge {
-	k := directedChunkCount(p, chunk)
-	edges := make([]graph.Edge, 0, k)
-	streamDirectedChunk(p, chunk, k, func(e graph.Edge) { edges = append(edges, e) })
-	return edges
-}
-
 // directedChunkCount returns the chunk's sample count from the shared
 // divide-and-conquer splitting.
 func directedChunkCount(p Params, chunk uint64) uint64 {
@@ -94,16 +56,12 @@ func directedChunkCount(p Params, chunk uint64) uint64 {
 	return sampling.ChunkCount(p.Seed^core.TagGNMDirected, p.M, p.chunks(), size, chunk)
 }
 
-// StreamDirectedChunk emits the chunk's edges through a callback without
-// materializing them (the memory-bounded generation mode of §8.2/§9).
+// streamDirected samples the edges whose source vertex lies in the chunk.
 // The universe of chunk i is rows_i * (n-1) matrix entries (self-loop
 // column removed); the per-chunk sample count comes from the shared
 // divide-and-conquer splitting.
-func StreamDirectedChunk(p Params, chunk uint64, emit func(graph.Edge)) {
-	streamDirectedChunk(p, chunk, directedChunkCount(p, chunk), emit)
-}
-
-func streamDirectedChunk(p Params, chunk, k uint64, emit func(graph.Edge)) {
+func streamDirected(p Params, chunk uint64, e *core.Emitter) {
+	k := directedChunkCount(p, chunk)
 	ch := core.Chunking{N: p.N, Chunks: p.chunks()}
 	rowStart := ch.Start(chunk)
 	universe := ch.Size(chunk) * (p.N - 1)
@@ -115,115 +73,26 @@ func streamDirectedChunk(p Params, chunk, k uint64, emit func(graph.Edge)) {
 		if rem >= u {
 			v = rem + 1 // skip the self-loop column
 		}
-		emit(graph.Edge{U: u, V: v})
+		e.Append(u, v)
 	})
 }
 
 // --- Undirected case (§4.2) ---
 
-// undirectedChunk is a thin collector over the streaming sweep: it derives
-// all pair counts in one recursion pass into a flat slice, pre-sizes the
-// edge slice exactly from their sum (a diagonal pair emits both
-// orientations), and replays the counted sweep.
-func undirectedChunk(p Params, chunk uint64) []graph.Edge {
-	P := p.chunks()
-	ch := core.Chunking{N: p.N, Chunks: P}
-	counts := make([]uint64, P)
-	splitTriangleInto(p, ch, 0, P, p.M, chunk, counts)
-	var total uint64
-	for other, k := range counts {
-		total += k
-		if uint64(other) == chunk {
-			total += k // diagonal: both orientations are local
-		}
-	}
-	edges := make([]graph.Edge, 0, total)
-	streamUndirectedPairs(p, chunk, counts, func(e graph.Edge) { edges = append(edges, e) })
-	return edges
-}
-
-// splitTriangleInto fills out[other] with the edge count of every chunk
-// pair involving `chunk`, descending the full quadrant recursion once —
-// O(P) nodes, against the P independent O(log P) descents the streaming
-// mode performs. Both derivations draw the same subtree-seeded variates
-// with the same budgets, so their counts are bit-identical; only the
-// traversal is shared here.
-func splitTriangleInto(p Params, ch core.Chunking, lo, hi, k, chunk uint64, out []uint64) {
-	if k == 0 {
-		return
-	}
-	if hi-lo == 1 {
-		if lo == chunk {
-			out[lo] = k
-		}
-		return
-	}
-	mid := lo + (hi-lo)/2
-	lowTri := triUniverse(ch, lo, mid)
-	rect := rectUniverse(ch, mid, hi, lo, mid)
-	highTri := triUniverse(ch, mid, hi)
-	total := lowTri + rect + highTri
-
-	r := prng.New(p.Seed, core.TagGNMUndirected, lo, hi)
-	inLow := dist.Hypergeometric(&r, total, lowTri, k)
-	rest := k - inLow
-	inRect := dist.Hypergeometric(&r, total-lowTri, rect, rest)
-
-	if chunk < mid {
-		splitTriangleInto(p, ch, lo, mid, inLow, chunk, out)
-	} else {
-		splitTriangleInto(p, ch, mid, hi, rest-inRect, chunk, out)
-	}
-	// The rectangle holds the chunk's row if chunk >= mid and its column
-	// if chunk < mid; either way it contributes pairs involving the chunk.
-	splitRectInto(p, ch, mid, hi, lo, mid, inRect, chunk, out)
-}
-
-// splitRectInto distributes k edges over the rectangular block rows
-// [rlo,rhi) x cols [clo,chi), halving the longer side, and records the
-// counts of chunk pairs involving `chunk` at out[i+j-chunk].
-func splitRectInto(p Params, ch core.Chunking, rlo, rhi, clo, chi, k, chunk uint64, out []uint64) {
-	if k == 0 {
-		return
-	}
-	// Skip subtrees that cannot involve the chunk.
-	if !(chunk >= rlo && chunk < rhi) && !(chunk >= clo && chunk < chi) {
-		return
-	}
-	if rhi-rlo == 1 && chi-clo == 1 {
-		out[rlo+clo-chunk] = k
-		return
-	}
-	r := prng.New(p.Seed, core.TagGNMUndirected, rlo<<32|rhi, clo<<32|chi)
-	if rhi-rlo >= chi-clo {
-		mid := rlo + (rhi-rlo)/2
-		left := rectUniverse(ch, rlo, mid, clo, chi)
-		total := left + rectUniverse(ch, mid, rhi, clo, chi)
-		inLeft := dist.Hypergeometric(&r, total, left, k)
-		splitRectInto(p, ch, rlo, mid, clo, chi, inLeft, chunk, out)
-		splitRectInto(p, ch, mid, rhi, clo, chi, k-inLeft, chunk, out)
-	} else {
-		mid := clo + (chi-clo)/2
-		left := rectUniverse(ch, rlo, rhi, clo, mid)
-		total := left + rectUniverse(ch, rlo, rhi, mid, chi)
-		inLeft := dist.Hypergeometric(&r, total, left, k)
-		splitRectInto(p, ch, rlo, rhi, clo, mid, inLeft, chunk, out)
-		splitRectInto(p, ch, rlo, rhi, mid, chi, k-inLeft, chunk, out)
-	}
-}
-
-// StreamChunk emits one logical PE's local edges through a callback without
+// StreamChunk emits one logical PE's local edges into e without
 // materializing them, dispatching on Directed (the memory-bounded
-// generation mode of §8.2/§9).
-func StreamChunk(p Params, chunk uint64, emit func(graph.Edge)) {
+// generation mode of §8.2/§9): all sampled edges incident to the PE's
+// vertex range, oriented away from local vertices (partitioned output
+// convention). Undirected edges appear once per endpoint across the PEs.
+func StreamChunk(p Params, chunk uint64, e *core.Emitter) {
 	if p.Directed {
-		StreamDirectedChunk(p, chunk, emit)
+		streamDirected(p, chunk, e)
 		return
 	}
-	StreamUndirectedChunk(p, chunk, emit)
+	streamUndirected(p, chunk, e)
 }
 
-// StreamUndirectedChunk emits all edges incident to chunk i without
+// streamUndirected emits all edges incident to chunk i without
 // buffering: it walks chunk i's triangular row in order — the rectangular
 // pairs (i,j), j < i, the diagonal pair (i,i), then the column pairs (j,i),
 // j > i — and emits the locally oriented copy of each pair's edges straight
@@ -233,15 +102,7 @@ func StreamChunk(p Params, chunk uint64, emit func(graph.Edge)) {
 // set is the descent path plus the sampler state, independent of P and m.
 // Each chunk pair is regenerated redundantly by both owners from the same
 // seed, which is what removes communication.
-func StreamUndirectedChunk(p Params, chunk uint64, emit func(graph.Edge)) {
-	streamUndirectedPairs(p, chunk, nil, emit)
-}
-
-// streamUndirectedPairs is the shared sweep: counts[other], when non-nil,
-// supplies each pair's precomputed edge count (the collector's single
-// count pass); a nil counts derives every pair on demand, which is the
-// allocation-free streaming mode.
-func streamUndirectedPairs(p Params, chunk uint64, counts []uint64, emit func(graph.Edge)) {
+func streamUndirected(p Params, chunk uint64, e *core.Emitter) {
 	P := p.chunks()
 	ch := core.Chunking{N: p.N, Chunks: P}
 	for other := uint64(0); other < P; other++ {
@@ -249,12 +110,7 @@ func streamUndirectedPairs(p Params, chunk uint64, counts []uint64, emit func(gr
 		if other > chunk {
 			i, j = other, chunk
 		}
-		var k uint64
-		if counts != nil {
-			k = counts[other]
-		} else {
-			k = pairEdgeCount(p, ch, i, j)
-		}
+		k := pairEdgeCount(p, ch, i, j)
 		if k == 0 {
 			continue
 		}
@@ -262,8 +118,8 @@ func streamUndirectedPairs(p Params, chunk uint64, counts []uint64, emit func(gr
 		if i == j {
 			sampleTriangular(&r, ch.Start(i), ch.Size(i), k, func(u, v uint64) {
 				// Both endpoints local: emit both orientations.
-				emit(graph.Edge{U: u, V: v})
-				emit(graph.Edge{U: v, V: u})
+				e.Append(u, v)
+				e.Append(v, u)
 			})
 			continue
 		}
@@ -273,28 +129,12 @@ func streamUndirectedPairs(p Params, chunk uint64, counts []uint64, emit func(gr
 		sampleRectangular(&r, rowStart, colStart, ch.Size(i), cols, k, func(u, v uint64) {
 			// u is in chunk i, v in chunk j: emit the locally oriented copy.
 			if local {
-				emit(graph.Edge{U: u, V: v})
+				e.Append(u, v)
 			} else {
-				emit(graph.Edge{U: v, V: u})
+				e.Append(v, u)
 			}
 		})
 	}
-}
-
-// UndirectedChunkEdgeCount returns the exact number of edges the chunk
-// emits (the diagonal pair counts twice — both orientations are local)
-// without generating any of them, enabling exact pre-sizing and progress
-// accounting. It shares the collector's single-pass counting.
-func UndirectedChunkEdgeCount(p Params, chunk uint64) uint64 {
-	P := p.chunks()
-	ch := core.Chunking{N: p.N, Chunks: P}
-	counts := make([]uint64, P)
-	splitTriangleInto(p, ch, 0, P, p.M, chunk, counts)
-	total := counts[chunk] // diagonal: both orientations are local
-	for _, k := range counts {
-		total += k
-	}
-	return total
 }
 
 // triUniverse is the number of distinct unordered non-loop pairs inside the

@@ -6,13 +6,29 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/prng"
 )
+
+// generate and generateChunk collect chunks from StreamChunk, the way the
+// root package's generator does.
+func generate(p Params, workers int) (*graph.EdgeList, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return core.Generate(p.N, p.chunks(), workers, func(pe uint64, e *core.Emitter) { StreamChunk(p, pe, e) }), nil
+}
+
+func generateChunk(p Params, pe uint64) []graph.Edge {
+	edges, _ := core.Collect(func(e *core.Emitter) { StreamChunk(p, pe, e) })
+	return edges
+}
 
 func TestDirectedExactCount(t *testing.T) {
 	for _, chunks := range []uint64{1, 2, 7, 16} {
 		p := Params{N: 1000, M: 5000, Directed: true, Seed: 42, Chunks: chunks}
-		el, err := Generate(p, 4)
+		el, err := generate(p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +51,7 @@ func TestDirectedExactCount(t *testing.T) {
 
 func TestDirectedCompleteGraph(t *testing.T) {
 	p := Params{N: 40, M: 40 * 39, Directed: true, Seed: 1, Chunks: 4}
-	el, err := Generate(p, 2)
+	el, err := generate(p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +67,7 @@ func TestDirectedCompleteGraph(t *testing.T) {
 func TestUndirectedCounts(t *testing.T) {
 	for _, chunks := range []uint64{1, 2, 5, 13} {
 		p := Params{N: 500, M: 3000, Seed: 7, Chunks: chunks}
-		el, err := Generate(p, 4)
+		el, err := generate(p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +89,7 @@ func TestUndirectedCounts(t *testing.T) {
 // (v,u) for every sampled pair — each endpoint's owner emits its copy.
 func TestUndirectedBothOrientations(t *testing.T) {
 	p := Params{N: 300, M: 2000, Seed: 3, Chunks: 8}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +111,8 @@ func TestRedundancyConsistency(t *testing.T) {
 	ch := chunkingOf(p)
 	for i := uint64(0); i < 8; i++ {
 		for j := uint64(0); j < i; j++ {
-			ei := GenerateChunk(p, i)
-			ej := GenerateChunk(p, j)
+			ei := generateChunk(p, i)
+			ej := generateChunk(p, j)
 			// Edges of PE i with the other endpoint in chunk j.
 			setI := make(map[graph.Edge]bool)
 			for _, e := range ei {
@@ -136,13 +152,13 @@ func (c chunking) Owner(v uint64) uint64 {
 func TestWorkerIndependence(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		p := Params{N: 600, M: 4000, Directed: directed, Seed: 5, Chunks: 16}
-		base, err := Generate(p, 1)
+		base, err := generate(p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		base.Sort()
 		for _, workers := range []int{2, 4, 16} {
-			got, err := Generate(p, workers)
+			got, err := generate(p, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +184,7 @@ func TestDirectedUniformity(t *testing.T) {
 	counts := make(map[graph.Edge]int)
 	for s := uint64(0); s < trials; s++ {
 		p := Params{N: n, M: m, Directed: true, Seed: s, Chunks: 3}
-		el, err := Generate(p, 2)
+		el, err := generate(p, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +214,7 @@ func TestUndirectedUniformity(t *testing.T) {
 	counts := make(map[graph.Edge]int)
 	for s := uint64(0); s < trials; s++ {
 		p := Params{N: n, M: m, Seed: s, Chunks: 4}
-		el, err := Generate(p, 2)
+		el, err := generate(p, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +294,7 @@ func TestPropertyValidInstances(t *testing.T) {
 			chunks = n
 		}
 		p := Params{N: n, M: m, Directed: directed, Seed: uint64(seed), Chunks: chunks}
-		el, err := Generate(p, 2)
+		el, err := generate(p, 2)
 		if err != nil {
 			return false
 		}
@@ -296,7 +312,7 @@ func BenchmarkDirectedChunk(b *testing.B) {
 	p := Params{N: 1 << 18, M: 1 << 22, Directed: true, Seed: 1, Chunks: 16}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateChunk(p, 7)
+		generateChunk(p, 7)
 	}
 }
 
@@ -304,33 +320,107 @@ func BenchmarkUndirectedChunk(b *testing.B) {
 	p := Params{N: 1 << 18, M: 1 << 22, Seed: 1, Chunks: 16}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateChunk(p, 7)
+		generateChunk(p, 7)
 	}
 }
 
-// TestStreamUndirectedMatchesChunk: the streaming sweep must emit exactly
-// the materialized chunk's edges in order, and UndirectedChunkEdgeCount
-// must predict the emission count exactly (it is the pre-sizing contract
-// of the collector).
+// TestStreamUndirectedMatchesChunk: every pair count the sweep derives by
+// its O(log P) descent must equal the full quadrant recursion's (the
+// reference below, which descends the whole tree once), and the sweep must
+// emit exactly the pairs' edges: the diagonal pair twice over, every other
+// pair once.
 func TestStreamUndirectedMatchesChunk(t *testing.T) {
 	for _, chunks := range []uint64{1, 2, 5, 13} {
 		p := Params{N: 500, M: 3000, Seed: 7, Chunks: chunks}
+		ch := core.Chunking{N: p.N, Chunks: chunks}
 		for c := uint64(0); c < chunks; c++ {
-			want := GenerateChunk(p, c)
-			if n := UndirectedChunkEdgeCount(p, c); n != uint64(len(want)) {
-				t.Fatalf("chunks=%d pe=%d: predicted %d edges, materialized %d", chunks, c, n, len(want))
-			}
-			got := make([]graph.Edge, 0, len(want))
-			StreamUndirectedChunk(p, c, func(e graph.Edge) { got = append(got, e) })
-			if len(got) != len(want) {
-				t.Fatalf("chunks=%d pe=%d: streamed %d edges, want %d", chunks, c, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("chunks=%d pe=%d: edge %d = %v, want %v", chunks, c, i, got[i], want[i])
+			counts := make([]uint64, chunks)
+			splitTriangleInto(p, ch, 0, chunks, p.M, c, counts)
+			want := counts[c] // diagonal: both orientations are local
+			for other, k := range counts {
+				i, j := c, uint64(other)
+				if j > i {
+					i, j = j, i
 				}
+				if got := pairEdgeCount(p, ch, i, j); got != k {
+					t.Fatalf("chunks=%d pe=%d: pair (%d,%d) descends to %d edges, recursion says %d", chunks, c, i, j, got, k)
+				}
+				want += k
+			}
+			if got := uint64(len(generateChunk(p, c))); got != want {
+				t.Fatalf("chunks=%d pe=%d: streamed %d edges, want %d", chunks, c, got, want)
 			}
 		}
+	}
+}
+
+// splitTriangleInto fills out[other] with the edge count of every chunk
+// pair involving `chunk`, descending the full quadrant recursion once —
+// O(P) nodes, against the P independent O(log P) descents the streaming
+// mode performs. Both derivations draw the same subtree-seeded variates
+// with the same budgets, so their counts are bit-identical; only the
+// traversal is shared here.
+func splitTriangleInto(p Params, ch core.Chunking, lo, hi, k, chunk uint64, out []uint64) {
+	if k == 0 {
+		return
+	}
+	if hi-lo == 1 {
+		if lo == chunk {
+			out[lo] = k
+		}
+		return
+	}
+	mid := lo + (hi-lo)/2
+	lowTri := triUniverse(ch, lo, mid)
+	rect := rectUniverse(ch, mid, hi, lo, mid)
+	highTri := triUniverse(ch, mid, hi)
+	total := lowTri + rect + highTri
+
+	r := prng.New(p.Seed, core.TagGNMUndirected, lo, hi)
+	inLow := dist.Hypergeometric(&r, total, lowTri, k)
+	rest := k - inLow
+	inRect := dist.Hypergeometric(&r, total-lowTri, rect, rest)
+
+	if chunk < mid {
+		splitTriangleInto(p, ch, lo, mid, inLow, chunk, out)
+	} else {
+		splitTriangleInto(p, ch, mid, hi, rest-inRect, chunk, out)
+	}
+	// The rectangle holds the chunk's row if chunk >= mid and its column
+	// if chunk < mid; either way it contributes pairs involving the chunk.
+	splitRectInto(p, ch, mid, hi, lo, mid, inRect, chunk, out)
+}
+
+// splitRectInto distributes k edges over the rectangular block rows
+// [rlo,rhi) x cols [clo,chi), halving the longer side, and records the
+// counts of chunk pairs involving `chunk` at out[i+j-chunk].
+func splitRectInto(p Params, ch core.Chunking, rlo, rhi, clo, chi, k, chunk uint64, out []uint64) {
+	if k == 0 {
+		return
+	}
+	// Skip subtrees that cannot involve the chunk.
+	if !(chunk >= rlo && chunk < rhi) && !(chunk >= clo && chunk < chi) {
+		return
+	}
+	if rhi-rlo == 1 && chi-clo == 1 {
+		out[rlo+clo-chunk] = k
+		return
+	}
+	r := prng.New(p.Seed, core.TagGNMUndirected, rlo<<32|rhi, clo<<32|chi)
+	if rhi-rlo >= chi-clo {
+		mid := rlo + (rhi-rlo)/2
+		left := rectUniverse(ch, rlo, mid, clo, chi)
+		total := left + rectUniverse(ch, mid, rhi, clo, chi)
+		inLeft := dist.Hypergeometric(&r, total, left, k)
+		splitRectInto(p, ch, rlo, mid, clo, chi, inLeft, chunk, out)
+		splitRectInto(p, ch, mid, rhi, clo, chi, k-inLeft, chunk, out)
+	} else {
+		mid := clo + (chi-clo)/2
+		left := rectUniverse(ch, rlo, rhi, clo, mid)
+		total := left + rectUniverse(ch, rlo, rhi, mid, chi)
+		inLeft := dist.Hypergeometric(&r, total, left, k)
+		splitRectInto(p, ch, rlo, rhi, clo, mid, inLeft, chunk, out)
+		splitRectInto(p, ch, rlo, rhi, mid, chi, k-inLeft, chunk, out)
 	}
 }
 
@@ -359,11 +449,13 @@ func TestPairEdgeCountsSumToM(t *testing.T) {
 func TestStreamUndirectedAllocs(t *testing.T) {
 	p := Params{N: 1 << 12, M: 1 << 15, Seed: 1, Chunks: 16}
 	var sink uint64
-	allocs := testing.AllocsPerRun(5, func() {
-		StreamUndirectedChunk(p, 8, func(e graph.Edge) { sink += e.U })
+	e := core.NewEmitter(make([]graph.Edge, 0, 256), func(full []graph.Edge) ([]graph.Edge, bool) {
+		sink += full[0].U
+		return full, true
 	})
+	allocs := testing.AllocsPerRun(5, func() { StreamChunk(p, 8, e) })
 	if allocs > 4 {
-		t.Errorf("StreamUndirectedChunk allocates %.0f times per chunk, want O(1)", allocs)
+		t.Errorf("StreamChunk allocates %.0f times per undirected chunk, want O(1)", allocs)
 	}
 	_ = sink
 }

@@ -11,12 +11,9 @@ package gnp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
-	"repro/internal/pe"
 	"repro/internal/prng"
 	"repro/internal/sampling"
 )
@@ -54,54 +51,8 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Generate produces the full graph across all chunks.
-func Generate(p Params, workers int) (*graph.EdgeList, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	results := pe.ForEach(int(p.chunks()), workers, func(c int) []graph.Edge {
-		return GenerateChunk(p, uint64(c))
-	})
-	return graph.Merge(p.N, results...), nil
-}
-
-// GenerateChunk returns the local edges of one logical PE.
-func GenerateChunk(p Params, chunk uint64) []graph.Edge {
-	if p.Directed {
-		return directedChunk(p, chunk)
-	}
-	return undirectedChunk(p, chunk)
-}
-
-func directedChunk(p Params, chunk uint64) []graph.Edge {
-	ch := core.Chunking{N: p.N, Chunks: p.chunks()}
-	universe := ch.Size(chunk) * (p.N - 1)
-	edges := make([]graph.Edge, 0, expectedCap(universe, p.P))
-	StreamDirectedChunk(p, chunk, func(e graph.Edge) { edges = append(edges, e) })
-	return edges
-}
-
-// expectedCap returns a slice capacity covering a Binomial(universe, prob)
-// draw w.h.p.: the mean plus four standard deviations (σ² ≤ mean), clamped
-// to the universe. The count itself is drawn inside the chunk's seeded
-// stream, so pre-sizing from the expectation keeps the draw order — and
-// with it the instance definition — bit-identical while almost always
-// avoiding append growth.
-func expectedCap(universe uint64, prob float64) uint64 {
-	if prob >= 1 {
-		return universe
-	}
-	mean := float64(universe) * prob
-	c := uint64(mean + 4*math.Sqrt(mean) + 8)
-	if c > universe {
-		c = universe
-	}
-	return c
-}
-
-// StreamDirectedChunk emits the chunk's edges through a callback without
-// materializing them (memory-bounded generation, §8.2/§9).
-func StreamDirectedChunk(p Params, chunk uint64, emit func(graph.Edge)) {
+// streamDirected emits the edges whose source vertex lies in the chunk.
+func streamDirected(p Params, chunk uint64, e *core.Emitter) {
 	ch := core.Chunking{N: p.N, Chunks: p.chunks()}
 	rowStart := ch.Start(chunk)
 	universe := ch.Size(chunk) * (p.N - 1)
@@ -112,37 +63,23 @@ func StreamDirectedChunk(p Params, chunk uint64, emit func(graph.Edge)) {
 		if rem >= u {
 			v = rem + 1
 		}
-		emit(graph.Edge{U: u, V: v})
+		e.Append(u, v)
 	})
 }
 
-// undirectedChunk is a thin collector over StreamUndirectedChunk. The
-// expected total over all pairs involving the chunk — the diagonal
-// triangle (both orientations emitted) plus one rectangle per other chunk
-// — pre-sizes the slice from the expectation without touching any random
-// stream, so append growth is almost always avoided.
-func undirectedChunk(p Params, chunk uint64) []graph.Edge {
-	ch := core.Chunking{N: p.N, Chunks: p.chunks()}
-	size := ch.Size(chunk)
-	expected := 2 * expectedCap(size*(size-1)/2, p.P)
-	expected += expectedCap(size*(p.N-size), p.P)
-	edges := make([]graph.Edge, 0, expected)
-	StreamUndirectedChunk(p, chunk, func(e graph.Edge) { edges = append(edges, e) })
-	return edges
-}
-
-// StreamChunk emits one logical PE's local edges through a callback without
+// StreamChunk emits one logical PE's local edges into e without
 // materializing them, dispatching on Directed (the memory-bounded
-// generation mode of §8.2/§9).
-func StreamChunk(p Params, chunk uint64, emit func(graph.Edge)) {
+// generation mode of §8.2/§9). Undirected edges appear once per endpoint
+// across the PEs.
+func StreamChunk(p Params, chunk uint64, e *core.Emitter) {
 	if p.Directed {
-		StreamDirectedChunk(p, chunk, emit)
+		streamDirected(p, chunk, e)
 		return
 	}
-	StreamUndirectedChunk(p, chunk, emit)
+	streamUndirected(p, chunk, e)
 }
 
-// StreamUndirectedChunk walks the triangular chunk matrix of the G(n,m)
+// streamUndirected walks the triangular chunk matrix of the G(n,m)
 // generator in row order — rectangular pairs (i,j), j < i, the diagonal
 // pair (i,i), then the column pairs (j,i), j > i — and emits the locally
 // oriented copy of each pair's edges straight from the per-pair sample
@@ -150,7 +87,7 @@ func StreamChunk(p Params, chunk uint64, emit func(graph.Edge)) {
 // per-pair seed; because the pair counts are independent binomials there
 // is no splitting recursion at all, and the working set is just the
 // sampler state of one pair.
-func StreamUndirectedChunk(p Params, chunk uint64, emit func(graph.Edge)) {
+func streamUndirected(p Params, chunk uint64, e *core.Emitter) {
 	P := p.chunks()
 	ch := core.Chunking{N: p.N, Chunks: P}
 	for other := uint64(0); other < P; other++ {
@@ -165,8 +102,8 @@ func StreamUndirectedChunk(p Params, chunk uint64, emit func(graph.Edge)) {
 			sampleUniverse(p, i, j, universe, func(idx uint64) {
 				row, col := triangularIndex(idx)
 				// Both endpoints local: emit both orientations.
-				emit(graph.Edge{U: start + row, V: start + col})
-				emit(graph.Edge{U: start + col, V: start + row})
+				e.Append(start+row, start+col)
+				e.Append(start+col, start+row)
 			})
 			continue
 		}
@@ -178,9 +115,9 @@ func StreamUndirectedChunk(p Params, chunk uint64, emit func(graph.Edge)) {
 			u := rowStart + idx/cols
 			v := colStart + idx%cols
 			if local {
-				emit(graph.Edge{U: u, V: v})
+				e.Append(u, v)
 			} else {
-				emit(graph.Edge{U: v, V: u})
+				e.Append(v, u)
 			}
 		})
 	}

@@ -5,14 +5,41 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
+
+// generate and generateChunk collect chunks from StreamChunk, the way the
+// root package's generator does.
+func generate(p Params, workers int) (*graph.EdgeList, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return core.Generate(p.N, p.chunks(), workers, func(pe uint64, e *core.Emitter) { StreamChunk(p, pe, e) }), nil
+}
+
+func generateChunk(p Params, pe uint64) []graph.Edge {
+	edges, _ := core.Collect(func(e *core.Emitter) { StreamChunk(p, pe, e) })
+	return edges
+}
+
+// streamBatched streams a chunk through a flushing Emitter of the given
+// batch capacity and returns the edges in the order they were flushed.
+func streamBatched(p Params, pe uint64, batch int) []graph.Edge {
+	var got []graph.Edge
+	e := core.NewEmitter(make([]graph.Edge, 0, batch), func(full []graph.Edge) ([]graph.Edge, bool) {
+		got = append(got, full...)
+		return full, true
+	})
+	StreamChunk(p, pe, e)
+	return append(got, e.Edges()...)
+}
 
 func TestDirectedEdgeCountConcentration(t *testing.T) {
 	const n = 2000
 	const p = 0.005
 	params := Params{N: n, P: p, Directed: true, Seed: 9, Chunks: 8}
-	el, err := Generate(params, 4)
+	el, err := generate(params, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +57,7 @@ func TestUndirectedEdgeCountConcentration(t *testing.T) {
 	const n = 2000
 	const p = 0.005
 	params := Params{N: n, P: p, Seed: 10, Chunks: 8}
-	el, err := Generate(params, 4)
+	el, err := generate(params, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +81,11 @@ func TestSkipSamplingDistributionMatch(t *testing.T) {
 	var totalBinom, totalSkip int
 	const trials = 20
 	for s := uint64(0); s < trials; s++ {
-		a, err := Generate(Params{N: n, P: p, Directed: true, Seed: s, Chunks: 4}, 2)
+		a, err := generate(Params{N: n, P: p, Directed: true, Seed: s, Chunks: 4}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Generate(Params{N: n, P: p, Directed: true, Seed: s + 1000, Chunks: 4, SkipSampling: true}, 2)
+		b, err := generate(Params{N: n, P: p, Directed: true, Seed: s + 1000, Chunks: 4, SkipSampling: true}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +107,7 @@ func TestPerEdgeProbability(t *testing.T) {
 	const trials = 4000
 	counts := make(map[graph.Edge]int)
 	for s := uint64(0); s < trials; s++ {
-		el, err := Generate(Params{N: n, P: p, Directed: true, Seed: s, Chunks: 3}, 2)
+		el, err := generate(Params{N: n, P: p, Directed: true, Seed: s, Chunks: 3}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,12 +138,12 @@ func TestPerEdgeProbability(t *testing.T) {
 func TestWorkerIndependence(t *testing.T) {
 	for _, skip := range []bool{false, true} {
 		params := Params{N: 800, P: 0.01, Seed: 5, Chunks: 16, SkipSampling: skip}
-		base, err := Generate(params, 1)
+		base, err := generate(params, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		base.Sort()
-		got, err := Generate(params, 8)
+		got, err := generate(params, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +163,7 @@ func TestWorkerIndependence(t *testing.T) {
 // copies of exactly the same pairs.
 func TestRedundancyConsistency(t *testing.T) {
 	params := Params{N: 400, P: 0.02, Seed: 13, Chunks: 6}
-	all, err := Generate(params, 4)
+	all, err := generate(params, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +183,7 @@ func TestRedundancyConsistency(t *testing.T) {
 
 func TestExtremes(t *testing.T) {
 	// p = 0: empty graph.
-	el, err := Generate(Params{N: 100, P: 0, Seed: 1, Chunks: 4}, 2)
+	el, err := generate(Params{N: 100, P: 0, Seed: 1, Chunks: 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +191,14 @@ func TestExtremes(t *testing.T) {
 		t.Errorf("p=0 produced %d edges", el.Len())
 	}
 	// p = 1: complete graph.
-	el, err = Generate(Params{N: 50, P: 1, Directed: true, Seed: 1, Chunks: 4}, 2)
+	el, err = generate(Params{N: 50, P: 1, Directed: true, Seed: 1, Chunks: 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if el.Len() != 50*49 {
 		t.Errorf("p=1 directed produced %d edges, want %d", el.Len(), 50*49)
 	}
-	el, err = Generate(Params{N: 50, P: 1, Seed: 1, Chunks: 4}, 2)
+	el, err = generate(Params{N: 50, P: 1, Seed: 1, Chunks: 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +231,7 @@ func TestPropertyNoLoopsNoDuplicates(t *testing.T) {
 			chunks = n
 		}
 		params := Params{N: n, P: p, Directed: directed, Seed: uint64(seed), Chunks: chunks, SkipSampling: skip}
-		el, err := Generate(params, 2)
+		el, err := generate(params, 2)
 		if err != nil {
 			return false
 		}
@@ -219,7 +246,7 @@ func BenchmarkDirectedChunkBinomial(b *testing.B) {
 	p := Params{N: 1 << 18, P: 1.0 / (1 << 12), Directed: true, Seed: 1, Chunks: 16}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateChunk(p, 7)
+		generateChunk(p, 7)
 	}
 }
 
@@ -227,20 +254,20 @@ func BenchmarkDirectedChunkSkip(b *testing.B) {
 	p := Params{N: 1 << 18, P: 1.0 / (1 << 12), Directed: true, Seed: 1, Chunks: 16, SkipSampling: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateChunk(p, 7)
+		generateChunk(p, 7)
 	}
 }
 
 // TestStreamUndirectedMatchesChunk: the streaming sweep must emit exactly
-// the materialized chunk's edges in order, for both sampling code paths.
+// the collected chunk's edges in order through a small flushing batch, for
+// both sampling code paths.
 func TestStreamUndirectedMatchesChunk(t *testing.T) {
 	for _, skip := range []bool{false, true} {
 		for _, chunks := range []uint64{1, 2, 5, 13} {
 			p := Params{N: 500, P: 0.02, Seed: 7, Chunks: chunks, SkipSampling: skip}
 			for c := uint64(0); c < chunks; c++ {
-				want := GenerateChunk(p, c)
-				got := make([]graph.Edge, 0, len(want))
-				StreamUndirectedChunk(p, c, func(e graph.Edge) { got = append(got, e) })
+				want := generateChunk(p, c)
+				got := streamBatched(p, c, 7)
 				if len(got) != len(want) {
 					t.Fatalf("skip=%v chunks=%d pe=%d: streamed %d edges, want %d", skip, chunks, c, len(got), len(want))
 				}
@@ -259,11 +286,13 @@ func TestStreamUndirectedMatchesChunk(t *testing.T) {
 func TestStreamUndirectedAllocs(t *testing.T) {
 	p := Params{N: 1 << 12, P: 0.002, Seed: 1, Chunks: 16}
 	var sink uint64
-	allocs := testing.AllocsPerRun(5, func() {
-		StreamUndirectedChunk(p, 8, func(e graph.Edge) { sink += e.U })
+	e := core.NewEmitter(make([]graph.Edge, 0, 256), func(full []graph.Edge) ([]graph.Edge, bool) {
+		sink += full[0].U
+		return full, true
 	})
+	allocs := testing.AllocsPerRun(5, func() { StreamChunk(p, 8, e) })
 	if allocs > 4 {
-		t.Errorf("StreamUndirectedChunk allocates %.0f times per chunk, want O(1)", allocs)
+		t.Errorf("StreamChunk allocates %.0f times per undirected chunk, want O(1)", allocs)
 	}
 	_ = sink
 }

@@ -122,16 +122,18 @@ func newChunkEncoders(format kagen.Format, goroutines int) *chunkEncoders {
 // goroutine count nor the block size can change a byte.
 //
 // An encoder is reused for every chunk its goroutine generates, across
-// PEs; in steady state a chunk allocates nothing.
+// PEs, and so is its Emitter: the generator's batch is the encoder's, and
+// the generator's scratch (the spatial models' cell arena) stays in the
+// Emitter from chunk to chunk. In steady state a chunk allocates nothing.
 type chunkEncoder struct {
 	format  kagen.Format
 	blocks  *blockList
-	edges   []kagen.Edge
+	em      kagen.Emitter // what the generator streams into; flushes to encode
+	flush   func([]kagen.Edge) ([]kagen.Edge, bool)
 	scratch []byte
 	payload hash.Hash
 	wire    hash.Hash    // compressed formats only
 	gz      *gzip.Writer // compressed formats only
-	emit    func(kagen.Edge)
 
 	// Per-chunk state, set by begin.
 	send     func(*block, bool) bool
@@ -152,10 +154,11 @@ type chunkEncoder struct {
 // account the time it spends encoding (for the trace); the untimed path
 // never reads the clock.
 func (e *chunkEncoder) begin(send func(*block, bool) bool, timed bool) {
+	batch := e.em.Edges()
 	if e.payload == nil {
 		e.payload = sha256.New()
-		e.edges = make([]kagen.Edge, 0, encodeBatch)
-		e.emit = e.add
+		batch = make([]kagen.Edge, 0, encodeBatch)
+		e.flush = e.encodeEdges
 		if e.format.Compressed() {
 			e.wire = sha256.New()
 			e.gz = gzip.NewWriter(nil)
@@ -165,27 +168,21 @@ func (e *chunkEncoder) begin(send func(*block, bool) bool, timed bool) {
 	if e.wire != nil {
 		e.wire.Reset()
 	}
+	e.em.Reset(batch, e.flush)
 	e.send, e.cur, e.t, e.live = send, e.blocks.get(), chunkTrailer{}, true
-	e.edges = e.edges[:0]
 	e.timed, e.encodeNs = timed, 0
 }
 
-// add is the emit callback handed to the streamer.
-func (e *chunkEncoder) add(edge kagen.Edge) {
-	e.edges = append(e.edges, edge)
-	if len(e.edges) == cap(e.edges) {
-		e.flushEdges()
-	}
-}
-
-func (e *chunkEncoder) flushEdges() {
-	e.t.edges += uint64(len(e.edges))
+// encodeEdges is the Emitter's flush: the batch's edges are encoded into
+// the chunk's payload, and the batch goes back to the generator.
+func (e *chunkEncoder) encodeEdges(batch []kagen.Edge) ([]kagen.Edge, bool) {
+	e.t.edges += uint64(len(batch))
 	if e.live {
-		buf := e.format.AppendEdges(e.scratch[:0], e.edges)
+		buf := e.format.AppendEdges(e.scratch[:0], batch)
 		e.scratch = buf[:0]
 		e.writePayload(buf)
 	}
-	e.edges = e.edges[:0]
+	return batch, e.live
 }
 
 // writePayload adds payload bytes to the chunk: hashed for the Merkle
@@ -253,7 +250,7 @@ func (e *chunkEncoder) seal() {
 // digests taken — and returns its last block, trailer filled in, for the
 // caller to send as final. genErr is the streamer's result for the chunk.
 func (e *chunkEncoder) finish(genErr error) *block {
-	e.flushEdges()
+	e.encodeEdges(e.em.Edges())
 	if e.gz != nil && e.t.payloadBytes > 0 {
 		var t0 time.Time
 		if e.timed {
@@ -278,7 +275,7 @@ func (e *chunkEncoder) finish(genErr error) *block {
 }
 
 // encodeTo runs one chunk through the encoder outside a pipeline: fill
-// feeds it (through emit, or writePayload), and every finished block is
+// feeds it (through em, or writePayload), and every finished block is
 // written to out (nil drops it) and handed straight back, so it holds one
 // block whatever the chunk's size. It returns the chunk's trailer and
 // fill's error, or else the first failed write. This is how a shard's
@@ -331,7 +328,7 @@ func ChunkEncodeFunc(format kagen.Format) func(edges []kagen.Edge) (wireBytes ui
 		// Cannot fail: nothing is written and fill returns nil.
 		t, _ := enc.encodeTo(nil, func(e *chunkEncoder) error {
 			for _, edge := range edges {
-				e.emit(edge)
+				e.em.Append(edge.U, edge.V)
 			}
 			return nil
 		})

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -688,4 +690,42 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("good spec %+v rejected: %v", good, err)
 		}
 	}
+}
+
+// FuzzSpecDecode: DecodeSpec — serve's POST /jobs path — never panics,
+// and a spec it accepts survives a re-encode round trip unchanged, hash
+// included: a cached job is found again under the ID it was stored as.
+// The seeds are one valid spec per model, at kagen's flag defaults.
+func FuzzSpecDecode(f *testing.F) {
+	var defaults kagen.ModelParams
+	defaults.RegisterFlags(flag.NewFlagSet("fuzz", flag.ContinueOnError))
+	for _, model := range kagen.Models() {
+		spec := SpecFor(string(model), defaults)
+		spec.Seed, spec.PEs, spec.ChunksPerPE, spec.Workers, spec.Format = 7, 4, 2, 2, "binary.gz"
+		b, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := DecodeSpec(bytes.NewReader(b)); err != nil {
+			f.Fatalf("seed %s refused: %v", b, err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		spec, err := DecodeSpec(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeSpec(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("accepted spec %s refused after a round trip: %v", again, err)
+		}
+		if back != spec || back.Hash() != spec.Hash() {
+			t.Fatalf("round trip changed the spec: %+v (hash %s), was %+v (hash %s)", back, back.Hash(), spec, spec.Hash())
+		}
+	})
 }

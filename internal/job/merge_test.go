@@ -495,7 +495,7 @@ func TestCaptureSinkHashesBatchAtATime(t *testing.T) {
 	enc := &newChunkEncoders(kagen.FormatText, 1).enc[0]
 	sink := captureSink{format: kagen.FormatText, hash: sha256.New()}
 	for chunk := uint64(0); chunk < 2; chunk++ {
-		want, err := enc.encodeTo(nil, func(e *chunkEncoder) error { return streamer.StreamChunk(chunk, e.emit) })
+		want, err := enc.encodeTo(nil, func(e *chunkEncoder) error { return streamer.EmitChunk(chunk, &e.em) })
 		if err != nil {
 			t.Fatal(err)
 		}

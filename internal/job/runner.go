@@ -383,11 +383,12 @@ func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer
 		sp := trace.Start("job", "chunk-generate", obs.GenLane(uint64(chunk)), pc.span)
 		enc := &encs.enc[worker]
 		enc.begin(send, trace != nil)
-		last := enc.finish(streamer.StreamChunk(uint64(chunk), enc.emit))
+		last := enc.finish(streamer.EmitChunk(uint64(chunk), &enc.em))
 		if trace != nil {
 			sp.End(obs.U64("chunk", uint64(chunk)), obs.U64("edges", last.edges),
 				obs.U64("payload_bytes", last.payloadBytes), obs.U64("wire_bytes", last.wireBytes),
-				obs.U64("encode_ns", uint64(enc.encodeNs)))
+				obs.U64("encode_ns", uint64(enc.encodeNs)),
+				obs.U64("redundant_vertices", enc.em.RedundantVertices), obs.U64("comparisons", enc.em.Comparisons))
 		}
 		send(last, true)
 	}

@@ -271,14 +271,14 @@ type faultStreamer struct {
 	after int
 }
 
-func (f faultStreamer) StreamChunk(chunk uint64, emit func(kagen.Edge)) error {
+func (f faultStreamer) EmitChunk(chunk uint64, e *kagen.Emitter) error {
 	if chunk != f.chunk {
-		return f.Streamer.StreamChunk(chunk, emit)
+		return f.Streamer.EmitChunk(chunk, e)
 	}
 	n := 0
-	f.Streamer.StreamChunk(chunk, func(e kagen.Edge) {
+	f.Streamer.StreamChunk(chunk, func(edge kagen.Edge) {
 		if n++; n <= f.after {
-			emit(e)
+			e.Append(edge.U, edge.V)
 		}
 	})
 	return errInjected
@@ -562,5 +562,81 @@ func TestChunkEncoderSteadyStateAllocFree(t *testing.T) {
 		}); got != 0 {
 			t.Errorf("%s: %.0f allocs per chunk in steady state, want 0", format, got)
 		}
+	}
+}
+
+// TestGeneratedChunkSteadyStateAllocFree: a pipeline goroutine's encoder
+// keeps its Emitter — and with it the generator's scratch, the spatial
+// models' cell arena and chunk tables — from chunk to chunk, so once every
+// chunk has run through it once, generating and encoding a chunk again
+// allocates nothing.
+func TestGeneratedChunkSteadyStateAllocFree(t *testing.T) {
+	for _, spec := range []Spec{
+		{Model: "rmat", Scale: 14, M: 1 << 15, Seed: 1, PEs: 2, ChunksPerPE: 2, Workers: 1, Format: "binary"},
+		{Model: "gnm_directed", N: 1 << 14, M: 1 << 15, Seed: 2, PEs: 2, ChunksPerPE: 2, Workers: 1, Format: "binary"},
+		{Model: "rgg2d", N: 1 << 13, Seed: 3, PEs: 2, ChunksPerPE: 2, Workers: 1, Format: "binary"},
+		{Model: "rdg2d", N: 1 << 12, Seed: 4, PEs: 2, ChunksPerPE: 2, Workers: 1, Format: "binary"},
+	} {
+		streamer, err := spec.Streamer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := &newChunkEncoders(spec.ShardFormat(), 1).enc[0]
+		var chunk uint64
+		fill := func(e *chunkEncoder) error { return streamer.EmitChunk(chunk, &e.em) }
+		for chunk = 0; chunk < spec.TotalChunks(); chunk++ {
+			if _, err := enc.encodeTo(nil, fill); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chunk = 1
+		if got := testing.AllocsPerRun(3, func() {
+			if _, err := enc.encodeTo(nil, fill); err != nil {
+				t.Error(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: %.0f allocs per chunk in steady state, want 0", spec.Model, got)
+		}
+	}
+}
+
+// TestTracedChunkGenerateCarriesWork: a chunk-generate span carries the
+// work counters the generator reported for its chunk.
+func TestTracedChunkGenerateCarriesWork(t *testing.T) {
+	spec := Spec{Model: "rgg2d", N: 1 << 12, Seed: 5, PEs: 2, ChunksPerPE: 2, Workers: 1, Format: "binary"}
+	dir := t.TempDir()
+	if err := Init(dir, spec); err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace(0)
+	if err := Run(dir, 0, RunOptions{Goroutines: 2, Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	streamer, err := spec.Streamer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, ev := range tr.Events() {
+		if ev.Name != "chunk-generate" {
+			continue
+		}
+		spans++
+		attr := map[string]uint64{}
+		for _, a := range ev.Attrs {
+			attr[a.Key] = a.U64
+		}
+		var want kagen.Emitter
+		if err := streamer.EmitChunk(attr["chunk"], &want); err != nil {
+			t.Fatal(err)
+		}
+		if want.Comparisons == 0 || attr["comparisons"] != want.Comparisons ||
+			attr["redundant_vertices"] != want.RedundantVertices {
+			t.Errorf("chunk %d: span work (%d redundant, %d comparisons), generator reports %+v",
+				attr["chunk"], attr["redundant_vertices"], attr["comparisons"], want.Work)
+		}
+	}
+	if spans != int(spec.TotalChunks()) {
+		t.Fatalf("%d chunk-generate spans, want %d", spans, spec.TotalChunks())
 	}
 }

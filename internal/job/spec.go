@@ -28,6 +28,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 
 	kagen "repro"
@@ -108,6 +109,24 @@ func (s Spec) Validate() error {
 	}
 	_, err := s.Streamer()
 	return err
+}
+
+// DecodeSpec reads one submitted spec from r: JSON with no unknown
+// fields, defaults applied (Normalized), then validated. It is how an
+// untrusted spec — serve's POST /jobs body — enters the system, and its
+// errors say which of the two steps refused it.
+func DecodeSpec(r io.Reader) (Spec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var s Spec
+	if err := dec.Decode(&s); err != nil {
+		return Spec{}, fmt.Errorf("bad spec: %w", err)
+	}
+	s = s.Normalized()
+	if err := s.Validate(); err != nil {
+		return Spec{}, fmt.Errorf("invalid spec: %w", err)
+	}
+	return s, nil
 }
 
 // TotalChunks returns the total chunk count — the Chunks parameter of the

@@ -445,7 +445,7 @@ func rewriteShard(store storage.Backend, path string, spec Spec, streamer kagen.
 				return err
 			}
 			t, err := enc.encodeTo(w, func(e *chunkEncoder) error {
-				return streamer.StreamChunk(first+uint64(c), e.emit)
+				return streamer.EmitChunk(first+uint64(c), &e.em)
 			})
 			if err != nil {
 				return err
@@ -531,7 +531,7 @@ func rebuildPE(path string, spec Spec, streamer kagen.Streamer, enc *chunkEncode
 
 	first, count := spec.ChunkRange(prog.PE)
 	for c := first; c < first+count; c++ {
-		t, err := enc.encodeTo(nil, func(e *chunkEncoder) error { return streamer.StreamChunk(c, e.emit) })
+		t, err := enc.encodeTo(nil, func(e *chunkEncoder) error { return streamer.EmitChunk(c, &e.em) })
 		if err != nil {
 			return err
 		}

@@ -26,7 +26,7 @@ func BenchmarkStreamThroughput(b *testing.B) {
 				b.SetBytes(P * itemsPer * 8) // items moved per run, as bytes
 				for i := 0; i < b.N; i++ {
 					total := 0
-					err := Stream(0, P, workers, batchSize, produce,
+					err := Stream(0, P, workers, batchSize, emitting(produce),
 						func(pe int, batch []int, final bool) error {
 							total += len(batch)
 							return nil

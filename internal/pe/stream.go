@@ -18,20 +18,28 @@ const DefaultBatchSize = 4096
 // window * maxQueuedBatches * batchSize regardless of chunk sizes.
 const maxQueuedBatches = 16
 
-// Stream executes produce(pe, emit) for every pe in [first, first+count)
-// on a bounded worker pool and hands the emitted items to consume in
+// Stream executes produce for every pe in [first, first+count) on a
+// bounded worker pool and hands the items it produces to consume in
 // batches of at most batchSize items (0 or negative selects
 // DefaultBatchSize) — in increasing PE order, and within each PE in
-// emission order, regardless of the worker count or the completion order.
-// It is the parallel streaming runtime: generation runs concurrently into
-// pooled batches while the sink observes the same deterministic item
-// sequence a serial run would produce. Batch boundaries carry no meaning:
-// the delivered concatenation is invariant under the batch size. produce
-// and consume receive absolute PE indices, so a worker restarted mid-run
-// re-enters at its checkpointed PE (or a PE at its checkpointed chunk,
-// when chunks are the streamed unit) and streams only the remaining range,
-// the delivered sequence identical to the corresponding suffix of a full
-// run.
+// production order, regardless of the worker count or the completion
+// order. It is the parallel streaming runtime: generation runs
+// concurrently into pooled batches while the sink observes the same
+// deterministic item sequence a serial run would produce. Batch boundaries
+// carry no meaning: the delivered concatenation is invariant under the
+// batch size. produce and consume receive absolute PE indices, so a worker
+// restarted mid-run re-enters at its checkpointed PE (or a PE at its
+// checkpointed chunk, when chunks are the streamed unit) and streams only
+// the remaining range, the delivered sequence identical to the
+// corresponding suffix of a full run.
+//
+// produce fills the batches itself. It receives its goroutine's index in
+// [0, workers) (stable for the run, so per-goroutine state needs no lock),
+// the PE, an empty batch of capacity batchSize, and flush: flush takes a
+// full batch and returns the next empty one, and whether the run is still
+// live — after false it drops what it is given, and produce may stop
+// early. produce returns its last, possibly empty, batch, which is the
+// PE's final one.
 //
 // consume receives each PE's batches in order; final marks the PE's last
 // batch (a PE with no items gets exactly one final, empty batch). Batches
@@ -50,7 +58,9 @@ const maxQueuedBatches = 16
 // batches are delivered, no further chunks are started, and the error is
 // returned. A PE whose produce is already running completes, with its
 // output discarded.
-func Stream[T any](first, count, workers, batchSize int, produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
+func Stream[T any](first, count, workers, batchSize int,
+	produce func(worker, pe int, batch []T, flush func(full []T) (next []T, live bool)) (last []T),
+	consume func(pe int, batch []T, final bool) error) error {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
@@ -60,26 +70,23 @@ func Stream[T any](first, count, workers, batchSize int, produce func(pe int, em
 // streamRange is the batch pipeline, against an explicit pool (separated
 // so the tests can audit that every borrowed batch is returned): Ordered
 // with pooled item batches as the delivered unit.
-func streamRange[T any](first, count, workers int, pool *batchPool[T], produce func(pe int, emit func(T)), consume func(pe int, batch []T, final bool) error) error {
-	batchSize := pool.size
+func streamRange[T any](first, count, workers int, pool *batchPool[T],
+	produce func(worker, pe int, batch []T, flush func(full []T) (next []T, live bool)) (last []T),
+	consume func(pe int, batch []T, final bool) error) error {
 	return Ordered(first, count, workers,
-		func(_, pe int, send func(*[]T, bool) bool) {
+		func(w, pe int, send func(*[]T, bool) bool) {
 			pb := pool.get()
-			buf := (*pb)[:0]
 			live := true
-			produce(pe, func(item T) {
+			flush := func(full []T) ([]T, bool) {
 				if !live {
-					return // sink already failed; drop the remainder
+					return full[:0], false // sink already failed; drop
 				}
-				buf = append(buf, item)
-				if len(buf) >= batchSize {
-					*pb = buf
-					live = send(pb, false)
-					pb = pool.get()
-					buf = (*pb)[:0]
-				}
-			})
-			*pb = buf
+				*pb = full
+				live = send(pb, false)
+				pb = pool.get()
+				return *pb, live
+			}
+			*pb = produce(w, pe, *pb, flush)
 			send(pb, true)
 		},
 		func(pe int, pb *[]T, final bool) error { return consume(pe, *pb, final) },

@@ -17,7 +17,7 @@ func TestStreamRangeMatchesSuffix(t *testing.T) {
 	}
 	collect := func(first, count, workers int) []string {
 		var got []string
-		err := Stream(first, count, workers, 2, produce,
+		err := Stream(first, count, workers, 2, emitting(produce),
 			func(pe int, batch []string, final bool) error {
 				for _, s := range batch {
 					if want := fmt.Sprintf("pe%d-", pe); len(s) < len(want) || s[:len(want)] != want {

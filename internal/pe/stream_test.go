@@ -9,6 +9,20 @@ import (
 	"time"
 )
 
+// emitting adapts an item-at-a-time producer to Stream's batch-filling
+// contract, flushing whenever the batch is full.
+func emitting[T any](f func(pe int, emit func(T))) func(int, int, []T, func([]T) ([]T, bool)) []T {
+	return func(_, pe int, batch []T, flush func([]T) ([]T, bool)) []T {
+		f(pe, func(item T) {
+			batch = append(batch, item)
+			if len(batch) == cap(batch) {
+				batch, _ = flush(batch)
+			}
+		})
+		return batch
+	}
+}
+
 // produceSquares emits pe*itemsPer..(pe+1)*itemsPer-1 for each PE, with a
 // random delay so completion order differs from PE order.
 func produceSquares(itemsPer int, jitter bool) func(pe int, emit func(int)) {
@@ -28,7 +42,7 @@ func collectBatched(t *testing.T, P, workers, batchSize, itemsPer int, jitter bo
 	t.Helper()
 	var got []int
 	lastPE := -1
-	err := Stream(0, P, workers, batchSize, produceSquares(itemsPer, jitter),
+	err := Stream(0, P, workers, batchSize, emitting(produceSquares(itemsPer, jitter)),
 		func(pe int, batch []int, final bool) error {
 			if pe != lastPE+1 {
 				t.Fatalf("batch for PE %d delivered while head is %d", pe, lastPE+1)
@@ -107,7 +121,7 @@ func TestStreamHeadFlushesEarly(t *testing.T) {
 	const batchSize = 64
 	done := make(chan struct{})
 	sawEarly := false
-	err := Stream(0, 2, 2, batchSize, func(pe int, emit func(int)) {
+	err := Stream(0, 2, 2, batchSize, emitting(func(pe int, emit func(int)) {
 		if pe == 1 {
 			<-done // PE 1 cannot finish before PE 0's stream is fully delivered
 			emit(1)
@@ -117,7 +131,7 @@ func TestStreamHeadFlushesEarly(t *testing.T) {
 			emit(i)
 		}
 		close(done)
-	}, func(pe int, batch []int, final bool) error {
+	}), func(pe int, batch []int, final bool) error {
 		if pe == 0 && !final {
 			select {
 			case <-done:
@@ -137,11 +151,11 @@ func TestStreamHeadFlushesEarly(t *testing.T) {
 
 func TestStreamEmptyChunks(t *testing.T) {
 	finals := 0
-	err := Stream(0, 8, 4, 0, func(pe int, emit func(int)) {
+	err := Stream(0, 8, 4, 0, emitting(func(pe int, emit func(int)) {
 		if pe%2 == 0 {
 			emit(pe)
 		}
-	}, func(pe int, batch []int, final bool) error {
+	}), func(pe int, batch []int, final bool) error {
 		if pe%2 == 1 && len(batch) != 0 {
 			t.Errorf("PE %d: expected empty chunk, got %d items", pe, len(batch))
 		}
@@ -162,7 +176,7 @@ func TestStreamErrorStopsRun(t *testing.T) {
 	sentinel := errors.New("sink full")
 	for _, workers := range []int{1, 4} {
 		delivered := 0
-		err := Stream(0, 64, workers, 0, produceSquares(10, false), func(pe int, batch []int, final bool) error {
+		err := Stream(0, 64, workers, 0, emitting(produceSquares(10, false)), func(pe int, batch []int, final bool) error {
 			if pe == 3 {
 				return fmt.Errorf("pe %d: %w", pe, sentinel)
 			}
@@ -190,7 +204,7 @@ func TestStreamErrorRecyclesBatches(t *testing.T) {
 			pool := newBatchPool[int](batchSize)
 			deliveredAfterError := false
 			sawError := false
-			err := streamRange(0, 48, workers, pool, produceSquares(100, true),
+			err := streamRange(0, 48, workers, pool, emitting(produceSquares(100, true)),
 				func(pe int, batch []int, final bool) error {
 					if sawError {
 						deliveredAfterError = true
@@ -218,7 +232,7 @@ func TestStreamErrorRecyclesBatches(t *testing.T) {
 // TestStreamSuccessRecyclesBatches: a clean run returns every batch too.
 func TestStreamSuccessRecyclesBatches(t *testing.T) {
 	pool := newBatchPool[int](8)
-	err := streamRange(0, 16, 4, pool, produceSquares(50, true),
+	err := streamRange(0, 16, 4, pool, emitting(produceSquares(50, true)),
 		func(pe int, batch []int, final bool) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +243,7 @@ func TestStreamSuccessRecyclesBatches(t *testing.T) {
 }
 
 func TestStreamZeroPEs(t *testing.T) {
-	if err := Stream(0, 0, 4, 0, func(int, func(int)) {}, func(int, []int, bool) error {
+	if err := Stream(0, 0, 4, 0, emitting(func(int, func(int)) {}), func(int, []int, bool) error {
 		t.Fatal("consume called for P=0")
 		return nil
 	}); err != nil {

@@ -1,15 +1,20 @@
-package prng
+// The Mersenne Twister lives with the benchmark that uses it
+// (internal/benchreg); these checks of the port against the reference
+// implementation stay beside the rest of the generator-family tests.
+package prng_test
 
 import (
 	"math"
 	"testing"
+
+	"repro/internal/benchreg"
 )
 
 // TestMT19937ReferenceVector checks the first outputs of init_by_array64
 // with the key {0x12345, 0x23456, 0x34567, 0x45678} against the published
 // output of Matsumoto & Nishimura's mt19937-64.c (mt19937-64.out.txt).
 func TestMT19937ReferenceVector(t *testing.T) {
-	m := NewMT19937Array([]uint64{0x12345, 0x23456, 0x34567, 0x45678})
+	m := benchreg.NewMT19937Array([]uint64{0x12345, 0x23456, 0x34567, 0x45678})
 	want := []uint64{
 		7266447313870364031,
 		4946485549665804864,
@@ -30,14 +35,14 @@ func TestMT19937ReferenceVector(t *testing.T) {
 }
 
 func TestMT19937SeedDeterminism(t *testing.T) {
-	a := NewMT19937(42)
-	b := NewMT19937(42)
+	a := benchreg.NewMT19937(42)
+	b := benchreg.NewMT19937(42)
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("same seed diverged at output %d", i)
 		}
 	}
-	c := NewMT19937(43)
+	c := benchreg.NewMT19937(43)
 	same := 0
 	a.Seed(42)
 	for i := 0; i < 1000; i++ {
@@ -51,7 +56,7 @@ func TestMT19937SeedDeterminism(t *testing.T) {
 }
 
 func TestMT19937Float64Range(t *testing.T) {
-	m := NewMT19937(7)
+	m := benchreg.NewMT19937(7)
 	for i := 0; i < 100000; i++ {
 		f := m.Float64()
 		if f < 0 || f >= 1 {
@@ -67,7 +72,7 @@ func TestMT19937Float64Range(t *testing.T) {
 }
 
 func TestMT19937Float64Moments(t *testing.T) {
-	m := NewMT19937(12345)
+	m := benchreg.NewMT19937(12345)
 	const n = 200000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
@@ -86,7 +91,7 @@ func TestMT19937Float64Moments(t *testing.T) {
 }
 
 func TestMT19937BitBalance(t *testing.T) {
-	m := NewMT19937(999)
+	m := benchreg.NewMT19937(999)
 	const n = 50000
 	var ones [64]int
 	for i := 0; i < n; i++ {
@@ -102,5 +107,18 @@ func TestMT19937BitBalance(t *testing.T) {
 		if frac < 0.48 || frac > 0.52 {
 			t.Errorf("bit %d set fraction %v, want ~0.5", b, frac)
 		}
+	}
+}
+
+func BenchmarkMT19937Uint64(b *testing.B) {
+	m := benchreg.NewMT19937(42)
+	for i := 0; i < b.N; i++ {
+		m.Uint64()
+	}
+}
+
+func BenchmarkNewMTHashedStream(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		benchreg.NewMTHashed(42, uint64(i), 7).Uint64()
 	}
 }

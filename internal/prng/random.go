@@ -11,12 +11,9 @@ import "math/bits"
 // grid cell, per R-MAT edge — so construction is on the hottest paths in
 // the library. Random is therefore a plain value holding the 4-word
 // xoshiro256** state inline: New performs no heap allocation, and a
-// derived stream lives and dies on the caller's stack. The Mersenne
-// Twister baselines attach their (heap-backed) state through the mt
-// field instead.
+// derived stream lives and dies on the caller's stack.
 type Random struct {
-	x  xoshiro256
-	mt *MT19937 // when non-nil, overrides the inline xoshiro state
+	x xoshiro256
 }
 
 // New derives a Random from a user seed and a list of structural
@@ -31,40 +28,27 @@ func New(seed uint64, ids ...uint64) Random {
 	return r
 }
 
-// NewFromRaw wraps a raw 64-bit seed without hashing, backed by the
-// Mersenne Twister. Used by the sequential baseline algorithms and tests.
+// NewFromRaw seeds a Random from a raw 64-bit seed without hashing it
+// with structural identifiers. Used by the sequential baseline algorithms
+// and tests.
 func NewFromRaw(seed uint64) *Random {
-	return &Random{mt: NewMT19937(seed)}
-}
-
-// NewMTHashed derives an MT19937-backed Random from structural ids, for
-// callers that want the paper's exact generator class on a long stream.
-func NewMTHashed(seed uint64, ids ...uint64) *Random {
-	h1, h2 := HashWords128(seed, ids...)
-	return &Random{mt: NewMT19937Array([]uint64{h1, h2, seed})}
+	r := new(Random)
+	r.x.seed(seed, 0)
+	return r
 }
 
 // Uint64 returns a uniform 64-bit value.
 func (r *Random) Uint64() uint64 {
-	if r.mt != nil {
-		return r.mt.Uint64()
-	}
 	return r.x.Uint64()
 }
 
 // Float64 returns a uniform value in [0, 1).
 func (r *Random) Float64() float64 {
-	if r.mt != nil {
-		return r.mt.Float64()
-	}
 	return r.x.Float64()
 }
 
 // Float64Open returns a uniform value in (0, 1).
 func (r *Random) Float64Open() float64 {
-	if r.mt != nil {
-		return r.mt.Float64Open()
-	}
 	return r.x.Float64Open()
 }
 

@@ -158,10 +158,3 @@ func BenchmarkSpookyHashWords(b *testing.B) {
 		HashWords64(42, uint64(i), 17)
 	}
 }
-
-func BenchmarkMT19937Uint64(b *testing.B) {
-	m := NewMT19937(42)
-	for i := 0; i < b.N; i++ {
-		m.Uint64()
-	}
-}

@@ -7,8 +7,7 @@ package prng
 // dominate the running time. The 4-word xoshiro state keeps per-stream
 // setup O(1) while retaining excellent statistical quality; the upstream
 // KaGen library pays the analogous cost trade-off inside its sampling
-// library. The Mersenne Twister port remains the generator of the
-// sequential baselines and of anything seeded through NewFromRaw.
+// library.
 type xoshiro256 struct {
 	s [4]uint64
 }

@@ -96,9 +96,3 @@ func BenchmarkNewDerivedStream(b *testing.B) {
 		_ = r.Uint64()
 	}
 }
-
-func BenchmarkNewMTHashedStream(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		NewMTHashed(42, uint64(i), 7).Uint64()
-	}
-}

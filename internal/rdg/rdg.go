@@ -18,8 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/delaunay"
 	"repro/internal/geometry"
-	"repro/internal/graph"
-	"repro/internal/pe"
 	"repro/internal/rgg"
 )
 
@@ -56,63 +54,44 @@ func (p Params) grid() *rgg.Grid {
 		p.Seed, core.TagRDGCell+1, core.TagRDGCell+2, core.TagRDGCell+3)
 }
 
-// Generate produces the full graph; undirected edges appear once per
-// endpoint across the merged PE outputs.
-func Generate(p Params, workers int) (*graph.EdgeList, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+// scratch is what the package keeps in an Emitter between chunks: the
+// grid of the instance last streamed, its cell access (point arena and
+// chunk tables, Reset after every chunk) and the triangulation scratch.
+type scratch struct {
+	p   Params
+	g   *rgg.Grid
+	acc *rgg.CellAccess
+	tri triScratch
+}
+
+// scratchOf returns the Emitter's scratch for p, replacing whatever the
+// Emitter held before if it was not this instance's.
+func scratchOf(e *core.Emitter, p Params) *scratch {
+	if s, ok := e.Scratch.(*scratch); ok && s.p == p {
+		return s
 	}
-	results := pe.ForEach(int(p.chunks()), workers, func(c int) core.Result {
-		return GenerateChunk(p, uint64(c))
-	})
-	return core.MergeResults(p.N, results), nil
-}
-
-// GenerateChunk runs one logical PE: for each of its chunks it computes
-// the Delaunay triangulation of the chunk plus an adaptively grown halo
-// and emits the triangulation edges incident to chunk-owned points.
-func GenerateChunk(p Params, peID uint64) core.Result {
-	res := core.Result{PE: int(peID)}
-	res.Edges = make([]graph.Edge, 0, ExpectedChunkEdges(p))
-	res.RedundantVertices, res.Comparisons = StreamChunk(p, peID, func(e graph.Edge) {
-		res.Edges = append(res.Edges, e)
-	})
-	return res
-}
-
-// ExpectedChunkEdges estimates one PE's local edge count from the mean
-// Delaunay degree of a Poisson point set — 6 in 2-D (Euler), ~15.54 in
-// 3-D — with headroom; used to pre-size the chunk edge list in one
-// allocation. It is an estimate only: emission never depends on it.
-func ExpectedChunkEdges(p Params) uint64 {
-	deg := 6.0
-	if p.Dim == 3 {
-		deg = 15.54
-	}
-	verts := float64(p.N) / float64(p.chunks())
-	return uint64(1.2*deg*verts) + 64
-}
-
-// StreamChunk emits the chunk's simplex-derived edges through the callback
-// in the exact deterministic order of GenerateChunk. Each of the PE's
-// chunks is triangulated in turn and its edges are emitted before the next
-// chunk's triangulation is built, so at most one triangulation (chunk +
-// converged halo) is alive at a time; the triangulation's stores and the
-// emission dedup state are pooled in one scratch struct reused across the
-// PE's chunks, so steady-state chunk processing stays allocation-light.
-// It returns the redundant-vertex and halo-expansion counters of the
-// chunk.
-func StreamChunk(p Params, peID uint64, emit func(graph.Edge)) (redundantVertices, comparisons uint64) {
 	g := p.grid()
-	acc := rgg.NewCellAccess(g)
-	res := core.Result{PE: int(peID)}
-	var scratch triScratch
-	lo, hi := g.ChunkRange(peID)
+	s := &scratch{p: p, g: g, acc: rgg.NewCellAccess(g)}
+	e.Scratch = s
+	return s
+}
+
+// StreamChunk runs one logical PE into e: for each of its chunks it
+// computes the Delaunay triangulation of the chunk plus an adaptively
+// grown halo and emits the triangulation edges incident to chunk-owned
+// points, before the next chunk's triangulation is built — so at most one
+// triangulation (chunk + converged halo) is alive at a time. The cell
+// arena, the triangulation's stores and the emission dedup state live in
+// e's Scratch and are reused from chunk to chunk. Undirected edges appear
+// once per endpoint across the PEs. The redundant-vertex and
+// halo-expansion counts go to e's Work.
+func StreamChunk(p Params, peID uint64, e *core.Emitter) {
+	s := scratchOf(e, p)
+	lo, hi := s.g.ChunkRange(peID)
 	for chunk := lo; chunk < hi; chunk++ {
-		triangulateChunk(p, g, acc, chunk, &res, &scratch, emit)
-		acc.Reset() // bound memory by one chunk + converged halo
+		triangulateChunk(p, s.g, s.acc, chunk, &s.tri, e)
+		s.acc.Reset() // bound memory by one chunk + converged halo
 	}
-	return res.RedundantVertices, res.Comparisons
 }
 
 // pair is one directed emission key of the per-chunk dedup.
@@ -131,7 +110,7 @@ type triScratch struct {
 	seen  map[pair]bool
 }
 
-func triangulateChunk(p Params, g *rgg.Grid, acc *rgg.CellAccess, chunk uint64, res *core.Result, scratch *triScratch, emit func(graph.Edge)) {
+func triangulateChunk(p Params, g *rgg.Grid, acc *rgg.CellAccess, chunk uint64, scratch *triScratch, e *core.Emitter) {
 	dim := p.Dim
 	// Chunk cell bounding box in global cell coordinates.
 	first := g.ChunkCellCoord(chunk, 0)
@@ -210,7 +189,7 @@ func triangulateChunk(p Params, g *rgg.Grid, acc *rgg.CellAccess, chunk uint64, 
 				pts := acc.CellTorus(c)
 				inCore := isInterior(c)
 				if !inCore {
-					res.RedundantVertices += uint64(len(pts))
+					e.RedundantVertices += uint64(len(pts))
 				}
 				for _, pt := range pts {
 					if dim == 2 {
@@ -325,7 +304,7 @@ func triangulateChunk(p Params, g *rgg.Grid, acc *rgg.CellAccess, chunk uint64, 
 		}
 		// Expand by one layer and insert the new ring of cells.
 		halo++
-		res.Comparisons++ // counts halo expansions for diagnostics
+		e.Comparisons++ // counts halo expansions for diagnostics
 		var nlo, nhi [3]int64
 		for i := 0; i < dim; i++ {
 			nlo[i] = cellLo[i] - halo
@@ -359,11 +338,11 @@ func triangulateChunk(p Params, g *rgg.Grid, acc *rgg.CellAccess, chunk uint64, 
 		}
 		if isInt[a] && !seen[pair{u, v}] {
 			seen[pair{u, v}] = true
-			emit(graph.Edge{U: u, V: v})
+			e.Append(u, v)
 		}
 		if isInt[b] && !seen[pair{v, u}] {
 			seen[pair{v, u}] = true
-			emit(graph.Edge{U: v, V: u})
+			e.Append(v, u)
 		}
 	}
 	if dim == 2 {

@@ -3,10 +3,25 @@ package rdg
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/delaunay"
 	"repro/internal/geometry"
 	"repro/internal/graph"
 )
+
+// generate and generateChunk collect chunks from StreamChunk, the way the
+// root package's generator does.
+func generate(p Params, workers int) (*graph.EdgeList, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return core.Generate(p.N, p.chunks(), workers, func(pe uint64, e *core.Emitter) { StreamChunk(p, pe, e) }), nil
+}
+
+func generateChunk(p Params, pe uint64) []graph.Edge {
+	edges, _ := core.Collect(func(e *core.Emitter) { StreamChunk(p, pe, e) })
+	return edges
+}
 
 // periodicReference computes the exact periodic Delaunay edge set by
 // triangulating the points together with all 3^d - 1 shifted copies and
@@ -100,7 +115,7 @@ func TestMatchesPeriodicReference(t *testing.T) {
 			t.Fatalf("%+v: %d points, want %d", p, len(pts), p.N)
 		}
 		want := periodicReference(p, pts)
-		el, err := Generate(p, 4)
+		el, err := generate(p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +147,7 @@ func TestMatchesPeriodicReference(t *testing.T) {
 // exactly 6 (no convex hull); 3D random Delaunay about 15.5.
 func TestAverageDegree2D(t *testing.T) {
 	p := Params{N: 2000, Dim: 2, Seed: 5, Chunks: 4}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +162,7 @@ func TestAverageDegree2D(t *testing.T) {
 
 func TestAverageDegree3D(t *testing.T) {
 	p := Params{N: 500, Dim: 3, Seed: 6, Chunks: 2}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +176,12 @@ func TestAverageDegree3D(t *testing.T) {
 
 func TestWorkerIndependence(t *testing.T) {
 	p := Params{N: 600, Dim: 2, Seed: 7, Chunks: 4}
-	base, err := Generate(p, 1)
+	base, err := generate(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Sort()
-	got, err := Generate(p, 4)
+	got, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +198,7 @@ func TestWorkerIndependence(t *testing.T) {
 
 func TestSymmetry(t *testing.T) {
 	p := Params{N: 400, Dim: 2, Seed: 8, Chunks: 4}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +229,7 @@ func BenchmarkChunk2D(b *testing.B) {
 	p := Params{N: 1 << 12, Dim: 2, Seed: 1, Chunks: 4}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateChunk(p, 1)
+		generateChunk(p, 1)
 	}
 }
 
@@ -222,6 +237,6 @@ func BenchmarkChunk3D(b *testing.B) {
 	p := Params{N: 1 << 10, Dim: 3, Seed: 1, Chunks: 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateChunk(p, 3)
+		generateChunk(p, 3)
 	}
 }

@@ -3,7 +3,6 @@ package rgg
 import (
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/geometry"
 	"repro/internal/graph"
 )
@@ -16,12 +15,12 @@ import (
 // phases are the data-parallel kernels and the prefix sum sizes the device
 // allocation; on the CPU the benefit is a single exact allocation instead
 // of append growth. The emitted edge multiset is identical to
-// GenerateChunk (TestBatchedMatchesStandard). It lives with the tests:
+// StreamChunk (TestBatchedMatchesStandard). It lives with the tests:
 // nothing in production runs it.
-func GenerateChunkBatched(p Params, peID uint64) core.Result {
+func GenerateChunkBatched(p Params, peID uint64) chunkResult {
 	g := p.grid()
 	acc := NewCellAccess(g)
-	res := core.Result{PE: int(peID)}
+	var res chunkResult
 	lo, hi := g.ChunkRange(peID)
 
 	layers := int64(math.Ceil(p.R / g.CellSide))

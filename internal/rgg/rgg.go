@@ -13,11 +13,10 @@ package rgg
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geometry"
-	"repro/internal/graph"
-	"repro/internal/pe"
 )
 
 // Params configures a random geometric graph.
@@ -58,47 +57,6 @@ func (p Params) grid() *Grid {
 		p.Seed, core.TagRGGCounts, core.TagRGGCell, core.TagRGGPoints)
 }
 
-// Generate produces the full graph. Undirected edges appear once per
-// endpoint in the merged list.
-func Generate(p Params, workers int) (*graph.EdgeList, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	results := pe.ForEach(int(p.chunks()), workers, func(c int) core.Result {
-		return GenerateChunk(p, uint64(c))
-	})
-	return core.MergeResults(p.N, results), nil
-}
-
-// GenerateChunk runs one logical PE: it generates the vertices of its
-// chunks plus the ghost cells of neighbouring chunks and emits all edges
-// incident to its local vertices.
-func GenerateChunk(p Params, peID uint64) core.Result {
-	res := core.Result{PE: int(peID)}
-	res.Edges = make([]graph.Edge, 0, ExpectedChunkEdges(p))
-	res.RedundantVertices, res.Comparisons = StreamChunk(p, peID, func(e graph.Edge) {
-		res.Edges = append(res.Edges, e)
-	})
-	return res
-}
-
-// ExpectedChunkEdges estimates one PE's local edge count — its share of
-// the vertices times the expected degree n * vol(ball(r)), with headroom
-// for the variance — used to pre-size the chunk edge list in one
-// allocation. It is an estimate only: emission never depends on it.
-func ExpectedChunkEdges(p Params) uint64 {
-	vol := math.Pi * p.R * p.R
-	if p.Dim == 3 {
-		vol = 4.0 / 3.0 * math.Pi * p.R * p.R * p.R
-	}
-	perVertex := float64(p.N) * vol
-	if perVertex > float64(p.N) {
-		perVertex = float64(p.N) // degree cannot exceed n, even for r near 1
-	}
-	verts := float64(p.N) / float64(p.chunks())
-	return uint64(1.2*perVertex*verts) + 64
-}
-
 // ghostSet tracks which ghost chunks have been counted towards the
 // redundancy statistic: a bitset over the bounded neighbour box of the
 // PE's chunk range (own chunks dilated by the cell-stencil reach in
@@ -110,10 +68,11 @@ type ghostSet struct {
 	words []uint64
 }
 
-// newGhostSet derives the neighbour box of the chunks [lo, hi) with a
-// dilation of chunkHalo chunks per side, clamped to the chunk grid.
-func newGhostSet(g *Grid, lo, hi uint64, chunkHalo int64) *ghostSet {
-	s := &ghostSet{g: g}
+// reset empties the set and derives the neighbour box of the chunks
+// [lo, hi) with a dilation of chunkHalo chunks per side, clamped to the
+// chunk grid. The bitset's words are kept from use to use.
+func (s *ghostSet) reset(g *Grid, lo, hi uint64, chunkHalo int64) {
+	s.g = g
 	var bmin, bmax [3]int64
 	for i := range bmin {
 		bmin[i], bmax[i] = int64(g.ChunkGridDim), -1
@@ -148,8 +107,8 @@ func newGhostSet(g *Grid, lo, hi uint64, chunkHalo int64) *ghostSet {
 			n *= s.dims[i]
 		}
 	}
-	s.words = make([]uint64, (n+63)/64)
-	return s
+	s.words = slices.Grow(s.words[:0], int((n+63)/64))[:(n+63)/64]
+	clear(s.words)
 }
 
 // add marks a chunk and reports whether it was newly added.
@@ -167,15 +126,39 @@ func (s *ghostSet) add(chunk uint64) bool {
 	return true
 }
 
-// StreamChunk emits the chunk's edges through the callback in the exact
-// deterministic order of GenerateChunk, cell by cell, without
-// materializing the chunk edge list — only the cell arena of the chunk
-// currently in flight (plus its ghost halo) is held in memory; the arena
-// resets between the PE's chunks. It returns the redundant-vertex and
-// comparison counters of the chunk.
-func StreamChunk(p Params, peID uint64, emit func(graph.Edge)) (redundantVertices, comparisons uint64) {
+// scratch is what the package keeps in an Emitter between chunks: the
+// grid of the instance last streamed, its cell access (point arena and
+// chunk tables, Reset after every chunk) and the ghost set.
+type scratch struct {
+	p      Params
+	g      *Grid
+	acc    *CellAccess
+	ghosts ghostSet
+}
+
+// scratchOf returns the Emitter's scratch for p, replacing whatever the
+// Emitter held before if it was not this instance's.
+func scratchOf(e *core.Emitter, p Params) *scratch {
+	if s, ok := e.Scratch.(*scratch); ok && s.p == p {
+		return s
+	}
 	g := p.grid()
-	acc := NewCellAccess(g)
+	s := &scratch{p: p, g: g, acc: NewCellAccess(g)}
+	e.Scratch = s
+	return s
+}
+
+// StreamChunk runs one logical PE into e: it generates the vertices of its
+// chunks plus the ghost cells of neighbouring chunks and emits every edge
+// incident to its local vertices, cell by cell, without materializing the
+// chunk edge list. Only the cell arena of the chunk in flight (plus its
+// ghost halo) is held; the arena resets between the PE's chunks and is
+// kept in e's Scratch for the next call. Undirected edges appear once per
+// endpoint across the PEs. The redundant-vertex and comparison counts go
+// to e's Work.
+func StreamChunk(p Params, peID uint64, e *core.Emitter) {
+	s := scratchOf(e, p)
+	g, acc, ghosts := s.g, s.acc, &s.ghosts
 	lo, hi := g.ChunkRange(peID)
 
 	layers := int64(math.Ceil(p.R / g.CellSide))
@@ -184,7 +167,8 @@ func StreamChunk(p Params, peID uint64, emit func(graph.Edge)) (redundantVertice
 	}
 	r2 := p.R * p.R
 	chunkHalo := (layers + int64(g.CellsPerDim) - 1) / int64(g.CellsPerDim)
-	ghosts := newGhostSet(g, lo, hi, chunkHalo)
+	ghosts.reset(g, lo, hi, chunkHalo)
+	var redundantVertices, comparisons uint64
 
 	for chunk := lo; chunk < hi; chunk++ {
 		cellsInChunk := g.CellsPerChunk()
@@ -217,7 +201,7 @@ func StreamChunk(p Params, peID uint64, emit func(graph.Edge)) (redundantVertice
 						}
 						comparisons++
 						if geometry.Dist2(p.Dim, own[i].X, pts[j].X) <= r2 {
-							emit(graph.Edge{U: own[i].ID, V: pts[j].ID})
+							e.Append(own[i].ID, pts[j].ID)
 						}
 					}
 				}
@@ -239,7 +223,8 @@ func StreamChunk(p Params, peID uint64, emit func(graph.Edge)) (redundantVertice
 		}
 		acc.Reset() // bound memory by one chunk + halo
 	}
-	return redundantVertices, comparisons
+	e.RedundantVertices += redundantVertices
+	e.Comparisons += comparisons
 }
 
 // Points returns all generated vertex positions in ID order. Used by

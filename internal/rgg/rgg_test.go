@@ -4,9 +4,30 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/geometry"
 	"repro/internal/graph"
 )
+
+// generate and generateChunk collect chunks from StreamChunk, the way the
+// root package's generator does.
+func generate(p Params, workers int) (*graph.EdgeList, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return core.Generate(p.N, p.chunks(), workers, func(pe uint64, e *core.Emitter) { StreamChunk(p, pe, e) }), nil
+}
+
+// chunkResult is one collected chunk and the work it reported.
+type chunkResult struct {
+	Edges []graph.Edge
+	core.Work
+}
+
+func generateChunk(p Params, pe uint64) chunkResult {
+	edges, work := core.Collect(func(e *core.Emitter) { StreamChunk(p, pe, e) })
+	return chunkResult{edges, work}
+}
 
 // bruteForce computes the exact RGG edge set (both orientations) of a
 // point set.
@@ -44,7 +65,7 @@ func TestMatchesBruteForce(t *testing.T) {
 			t.Fatalf("%+v: %d points, want %d", p, len(pts), p.N)
 		}
 		want := bruteForce(p.Dim, pts, p.R)
-		el, err := Generate(p, 4)
+		el, err := generate(p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,12 +143,12 @@ func TestIDsContiguous(t *testing.T) {
 
 func TestWorkerIndependence(t *testing.T) {
 	p := Params{N: 2000, R: 0.05, Dim: 2, Seed: 11, Chunks: 16}
-	base, err := Generate(p, 1)
+	base, err := generate(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Sort()
-	got, err := Generate(p, 8)
+	got, err := generate(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +167,7 @@ func TestWorkerIndependence(t *testing.T) {
 // n * pi * r^2 in 2D (paper §2.1.2).
 func TestExpectedDegree2D(t *testing.T) {
 	p := Params{N: 20000, R: 0.02, Dim: 2, Seed: 13, Chunks: 4}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +183,7 @@ func TestExpectedDegree2D(t *testing.T) {
 // TestSymmetry: every edge has its mirror in the merged output.
 func TestSymmetry(t *testing.T) {
 	p := Params{N: 1000, R: 0.07, Dim: 2, Seed: 15, Chunks: 9}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +204,8 @@ func TestSymmetry(t *testing.T) {
 // PEs and extracting the shared border edges.
 func TestGhostDeterminism(t *testing.T) {
 	p := Params{N: 800, R: 0.09, Dim: 2, Seed: 17, Chunks: 4}
-	resA := GenerateChunk(p, 0)
-	resB := GenerateChunk(p, 1)
+	resA := generateChunk(p, 0)
+	resB := generateChunk(p, 1)
 	// Cross edges (u in A, v in B) from A must mirror (v,u) edges in B.
 	edgesA := make(map[graph.Edge]bool)
 	for _, e := range resA.Edges {
@@ -199,7 +220,7 @@ func TestGhostDeterminism(t *testing.T) {
 	}
 	// Stronger check: merged graph has no duplicates.
 	merged := graph.Merge(p.N, resA.Edges, resB.Edges,
-		GenerateChunk(p, 2).Edges, GenerateChunk(p, 3).Edges)
+		generateChunk(p, 2).Edges, generateChunk(p, 3).Edges)
 	if d := merged.CountDuplicates(); d != 0 {
 		t.Fatalf("%d duplicate edges across PEs", d)
 	}
@@ -209,7 +230,7 @@ func TestGhostDeterminism(t *testing.T) {
 // fraction for reasonably dense chunks.
 func TestRedundantVerticesCounted(t *testing.T) {
 	p := Params{N: 10000, R: 0.01, Dim: 2, Seed: 19, Chunks: 4}
-	res := GenerateChunk(p, 0)
+	res := generateChunk(p, 0)
 	if res.RedundantVertices == 0 {
 		t.Error("expected some ghost vertices to be recomputed")
 	}
@@ -249,7 +270,7 @@ func BenchmarkChunk2D(b *testing.B) {
 	p.R = ConnectivityRadius(p.N, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateChunk(p, 7)
+		generateChunk(p, 7)
 	}
 }
 
@@ -258,7 +279,7 @@ func BenchmarkChunk3D(b *testing.B) {
 	p.R = ConnectivityRadius(p.N, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateChunk(p, 3)
+		generateChunk(p, 3)
 	}
 }
 
@@ -270,7 +291,7 @@ func TestBatchedMatchesStandard(t *testing.T) {
 		{N: 900, R: 0.12, Dim: 3, Seed: 22, Chunks: 8},
 	} {
 		for pe := uint64(0); pe < p.Chunks; pe++ {
-			a := GenerateChunk(p, pe)
+			a := generateChunk(p, pe)
 			b := GenerateChunkBatched(p, pe)
 			ea := graph.EdgeList{N: p.N, Edges: a.Edges}
 			eb := graph.EdgeList{N: p.N, Edges: b.Edges}

@@ -18,9 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/hyperbolic"
-	"repro/internal/pe"
 	"repro/internal/prng"
 	"repro/internal/sampling"
 )
@@ -170,29 +168,21 @@ func (inst *instance) ownerOf(theta float64) uint64 {
 	return c
 }
 
-// Generate produces the full graph across all chunks; undirected edges
-// appear once per endpoint.
-func Generate(p Params, workers int) (*graph.EdgeList, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	results := pe.ForEach(int(p.chunks()), workers, func(c int) core.Result {
-		return GenerateChunk(p, uint64(c))
-	})
-	return core.MergeResults(p.N, results), nil
-}
-
-// GenerateChunk runs one logical PE: it owns the angular sector
+// StreamChunk runs one logical PE into e: it owns the angular sector
 // [2*pi*pe/P, 2*pi*(pe+1)/P) across the core and all annuli and emits all
 // edges incident to its local vertices, recomputing foreign chunks as the
-// neighbourhood queries reach them.
-func GenerateChunk(p Params, peID uint64) core.Result {
+// neighbourhood queries reach them. The in-memory generator answers the
+// queries against the whole sector, so it holds the sector's points while
+// it emits; sRHG is the memory-bounded streaming variant. Undirected edges
+// appear once per endpoint across the PEs (unless OutwardOnly). The
+// replicated core and every foreign chunk count as redundant vertices,
+// every candidate pair as a comparison.
+func StreamChunk(p Params, peID uint64, e *core.Emitter) {
 	inst := newInstance(p)
-	res := core.Result{PE: int(peID)}
 	k := len(inst.bounds) - 1
 
 	corePts := inst.corePoints()
-	res.RedundantVertices += inst.coreCount // replicated on every PE
+	e.RedundantVertices += inst.coreCount // replicated on every PE
 
 	cache := make(map[[2]uint64][]hyperbolic.Point)
 	chunkOf := func(i int, c uint64) []hyperbolic.Point {
@@ -202,7 +192,7 @@ func GenerateChunk(p Params, peID uint64) core.Result {
 		}
 		pts := inst.chunkPoints(i, c)
 		if c != peID {
-			res.RedundantVertices += uint64(len(pts))
+			e.RedundantVertices += uint64(len(pts))
 		}
 		cache[key] = pts
 		return pts
@@ -227,9 +217,9 @@ func GenerateChunk(p Params, peID uint64) core.Result {
 	}
 
 	emit := func(v, u hyperbolic.Point) {
-		res.Comparisons++
+		e.Comparisons++
 		if u.ID != v.ID && inst.geo.IsNeighbor(v, u) {
-			res.Edges = append(res.Edges, graph.Edge{U: v.ID, V: u.ID})
+			e.Append(v.ID, u.ID)
 		}
 	}
 
@@ -267,7 +257,7 @@ func GenerateChunk(p Params, peID uint64) core.Result {
 				inst.scanWindow(i, v, dt, chunkOf, emit)
 			}
 		}
-		return res
+		return
 	}
 
 	for _, l := range locals {
@@ -281,16 +271,6 @@ func GenerateChunk(p Params, peID uint64) core.Result {
 			dt := inst.geo.DeltaThetaPre(v, inst.cothLo[i], inst.coshRInvSinLo[i])
 			inst.scanWindow(i, v, dt, chunkOf, emit)
 		}
-	}
-	return res
-}
-
-// StreamChunk emits the edges of GenerateChunk in order. The in-memory
-// generator answers neighbourhood queries against the whole sector, so it
-// buffers one chunk's edges; sRHG is the memory-bounded streaming variant.
-func StreamChunk(p Params, peID uint64, emit func(graph.Edge)) {
-	for _, e := range GenerateChunk(p, peID).Edges {
-		emit(e)
 	}
 }
 

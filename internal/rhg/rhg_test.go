@@ -4,9 +4,30 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hyperbolic"
 )
+
+// generate and generateChunk collect chunks from StreamChunk, the way the
+// root package's generator does.
+func generate(p Params, workers int) (*graph.EdgeList, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return core.Generate(p.N, p.chunks(), workers, func(pe uint64, e *core.Emitter) { StreamChunk(p, pe, e) }), nil
+}
+
+// chunkResult is one collected chunk and the work it reported.
+type chunkResult struct {
+	Edges []graph.Edge
+	core.Work
+}
+
+func generateChunk(p Params, pe uint64) chunkResult {
+	edges, work := core.Collect(func(e *core.Emitter) { StreamChunk(p, pe, e) })
+	return chunkResult{edges, work}
+}
 
 // bruteForce computes the exact edge set (both orientations) using the
 // same adjacency predicate on the full point set.
@@ -44,7 +65,7 @@ func TestMatchesBruteForce(t *testing.T) {
 			t.Fatalf("%+v: %d points, want %d", p, len(pts), p.N)
 		}
 		want := bruteForce(p, pts)
-		el, err := Generate(p, 4)
+		el, err := generate(p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,12 +125,12 @@ func TestCoordinateRanges(t *testing.T) {
 
 func TestWorkerIndependence(t *testing.T) {
 	p := Params{N: 1000, AvgDeg: 8, Gamma: 2.8, Seed: 7, Chunks: 8}
-	base, err := Generate(p, 1)
+	base, err := generate(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Sort()
-	got, err := Generate(p, 8)
+	got, err := generate(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +150,7 @@ func TestWorkerIndependence(t *testing.T) {
 // 1+o(1) corrections, so the band is generous.
 func TestAverageDegree(t *testing.T) {
 	p := Params{N: 1 << 14, AvgDeg: 12, Gamma: 3.0, Seed: 8, Chunks: 8}
-	el, err := Generate(p, 8)
+	el, err := generate(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +164,7 @@ func TestAverageDegree(t *testing.T) {
 // with exponent ~gamma.
 func TestPowerLawTail(t *testing.T) {
 	p := Params{N: 1 << 15, AvgDeg: 10, Gamma: 2.6, Seed: 9, Chunks: 8}
-	el, err := Generate(p, 8)
+	el, err := generate(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +179,7 @@ func TestPowerLawTail(t *testing.T) {
 // output.
 func TestSymmetry(t *testing.T) {
 	p := Params{N: 800, AvgDeg: 8, Gamma: 3.2, Seed: 10, Chunks: 6}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +208,7 @@ func TestCoreIsClique(t *testing.T) {
 	if len(corePts) < 2 {
 		t.Skip("core too small for this instance")
 	}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +248,7 @@ func BenchmarkChunk(b *testing.B) {
 	p := Params{N: 1 << 14, AvgDeg: 16, Gamma: 3.0, Seed: 1, Chunks: 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateChunk(p, 3)
+		generateChunk(p, 3)
 	}
 }
 
@@ -237,12 +258,12 @@ func BenchmarkChunk(b *testing.B) {
 func TestOutwardOnlyMatchesFull(t *testing.T) {
 	for _, chunks := range []uint64{1, 4, 7} {
 		p := Params{N: 600, AvgDeg: 10, Gamma: 2.7, Seed: 21, Chunks: chunks}
-		full, err := Generate(p, 4)
+		full, err := generate(p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.OutwardOnly = true
-		out, err := Generate(p, 4)
+		out, err := generate(p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,11 +294,11 @@ func TestOutwardOnlyCheaper(t *testing.T) {
 	fullCmp := uint64(0)
 	outCmp := uint64(0)
 	for pe := uint64(0); pe < 8; pe++ {
-		fullCmp += GenerateChunk(p, pe).Comparisons
+		fullCmp += generateChunk(p, pe).Comparisons
 	}
 	p.OutwardOnly = true
 	for pe := uint64(0); pe < 8; pe++ {
-		outCmp += GenerateChunk(p, pe).Comparisons
+		outCmp += generateChunk(p, pe).Comparisons
 	}
 	if outCmp*3/2 > fullCmp {
 		t.Errorf("outward-only comparisons %d not well below full mode %d", outCmp, fullCmp)

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/pe"
 	"repro/internal/prng"
 )
 
@@ -247,41 +246,17 @@ func (g *Generator) init() error {
 	return g.err
 }
 
-// Generate produces all m edges (duplicates and self-loops permitted, as
-// in the Graph 500 reference).
-func (g *Generator) Generate(workers int) (*graph.EdgeList, error) {
-	if err := g.init(); err != nil {
-		return nil, err
-	}
-	results := pe.ForEach(int(g.p.chunks()), workers, func(c int) []graph.Edge {
-		edges, _ := g.GenerateChunk(uint64(c)) // init succeeded and c is in range
-		return edges
-	})
-	return graph.Merge(g.p.N(), results...), nil
-}
-
-// GenerateChunk returns the edges of one chunk of the edge-index range.
-func (g *Generator) GenerateChunk(chunk uint64) ([]graph.Edge, error) {
-	lo, hi, err := g.chunkRange(chunk)
-	if err != nil {
-		return nil, err
-	}
-	edges := make([]graph.Edge, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		edges = append(edges, g.edge(i))
-	}
-	return edges, nil
-}
-
-// StreamChunk emits the chunk's edges through a callback without
-// materializing them (memory-bounded generation).
-func (g *Generator) StreamChunk(chunk uint64, emit func(graph.Edge)) error {
+// StreamChunk emits the edges of one chunk of the edge-index range into e
+// without materializing them. Duplicate edges and self-loops are
+// permitted, as in the Graph 500 reference.
+func (g *Generator) StreamChunk(chunk uint64, e *core.Emitter) error {
 	lo, hi, err := g.chunkRange(chunk)
 	if err != nil {
 		return err
 	}
 	for i := lo; i < hi; i++ {
-		emit(g.edge(i))
+		u, v := g.edge(i)
+		e.Append(u, v)
 	}
 	return nil
 }
@@ -306,12 +281,13 @@ func (g *Generator) Edge(i uint64) (graph.Edge, error) {
 	if err := g.init(); err != nil {
 		return graph.Edge{}, err
 	}
-	return g.edge(i), nil
+	u, v := g.edge(i)
+	return graph.Edge{U: u, V: v}, nil
 }
 
 // edge is Edge after init: one per-edge seeded stream, one Uint64 and one
 // table lookup per levelsPerDraw levels.
-func (g *Generator) edge(i uint64) graph.Edge {
+func (g *Generator) edge(i uint64) (u, v uint64) {
 	r := prng.New(g.p.Seed, core.TagRMAT, i)
 	var row, col uint64
 	for d := uint(0); d < g.fullDraws; d++ {
@@ -324,5 +300,5 @@ func (g *Generator) edge(i uint64) graph.Edge {
 		row = row<<g.rem.levels | rb
 		col = col<<g.rem.levels | cb
 	}
-	return graph.Edge{U: row, V: col}
+	return row, col
 }

@@ -45,9 +45,18 @@ func mustEdge(t *testing.T, g *Generator, i uint64) graph.Edge {
 	return e
 }
 
+// generate collects every chunk of g in order, the way the root package's
+// generator does.
+func generate(g *Generator, workers int) (*graph.EdgeList, error) {
+	if err := g.init(); err != nil {
+		return nil, err
+	}
+	return core.Generate(g.p.N(), g.p.chunks(), workers, func(pe uint64, e *core.Emitter) { g.StreamChunk(pe, e) }), nil
+}
+
 func TestEdgeCountAndRange(t *testing.T) {
 	p := Params{Scale: 10, M: 5000, Seed: 1, Chunks: 8}
-	el, err := NewGenerator(p).Generate(4)
+	el, err := generate(NewGenerator(p), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,21 +75,26 @@ func TestEdgeCountAndRange(t *testing.T) {
 // Edge(i) — random access, the communication-free property — must be the
 // streamed i-th edge.
 func TestWorkerAndChunkIndependence(t *testing.T) {
-	base, err := NewGenerator(Params{Scale: 12, M: 20000, Seed: 3, Chunks: 1}).Generate(1)
+	base, err := generate(NewGenerator(Params{Scale: 12, M: 20000, Seed: 3, Chunks: 1}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, chunks := range []uint64{3, 4, 16} {
 		g := NewGenerator(Params{Scale: 12, M: 20000, Seed: 3, Chunks: chunks})
-		got, err := g.Generate(8)
+		got, err := generate(g, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var streamed []graph.Edge
 		for c := uint64(0); c < chunks; c++ {
-			if err := g.StreamChunk(c, func(e graph.Edge) { streamed = append(streamed, e) }); err != nil {
+			e := core.NewEmitter(make([]graph.Edge, 0, 7), func(full []graph.Edge) ([]graph.Edge, bool) {
+				streamed = append(streamed, full...)
+				return full, true
+			})
+			if err := g.StreamChunk(c, e); err != nil {
 				t.Fatal(err)
 			}
+			streamed = append(streamed, e.Edges()...)
 		}
 		if len(got.Edges) != len(base.Edges) || len(streamed) != len(base.Edges) {
 			t.Fatalf("chunks=%d: %d generated, %d streamed, want %d", chunks, len(got.Edges), len(streamed), len(base.Edges))
@@ -94,7 +108,7 @@ func TestWorkerAndChunkIndependence(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewGenerator(Params{Scale: 12, M: 10, Chunks: 4}).GenerateChunk(4); err == nil {
+	if err := NewGenerator(Params{Scale: 12, M: 10, Chunks: 4}).StreamChunk(4, &core.Emitter{}); err == nil {
 		t.Error("chunk index == chunk count accepted")
 	}
 }
@@ -103,7 +117,7 @@ func TestWorkerAndChunkIndependence(t *testing.T) {
 // the edges (a, b, c, d) over the four matrix quadrants.
 func TestQuadrantSkew(t *testing.T) {
 	p := Params{Scale: 14, M: 200000, Seed: 5, Chunks: 4}
-	el, err := NewGenerator(p).Generate(4)
+	el, err := generate(NewGenerator(p), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +150,7 @@ func TestQuadrantSkew(t *testing.T) {
 // TestSkewedDegrees: R-MAT produces a heavily skewed degree distribution.
 func TestSkewedDegrees(t *testing.T) {
 	p := Params{Scale: 12, M: 1 << 16, Seed: 7, Chunks: 4}
-	el, err := NewGenerator(p).Generate(4)
+	el, err := generate(NewGenerator(p), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +163,7 @@ func TestSkewedDegrees(t *testing.T) {
 func TestCustomProbabilities(t *testing.T) {
 	// Uniform probabilities make R-MAT an (almost) uniform random digraph.
 	p := Params{Scale: 10, M: 100000, A: 0.25, B: 0.25, C: 0.25, D: 0.25, Seed: 9, Chunks: 4}
-	el, err := NewGenerator(p).Generate(4)
+	el, err := generate(NewGenerator(p), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,9 +496,10 @@ func TestDegreeHistogramMatchesReference(t *testing.T) {
 
 func BenchmarkChunk(b *testing.B) {
 	g := NewGenerator(Params{Scale: 20, M: 1 << 16, Seed: 1, Chunks: 16})
+	e := core.NewEmitter(make([]graph.Edge, 0, 4096), func(full []graph.Edge) ([]graph.Edge, bool) { return full, true })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.GenerateChunk(7); err != nil {
+		if err := g.StreamChunk(7, e); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,7 +34,12 @@ func ChunkCounts(seed, k, chunks uint64, size SizeFunc, qlo, qhi uint64) []uint6
 
 // ChunkCount is ChunkCounts for a single chunk.
 func ChunkCount(seed, k, chunks uint64, size SizeFunc, chunk uint64) uint64 {
-	return ChunkCounts(seed, k, chunks, size, chunk, chunk+1)[0]
+	if chunk >= chunks {
+		panic("sampling: invalid chunk query range")
+	}
+	var out [1]uint64
+	splitRec(seed, k, 0, chunks, size, chunk, chunk+1, out[:])
+	return out[0]
 }
 
 func splitRec(seed, k, lo, hi uint64, size SizeFunc, qlo, qhi uint64, out []uint64) {

@@ -18,8 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
-	"repro/internal/pe"
 	"repro/internal/prng"
 	"repro/internal/sampling"
 )
@@ -115,18 +113,6 @@ func (p Params) blockStarts() []uint64 {
 	return starts
 }
 
-// Generate produces the full graph; undirected edges appear once per
-// endpoint across PEs.
-func Generate(p Params, workers int) (*graph.EdgeList, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	results := pe.ForEach(int(p.chunks()), workers, func(c int) []graph.Edge {
-		return GenerateChunk(p, uint64(c))
-	})
-	return graph.Merge(p.N(), results...), nil
-}
-
 // interval is a half-open vertex range.
 type interval struct{ lo, hi uint64 }
 
@@ -146,23 +132,16 @@ func (iv interval) intersect(lo, hi uint64) interval {
 	return iv
 }
 
-// GenerateChunk is a thin collector over StreamChunk: it returns all edges
-// incident to the chunk's vertex range, oriented away from local vertices.
-func GenerateChunk(p Params, chunk uint64) []graph.Edge {
-	var edges []graph.Edge
-	StreamChunk(p, chunk, func(e graph.Edge) { edges = append(edges, e) })
-	return edges
-}
-
-// StreamChunk emits all edges incident to the chunk's vertex range through
-// a callback without materializing them. It composes the per-block-pair
+// StreamChunk emits all edges incident to the chunk's vertex range into e,
+// oriented away from local vertices, without materializing them;
+// undirected edges appear once per endpoint across PEs. It composes the per-block-pair
 // undirected streams along the chunk's triangular row exactly like the
 // undirected G(n,p) streamer: for each chunk pair the constant-probability
 // sub-rectangles (block pair intersections) are sampled in block order,
 // seeded purely by the (chunk pair, block pair) identity, so both owning
 // PEs regenerate identical edges and the working set is one sub-rectangle's
 // sampler state.
-func StreamChunk(p Params, chunk uint64, emit func(graph.Edge)) {
+func StreamChunk(p Params, chunk uint64, e *core.Emitter) {
 	n := p.N()
 	P := p.chunks()
 	ch := core.Chunking{N: n, Chunks: P}
@@ -196,16 +175,16 @@ func StreamChunk(p Params, chunk uint64, emit func(graph.Edge)) {
 					// the chunk counts; clip the rectangle accordingly.
 					sampleLowerTriangleRect(&r, rowPart, colPart, prob, func(u, v uint64) {
 						// Both endpoints local: emit both orientations.
-						emit(graph.Edge{U: u, V: v})
-						emit(graph.Edge{U: v, V: u})
+						e.Append(u, v)
+						e.Append(v, u)
 					})
 					continue
 				}
 				sampleRect(&r, rowPart, colPart, prob, func(u, v uint64) {
 					if local {
-						emit(graph.Edge{U: u, V: v})
+						e.Append(u, v)
 					} else {
-						emit(graph.Edge{U: v, V: u})
+						e.Append(v, u)
 					}
 				})
 			}

@@ -4,15 +4,30 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
+
+// generate and generateChunk collect chunks from StreamChunk, the way the
+// root package's generator does.
+func generate(p Params, workers int) (*graph.EdgeList, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return core.Generate(p.N(), p.chunks(), workers, func(pe uint64, e *core.Emitter) { StreamChunk(p, pe, e) }), nil
+}
+
+func generateChunk(p Params, pe uint64) []graph.Edge {
+	edges, _ := core.Collect(func(e *core.Emitter) { StreamChunk(p, pe, e) })
+	return edges
+}
 
 func TestPlantedPartitionDensities(t *testing.T) {
 	const n = 3000
 	const blocks = 3
 	const pIn, pOut = 0.02, 0.002
 	p := PlantedPartition(n, blocks, pIn, pOut, 7, 8)
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +63,7 @@ func TestPlantedPartitionDensities(t *testing.T) {
 
 func TestConventionAndConsistency(t *testing.T) {
 	p := PlantedPartition(1200, 4, 0.05, 0.005, 3, 6)
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +86,11 @@ func TestConventionAndConsistency(t *testing.T) {
 
 func TestWorkerIndependence(t *testing.T) {
 	p := PlantedPartition(900, 3, 0.04, 0.004, 11, 8)
-	a, err := Generate(p, 1)
+	a, err := generate(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(p, 8)
+	b, err := generate(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +115,7 @@ func TestUniformMatrixMatchesGNP(t *testing.T) {
 	const trials = 10
 	for s := uint64(0); s < trials; s++ {
 		p := PlantedPartition(n, 4, prob, prob, s, 4)
-		el, err := Generate(p, 4)
+		el, err := generate(p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +132,7 @@ func TestUniformMatrixMatchesGNP(t *testing.T) {
 // are denser than the cut — detectable by simple conductance.
 func TestCommunityStructure(t *testing.T) {
 	p := PlantedPartition(2000, 2, 0.05, 0.001, 5, 4)
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +185,7 @@ func TestBlockBoundariesVsChunks(t *testing.T) {
 			}
 		}
 	}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,19 +198,24 @@ func TestBlockBoundariesVsChunks(t *testing.T) {
 	}
 }
 
-// TestStreamChunkMatchesGenerate: concatenating the streamed chunks must
-// reproduce Generate edge for edge — the SBM streamer is the composition
-// of its per-(chunk pair, block pair) undirected streams in chunk-row
-// order.
+// TestStreamChunkMatchesGenerate: concatenating the chunks streamed
+// through a flushing batch must reproduce the collected graph edge for
+// edge — the SBM streamer is the composition of its per-(chunk pair, block
+// pair) undirected streams in chunk-row order.
 func TestStreamChunkMatchesGenerate(t *testing.T) {
 	p := PlantedPartition(400, 3, 0.05, 0.005, 11, 5)
-	whole, err := Generate(p, 3)
+	whole, err := generate(p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var streamed []graph.Edge
 	for c := uint64(0); c < p.chunks(); c++ {
-		StreamChunk(p, c, func(e graph.Edge) { streamed = append(streamed, e) })
+		e := core.NewEmitter(make([]graph.Edge, 0, 7), func(full []graph.Edge) ([]graph.Edge, bool) {
+			streamed = append(streamed, full...)
+			return full, true
+		})
+		StreamChunk(p, c, e)
+		streamed = append(streamed, e.Edges()...)
 	}
 	if len(streamed) != whole.Len() {
 		t.Fatalf("streamed %d edges, Generate has %d", len(streamed), whole.Len())
@@ -212,9 +232,11 @@ func TestStreamChunkMatchesGenerate(t *testing.T) {
 func TestStreamChunkAllocs(t *testing.T) {
 	p := PlantedPartition(1<<12, 4, 0.01, 0.001, 1, 16)
 	var sink uint64
-	allocs := testing.AllocsPerRun(5, func() {
-		StreamChunk(p, 8, func(e graph.Edge) { sink += e.U })
+	e := core.NewEmitter(make([]graph.Edge, 0, 256), func(full []graph.Edge) ([]graph.Edge, bool) {
+		sink += full[0].U
+		return full, true
 	})
+	allocs := testing.AllocsPerRun(5, func() { StreamChunk(p, 8, e) })
 	if allocs > 8 {
 		t.Errorf("StreamChunk allocates %.0f times per chunk, want O(1)", allocs)
 	}

@@ -375,16 +375,9 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // (complete = content-addressed cache hit, in-flight = dedupe),
 // 429 the submission queue is full.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var spec job.Spec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
-		return
-	}
-	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid spec: %v", err)
+	spec, err := job.DecodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	id := spec.Hash()

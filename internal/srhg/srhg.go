@@ -22,9 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/hyperbolic"
-	"repro/internal/pe"
 	"repro/internal/prng"
 	"repro/internal/sampling"
 )
@@ -240,53 +238,18 @@ type request struct {
 	ptCoord float64
 }
 
-// Generate produces the full graph; undirected edges appear once per
-// endpoint across the merged PE outputs.
-func Generate(p Params, workers int) (*graph.EdgeList, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	results := pe.ForEach(int(p.chunks()), workers, func(c int) core.Result {
-		return GenerateChunk(p, uint64(c))
-	})
-	return core.MergeResults(p.N, results), nil
-}
-
-// GenerateChunk runs one logical PE of sRHG: the global phase (replicated
-// core + global annuli, distributed by angular ownership), then the main
-// sweep over its chunk of every streaming annulus, then the final phase
-// over the replicated next chunk.
-func GenerateChunk(p Params, peID uint64) core.Result {
-	res := core.Result{PE: int(peID)}
-	res.Edges = make([]graph.Edge, 0, ExpectedChunkEdges(p))
-	res.RedundantVertices, res.Comparisons = StreamChunk(p, peID, func(e graph.Edge) {
-		res.Edges = append(res.Edges, e)
-	})
-	return res
-}
-
-// ExpectedChunkEdges estimates one PE's local edge count — its share of
-// the vertices times the target average degree, with headroom for the
-// heavy-tailed degree distribution — used to pre-size the chunk edge list
-// in one allocation. It is an estimate only: emission never depends on it.
-func ExpectedChunkEdges(p Params) uint64 {
-	deg := p.AvgDeg
-	if deg > float64(p.N) {
-		deg = float64(p.N) // degree cannot exceed n
-	}
-	verts := float64(p.N) / float64(p.chunks())
-	return uint64(1.5*deg*verts) + 64
-}
-
-// StreamChunk emits the chunk's edges through the callback in the exact
-// deterministic order of GenerateChunk. The annulus sweep is already
+// StreamChunk runs one logical PE of sRHG into e: the global phase
+// (replicated core + global annuli, distributed by angular ownership),
+// then the main sweep over its chunk of every streaming annulus, then the
+// final phase over the replicated next chunk. The annulus sweep is
 // stream-shaped: edges leave the sweep as soon as a node token meets an
 // active request, so only the sweep state (events of the PE's sector plus
-// the replicated next chunk) is held in memory, never the edge list. It
-// returns the redundant-vertex and comparison counters of the chunk.
-func StreamChunk(p Params, peID uint64, emit func(graph.Edge)) (redundantVertices, comparisons uint64) {
+// the replicated next chunk) is held in memory, never the edge list.
+// Undirected edges appear once per endpoint across the PEs. The
+// redundant-vertex and comparison counts go to e's Work.
+func StreamChunk(p Params, peID uint64, e *core.Emitter) {
 	inst := newInstance(p)
-	var res core.Result // counters only; edges go through emit
+	res := &e.Work
 	k := len(inst.bounds) - 1
 	P := p.chunks()
 
@@ -321,7 +284,7 @@ func StreamChunk(p Params, peID uint64, emit func(graph.Edge)) (redundantVertice
 			}
 			res.Comparisons++
 			if inst.geo.IsNeighbor(g, globals[hi]) {
-				emit(graph.Edge{U: g.ID, V: globals[hi].ID})
+				e.Append(g.ID, globals[hi].ID)
 			}
 		}
 	}
@@ -449,8 +412,8 @@ func StreamChunk(p Params, peID uint64, emit func(graph.Edge)) (redundantVertice
 						}
 						res.Comparisons++
 						if inst.geo.IsNeighbor(rq.pt, ev.pt) {
-							emit(graph.Edge{U: rq.pt.ID, V: ev.pt.ID})
-							emit(graph.Edge{U: ev.pt.ID, V: rq.pt.ID})
+							e.Append(rq.pt.ID, ev.pt.ID)
+							e.Append(ev.pt.ID, rq.pt.ID)
 						}
 						continue
 					}
@@ -466,14 +429,13 @@ func StreamChunk(p Params, peID uint64, emit func(graph.Edge)) (redundantVertice
 					}
 					res.Comparisons++
 					if inst.geo.IsNeighbor(rq.pt, ev.pt) {
-						emit(graph.Edge{U: rq.pt.ID, V: ev.pt.ID})
-						emit(graph.Edge{U: ev.pt.ID, V: rq.pt.ID})
+						e.Append(rq.pt.ID, ev.pt.ID)
+						e.Append(ev.pt.ID, rq.pt.ID)
 					}
 				}
 			}
 		}
 	}
-	return res.RedundantVertices, res.Comparisons
 }
 
 // Points returns all vertex coordinates in ID order (core, global annuli,

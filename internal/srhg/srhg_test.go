@@ -4,9 +4,24 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hyperbolic"
 )
+
+// generate and generateChunk collect chunks from StreamChunk, the way the
+// root package's generator does.
+func generate(p Params, workers int) (*graph.EdgeList, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return core.Generate(p.N, p.chunks(), workers, func(pe uint64, e *core.Emitter) { StreamChunk(p, pe, e) }), nil
+}
+
+func generateChunk(p Params, pe uint64) []graph.Edge {
+	edges, _ := core.Collect(func(e *core.Emitter) { StreamChunk(p, pe, e) })
+	return edges
+}
 
 func bruteForce(p Params, pts []hyperbolic.Point) map[graph.Edge]bool {
 	alpha := hyperbolic.AlphaFromGamma(p.Gamma)
@@ -44,7 +59,7 @@ func TestMatchesBruteForce(t *testing.T) {
 			t.Fatalf("%+v: %d points, want %d", p, len(pts), p.N)
 		}
 		want := bruteForce(p, pts)
-		el, err := Generate(p, 4)
+		el, err := generate(p, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,12 +100,12 @@ func TestIDsContiguous(t *testing.T) {
 
 func TestWorkerIndependence(t *testing.T) {
 	p := Params{N: 900, AvgDeg: 8, Gamma: 3.0, Seed: 7, Chunks: 8}
-	base, err := Generate(p, 1)
+	base, err := generate(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Sort()
-	got, err := Generate(p, 8)
+	got, err := generate(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +142,7 @@ func TestGlobalStreamingSplit(t *testing.T) {
 // target (asymptotic calibration).
 func TestAverageDegree(t *testing.T) {
 	p := Params{N: 1 << 14, AvgDeg: 12, Gamma: 3.0, Seed: 9, Chunks: 8}
-	el, err := Generate(p, 8)
+	el, err := generate(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +155,7 @@ func TestAverageDegree(t *testing.T) {
 // TestPowerLawTail as for the in-memory generator.
 func TestPowerLawTail(t *testing.T) {
 	p := Params{N: 1 << 15, AvgDeg: 10, Gamma: 2.6, Seed: 10, Chunks: 8}
-	el, err := Generate(p, 8)
+	el, err := generate(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +167,7 @@ func TestPowerLawTail(t *testing.T) {
 
 func TestSymmetry(t *testing.T) {
 	p := Params{N: 700, AvgDeg: 8, Gamma: 3.1, Seed: 11, Chunks: 5}
-	el, err := Generate(p, 4)
+	el, err := generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +195,6 @@ func BenchmarkChunk(b *testing.B) {
 	p := Params{N: 1 << 14, AvgDeg: 16, Gamma: 3.0, Seed: 1, Chunks: 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GenerateChunk(p, 3)
+		generateChunk(p, 3)
 	}
 }

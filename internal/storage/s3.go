@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/failpoint"
@@ -116,6 +117,37 @@ type s3Backend struct {
 	cfg  s3Config
 	hc   *http.Client
 	sign signer
+
+	// partMu guards parts, the free list of multipart part buffers. A
+	// shard takes a buffer for every part it builds and gives it back once
+	// the store acknowledged that part's upload, so the next shard written
+	// through this backend fills the buffers of the one before instead of
+	// growing new ones. The list keeps at most what two open shards can
+	// have out, 2 * (concurrency + 1); any buffer beyond that is dropped.
+	partMu sync.Mutex
+	parts  [][]byte
+}
+
+// takePart returns an empty part buffer from the free list, or nil.
+func (b *s3Backend) takePart() []byte {
+	b.partMu.Lock()
+	defer b.partMu.Unlock()
+	n := len(b.parts)
+	if n == 0 {
+		return nil
+	}
+	buf := b.parts[n-1]
+	b.parts = b.parts[:n-1]
+	return buf
+}
+
+// givePart puts back the buffer of a part whose upload was acknowledged.
+func (b *s3Backend) givePart(buf []byte) {
+	b.partMu.Lock()
+	defer b.partMu.Unlock()
+	if len(b.parts) < 2*(b.cfg.concurrency+1) {
+		b.parts = append(b.parts, buf[:0])
+	}
 }
 
 func newS3FromEnv() (Backend, error) {

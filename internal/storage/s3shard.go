@@ -30,9 +30,11 @@ import (
 //
 // Bytes are copied once on their way out: Write appends straight into
 // the part being built, Commit marks how much of it is committed, and a
-// full part's buffer is handed to its upload as it is. A finished upload
-// gives the buffer back, so a shard in steady state cycles through at
-// most concurrency+1 buffers and allocates none.
+// full part's buffer is handed to its upload as it is. Part buffers come
+// from the backend's free list, and a finished upload gives its buffer
+// back there, so a shard in steady state cycles through at most
+// concurrency+1 buffers, and the shards after the first written through
+// one backend allocate none.
 type s3Shard struct {
 	b      *s3Backend
 	bucket string
@@ -50,7 +52,6 @@ type s3Shard struct {
 	pendingN     int      // chunks in part[:committed]
 	pendingSum   [32]byte // digest of that chunk when pendingN == 1
 	pendingKnown bool     // pendingSum valid (single whole chunk)
-	free         [][]byte // buffers of finished uploads; in-flight ones are bounded by sem
 	off          int64    // absolute committed offset
 	resumeOff    int64    // durable offset inherited from a resumed upload
 	resumeParts  []s3Part
@@ -160,9 +161,7 @@ func (w *s3Shard) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	if w.part == nil {
-		if n := len(w.free); n > 0 {
-			w.part, w.free = w.free[n-1], w.free[:n-1]
-		}
+		w.part = w.b.takePart()
 	}
 	if need := len(w.part) + len(p); need > cap(w.part) {
 		// The job layer writes a chunk as a run of 64 KiB blocks. Grow by
@@ -271,7 +270,7 @@ func (w *s3Shard) launch(ps *s3PartState) {
 			// buffer any more. A failed attempt may still be sending it.
 			ps.part.ETag = etag
 			ps.done = true
-			w.free = append(w.free, ps.data[:0])
+			w.b.givePart(ps.data)
 			ps.data = nil
 		}
 		w.mu.Unlock()

@@ -1,0 +1,85 @@
+package storage
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"testing"
+	"unsafe"
+
+	"repro/internal/storage/s3test"
+)
+
+// TestPartBuffersReusedAcrossShards: part buffers outlive the shard that
+// grew them. The second shard written through one resolved backend builds
+// its parts in the buffers the first one gave back and allocates no part
+// buffer of its own, and the backend keeps no more buffers than two open
+// shards can have out.
+func TestPartBuffersReusedAcrossShards(t *testing.T) {
+	const concurrency = 2
+	srv := s3test.New("test-access", "test-secret", "bkt")
+	t.Cleanup(srv.Close)
+	t.Setenv("KAGEN_S3_ENDPOINT", srv.URL())
+	t.Setenv("AWS_ACCESS_KEY_ID", "test-access")
+	t.Setenv("AWS_SECRET_ACCESS_KEY", "test-secret")
+	t.Setenv("AWS_REGION", "us-east-1")
+	t.Setenv("KAGEN_S3_PART_SIZE", "1024")
+	t.Setenv("KAGEN_S3_CONCURRENCY", fmt.Sprint(concurrency))
+	be, err := Resolve("s3://bkt/job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := be.(*s3Backend)
+
+	// Eight 700-byte chunks: two to a part, so four parts a shard, each
+	// buffer grown twice on its way to 1400 bytes in the first shard.
+	chunk := bytes.Repeat([]byte("0123456789"), 70)
+	write := func(key string) {
+		t.Helper()
+		w, err := b.CreateShard("s3://bkt/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if _, err := w.Write(chunk); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Commit(sha256.Sum256(chunk)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if got := srv.Object("bkt", key); !bytes.Equal(got, bytes.Repeat(chunk, 8)) {
+			t.Fatalf("%s: object of %d bytes differs from what was written", key, len(got))
+		}
+	}
+	buffers := func() map[*byte]bool {
+		b.partMu.Lock()
+		defer b.partMu.Unlock()
+		set := make(map[*byte]bool, len(b.parts))
+		for _, buf := range b.parts {
+			set[unsafe.SliceData(buf[:cap(buf)])] = true
+		}
+		return set
+	}
+
+	write("pe0.bin")
+	first := buffers()
+	if len(first) == 0 {
+		t.Fatal("no part buffer came back to the backend after the first shard")
+	}
+	write("pe1.bin")
+	second := buffers()
+	for buf := range second {
+		if !first[buf] {
+			t.Errorf("the second shard allocated a part buffer; the first left %d", len(first))
+			break
+		}
+	}
+	if len(second) > 2*(concurrency+1) {
+		t.Errorf("backend keeps %d part buffers, want at most %d", len(second), 2*(concurrency+1))
+	}
+}

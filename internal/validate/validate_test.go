@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ba"
+	"repro/internal/core"
 	"repro/internal/gnm"
 	"repro/internal/gnp"
 	"repro/internal/graph"
@@ -13,6 +14,12 @@ import (
 	"repro/internal/rmat"
 	"repro/internal/sbm"
 )
+
+// generate collects every chunk of an instance the way the root package's
+// generator does.
+func generate[P any](p P, n, pes uint64, stream func(P, uint64, *core.Emitter)) (*graph.EdgeList, error) {
+	return core.Generate(n, pes, 4, func(pe uint64, e *core.Emitter) { stream(p, pe, e) }), nil
+}
 
 func requireAllPassed(t *testing.T, name string, checks []Check) {
 	t.Helper()
@@ -26,7 +33,7 @@ func requireAllPassed(t *testing.T, name string, checks []Check) {
 func TestGeneratedInstancesValidate(t *testing.T) {
 	{
 		p := gnm.Params{N: 4000, M: 30000, Directed: false, Seed: 1, Chunks: 8}
-		el, err := gnm.Generate(p, 4)
+		el, err := generate(p, p.N, p.Chunks, gnm.StreamChunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +41,7 @@ func TestGeneratedInstancesValidate(t *testing.T) {
 	}
 	{
 		p := gnp.Params{N: 4000, P: 0.004, Directed: true, Seed: 2, Chunks: 8}
-		el, err := gnp.Generate(p, 4)
+		el, err := generate(p, p.N, p.Chunks, gnp.StreamChunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +49,7 @@ func TestGeneratedInstancesValidate(t *testing.T) {
 	}
 	{
 		p := rgg.Params{N: 8000, R: 0.03, Dim: 2, Seed: 3, Chunks: 4}
-		el, err := rgg.Generate(p, 4)
+		el, err := generate(p, p.N, p.Chunks, rgg.StreamChunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +57,7 @@ func TestGeneratedInstancesValidate(t *testing.T) {
 	}
 	{
 		p := rdg.Params{N: 3000, Dim: 2, Seed: 4, Chunks: 4}
-		el, err := rdg.Generate(p, 4)
+		el, err := generate(p, p.N, p.Chunks, rdg.StreamChunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +65,7 @@ func TestGeneratedInstancesValidate(t *testing.T) {
 	}
 	{
 		p := rdg.Params{N: 800, Dim: 3, Seed: 5, Chunks: 2}
-		el, err := rdg.Generate(p, 4)
+		el, err := generate(p, p.N, p.Chunks, rdg.StreamChunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +73,7 @@ func TestGeneratedInstancesValidate(t *testing.T) {
 	}
 	{
 		p := rhg.Params{N: 1 << 14, AvgDeg: 12, Gamma: 2.7, Seed: 6, Chunks: 8}
-		el, err := rhg.Generate(p, 8)
+		el, err := generate(p, p.N, p.Chunks, rhg.StreamChunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +81,7 @@ func TestGeneratedInstancesValidate(t *testing.T) {
 	}
 	{
 		p := ba.Params{N: 1 << 14, D: 4, Seed: 7, Chunks: 8}
-		el, err := ba.Generate(p, 8)
+		el, err := generate(p, p.N, p.Chunks, ba.StreamChunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +89,9 @@ func TestGeneratedInstancesValidate(t *testing.T) {
 	}
 	{
 		p := rmat.Params{Scale: 12, M: 1 << 16, Seed: 8, Chunks: 8}
-		el, err := rmat.NewGenerator(p).Generate(8)
+		el, err := generate(rmat.NewGenerator(p), p.N(), p.Chunks, func(g *rmat.Generator, pe uint64, e *core.Emitter) {
+			g.StreamChunk(pe, e) // cannot fail: valid parameters, pe in range
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +99,7 @@ func TestGeneratedInstancesValidate(t *testing.T) {
 	}
 	{
 		p := sbm.PlantedPartition(3000, 3, 0.02, 0.002, 9, 6)
-		el, err := sbm.Generate(p, 4)
+		el, err := generate(p, p.N(), p.Chunks, sbm.StreamChunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +111,7 @@ func TestGeneratedInstancesValidate(t *testing.T) {
 // that cannot fail validates nothing.
 func TestFailureInjection(t *testing.T) {
 	p := gnm.Params{N: 1000, M: 5000, Directed: false, Seed: 10, Chunks: 4}
-	el, err := gnm.Generate(p, 4)
+	el, err := generate(p, p.N, p.Chunks, gnm.StreamChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +156,7 @@ func TestFailureInjection(t *testing.T) {
 
 	// An ER graph must fail the RHG power-law check.
 	erp := gnp.Params{N: 1 << 13, P: 12.0 / (1 << 13), Directed: false, Seed: 11, Chunks: 4}
-	er, err := gnp.Generate(erp, 4)
+	er, err := generate(erp, erp.N, erp.Chunks, gnp.StreamChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +166,7 @@ func TestFailureInjection(t *testing.T) {
 
 	// Wrong block densities must fail the SBM checks.
 	sp := sbm.PlantedPartition(2000, 2, 0.02, 0.002, 12, 4)
-	sel, err := sbm.Generate(sp, 4)
+	sel, err := generate(sp, sp.N(), sp.Chunks, sbm.StreamChunk)
 	if err != nil {
 		t.Fatal(err)
 	}

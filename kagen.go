@@ -142,7 +142,8 @@ func RHG(n uint64, avgDeg, gamma float64, opt Options) (*EdgeList, error) {
 func RHGOutward(n uint64, avgDeg, gamma float64, opt Options) (*EdgeList, error) {
 	p := rhg.Params{N: n, AvgDeg: avgDeg, Gamma: gamma, Seed: opt.Seed,
 		Chunks: opt.pes(), OutwardOnly: true}
-	return rhg.Generate(p, opt.Workers)
+	g := &generator{instance: bindPkg(p, rhg.StreamChunk), n: n, pes: opt.pes(), workers: opt.Workers}
+	return g.Generate()
 }
 
 // SRHG generates a streaming random hyperbolic graph (§7.2): same model as

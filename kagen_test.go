@@ -261,3 +261,19 @@ func TestInvalidParamsSurface(t *testing.T) {
 		t.Error("r = 0 accepted")
 	}
 }
+
+// TestSBMBlockCountBounded: the planted partition's dense block matrix is
+// built when the generator is, from an untrusted spec in a served job, so
+// a negative or huge block count must surface as an error from the first
+// chunk — not a panic or an allocation of blocks² probabilities at New.
+func TestSBMBlockCountBounded(t *testing.T) {
+	for _, blocks := range []int{-1, maxSBMBlocks + 1, 1 << 40} {
+		gen, err := New(ModelSBM, ModelParams{N: 1 << 12, P: 0.01, Blocks: blocks}, Options{PEs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gen.Chunk(0); err == nil {
+			t.Errorf("%d blocks accepted", blocks)
+		}
+	}
+}

@@ -106,6 +106,10 @@ type modelDesc struct {
 	bind func(p ModelParams, opt Options) instance
 }
 
+// maxSBMBlocks bounds the SBM's community count, whose probability matrix
+// is blocks x blocks (8 MiB at the bound).
+const maxSBMBlocks = 1 << 10
+
 // modelTable lists every model, in Models order.
 var modelTable = []modelDesc{
 	gnmModel(ModelGNMDirected, true),
@@ -119,23 +123,20 @@ var modelTable = []modelDesc{
 	{
 		name: ModelRHG, reads: "n deg gamma", checks: checkRHG,
 		bind: func(p ModelParams, o Options) instance {
-			return bindPkg(rhg.Params{N: p.N, AvgDeg: p.AvgDeg, Gamma: p.Gamma, Seed: o.Seed, Chunks: o.pes()},
-				rhg.Generate, resultEdges(rhg.GenerateChunk), rhg.StreamChunk)
+			return bindPkg(rhg.Params{N: p.N, AvgDeg: p.AvgDeg, Gamma: p.Gamma, Seed: o.Seed, Chunks: o.pes()}, rhg.StreamChunk)
 		},
 	},
 	{
 		name: ModelSRHG, reads: "n deg gamma", checks: checkRHG,
 		bind: func(p ModelParams, o Options) instance {
-			return bindPkg(srhg.Params{N: p.N, AvgDeg: p.AvgDeg, Gamma: p.Gamma, Seed: o.Seed, Chunks: o.pes()},
-				srhg.Generate, resultEdges(srhg.GenerateChunk), dropCounters(srhg.StreamChunk))
+			return bindPkg(srhg.Params{N: p.N, AvgDeg: p.AvgDeg, Gamma: p.Gamma, Seed: o.Seed, Chunks: o.pes()}, srhg.StreamChunk)
 		},
 	},
 	{
 		name: ModelBA, reads: "n d",
 		checks: func(el *EdgeList, p ModelParams) []validate.Check { return validate.BA(el, p.N, p.D) },
 		bind: func(p ModelParams, o Options) instance {
-			return bindPkg(ba.Params{N: p.N, D: p.D, Seed: o.Seed, Chunks: o.pes()},
-				ba.Generate, ba.GenerateChunk, ba.StreamChunk)
+			return bindPkg(ba.Params{N: p.N, D: p.D, Seed: o.Seed, Chunks: o.pes()}, ba.StreamChunk)
 		},
 	},
 	{
@@ -147,10 +148,8 @@ var modelTable = []modelDesc{
 			// The generator's own errors are the validation and range
 			// check the generator type has already made.
 			return instance{
-				err:      g.Params().Validate(),
-				generate: g.Generate,
-				chunk:    func(pe uint64) []Edge { e, _ := g.GenerateChunk(pe); return e },
-				stream:   func(pe uint64, emit func(Edge)) { g.StreamChunk(pe, emit) },
+				err:    g.Params().Validate(),
+				stream: func(pe uint64, e *core.Emitter) { g.StreamChunk(pe, e) },
 			}
 		},
 	},
@@ -176,8 +175,12 @@ var modelTable = []modelDesc{
 			return validate.SBM(el, sizes, p.PIn, p.POut)
 		},
 		bind: func(p ModelParams, o Options) instance {
-			return bindPkg(sbm.PlantedPartition(p.N, p.Blocks, p.PIn, p.POut, o.Seed, o.pes()),
-				sbm.Generate, sbm.GenerateChunk, sbm.StreamChunk)
+			// The planted partition is a dense blocks x blocks matrix:
+			// refuse a count it cannot be built for before building it.
+			if p.Blocks < 1 || p.Blocks > maxSBMBlocks {
+				return instance{err: fmt.Errorf("sbm: %d blocks outside [1, %d]", p.Blocks, maxSBMBlocks)}
+			}
+			return bindPkg(sbm.PlantedPartition(p.N, p.Blocks, p.PIn, p.POut, o.Seed, o.pes()), sbm.StreamChunk)
 		},
 	},
 }
@@ -187,8 +190,7 @@ func gnmModel(name Model, directed bool) modelDesc {
 		name: name, reads: "n m",
 		checks: func(el *EdgeList, p ModelParams) []validate.Check { return validate.GNM(el, p.N, p.M, directed) },
 		bind: func(p ModelParams, o Options) instance {
-			return bindPkg(gnm.Params{N: p.N, M: p.M, Directed: directed, Seed: o.Seed, Chunks: o.pes()},
-				gnm.Generate, gnm.GenerateChunk, gnm.StreamChunk)
+			return bindPkg(gnm.Params{N: p.N, M: p.M, Directed: directed, Seed: o.Seed, Chunks: o.pes()}, gnm.StreamChunk)
 		},
 	}
 }
@@ -198,8 +200,7 @@ func gnpModel(name Model, directed bool) modelDesc {
 		name: name, reads: "n p",
 		checks: func(el *EdgeList, p ModelParams) []validate.Check { return validate.GNP(el, p.N, p.P, directed) },
 		bind: func(p ModelParams, o Options) instance {
-			return bindPkg(gnp.Params{N: p.N, P: p.P, Directed: directed, Seed: o.Seed, Chunks: o.pes()},
-				gnp.Generate, gnp.GenerateChunk, gnp.StreamChunk)
+			return bindPkg(gnp.Params{N: p.N, P: p.P, Directed: directed, Seed: o.Seed, Chunks: o.pes()}, gnp.StreamChunk)
 		},
 	}
 }
@@ -214,8 +215,7 @@ func rggModel(name Model, dim int) modelDesc {
 		},
 		checks: func(el *EdgeList, p ModelParams) []validate.Check { return validate.RGG(el, p.N, p.R, dim) },
 		bind: func(p ModelParams, o Options) instance {
-			return bindPkg(rgg.Params{N: p.N, R: p.R, Dim: dim, Seed: o.Seed, Chunks: o.pes()},
-				rgg.Generate, resultEdges(rgg.GenerateChunk), dropCounters(rgg.StreamChunk))
+			return bindPkg(rgg.Params{N: p.N, R: p.R, Dim: dim, Seed: o.Seed, Chunks: o.pes()}, rgg.StreamChunk)
 		},
 	}
 }
@@ -225,8 +225,7 @@ func rdgModel(name Model, dim int) modelDesc {
 		name: name, reads: "n",
 		checks: func(el *EdgeList, p ModelParams) []validate.Check { return validate.RDG(el, p.N, dim) },
 		bind: func(p ModelParams, o Options) instance {
-			return bindPkg(rdg.Params{N: p.N, Dim: dim, Seed: o.Seed, Chunks: o.pes()},
-				rdg.Generate, resultEdges(rdg.GenerateChunk), dropCounters(rdg.StreamChunk))
+			return bindPkg(rdg.Params{N: p.N, Dim: dim, Seed: o.Seed, Chunks: o.pes()}, rdg.StreamChunk)
 		},
 	}
 }
@@ -236,50 +235,39 @@ func checkRHG(el *EdgeList, p ModelParams) []validate.Check {
 }
 
 // instance is what bind builds: the parameters' validation result and the
-// generator package's entry points, closed over its Params.
+// generator package's StreamChunk, closed over its Params.
 type instance struct {
-	err      error
-	generate func(workers int) (*EdgeList, error)
-	chunk    func(pe uint64) []Edge
-	stream   func(pe uint64, emit func(Edge))
+	err    error
+	stream func(pe uint64, e *core.Emitter)
 }
 
-// bindPkg binds a generator package's entry points to its Params.
-func bindPkg[P interface{ Validate() error }](p P,
-	generate func(P, int) (*EdgeList, error),
-	chunk func(P, uint64) []Edge,
-	stream func(P, uint64, func(Edge))) instance {
-	return instance{
-		err:      p.Validate(),
-		generate: func(workers int) (*EdgeList, error) { return generate(p, workers) },
-		chunk:    func(pe uint64) []Edge { return chunk(p, pe) },
-		stream:   func(pe uint64, emit func(Edge)) { stream(p, pe, emit) },
-	}
-}
-
-// resultEdges adapts the chunk functions that also report work counters.
-func resultEdges[P any](f func(P, uint64) core.Result) func(P, uint64) []Edge {
-	return func(p P, pe uint64) []Edge { return f(p, pe).Edges }
-}
-
-// dropCounters adapts the stream functions that also report work counters.
-func dropCounters[P any](f func(P, uint64, func(Edge)) (uint64, uint64)) func(P, uint64, func(Edge)) {
-	return func(p P, pe uint64, emit func(Edge)) { f(p, pe, emit) }
+// bindPkg binds a generator package's StreamChunk to its Params.
+func bindPkg[P interface{ Validate() error }](p P, stream func(P, uint64, *core.Emitter)) instance {
+	return instance{err: p.Validate(), stream: func(pe uint64, e *core.Emitter) { stream(p, pe, e) }}
 }
 
 // generator serves every model: it checks the parameters and the PE, then
-// makes one call into the bound package.
+// streams the chunk from the bound package. Everything else — collecting a
+// chunk, the whole graph, the per-edge callback — is built here, once,
+// over the Emitter.
 type generator struct {
 	instance
 	n, pes  uint64
 	workers int
 }
 
+// adapterBatch is the batch StreamChunk's per-edge callback is fed from.
+const adapterBatch = 256
+
 func (g *generator) N() uint64   { return g.n }
 func (g *generator) PEs() uint64 { return g.pes }
 
-// Generate leaves validation to the package, whose Generate validates.
-func (g *generator) Generate() (*EdgeList, error) { return g.generate(g.workers) }
+func (g *generator) Generate() (*EdgeList, error) {
+	if g.err != nil {
+		return nil, g.err
+	}
+	return core.Generate(g.n, g.pes, g.workers, g.stream), nil
+}
 
 func (g *generator) check(pe uint64) error {
 	if g.err != nil {
@@ -295,14 +283,32 @@ func (g *generator) Chunk(pe uint64) ([]Edge, error) {
 	if err := g.check(pe); err != nil {
 		return nil, err
 	}
-	return g.chunk(pe), nil
+	edges, _ := core.Collect(func(e *core.Emitter) { g.stream(pe, e) })
+	return edges, nil
+}
+
+func (g *generator) EmitChunk(pe uint64, e *Emitter) error {
+	if err := g.check(pe); err != nil {
+		return err
+	}
+	g.stream(pe, e)
+	return nil
 }
 
 func (g *generator) StreamChunk(pe uint64, emit func(Edge)) error {
 	if err := g.check(pe); err != nil {
 		return err
 	}
-	g.stream(pe, emit)
+	e := core.NewEmitter(make([]Edge, 0, adapterBatch), func(full []Edge) ([]Edge, bool) {
+		for _, edge := range full {
+			emit(edge)
+		}
+		return full, true
+	})
+	g.stream(pe, e)
+	for _, edge := range e.Edges() {
+		emit(edge)
+	}
 	return nil
 }
 

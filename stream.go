@@ -3,9 +3,10 @@ package kagen
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
-	"repro/internal/graph"
+	"repro/internal/core"
 	"repro/internal/pe"
 )
 
@@ -23,20 +24,30 @@ import (
 // so no per-pair buffering remains; the spatial models (RGG, RDG) emit
 // neighborhood edges cell by cell while holding only their grid-cell
 // context, and sRHG's annulus sweep emits edges as node tokens meet active
-// requests, holding only the sweep state. The in-memory RHG alone buffers
-// a chunk's edges before emitting them; sRHG is its memory-bounded
+// requests, holding only the sweep state. The in-memory RHG alone holds
+// its whole sector's points while it emits; sRHG is its memory-bounded
 // counterpart.
 //
 // Use Stream to run all PEs of a Streamer on a worker pool and deliver the
 // chunks to a Sink in deterministic PE order.
 type Streamer interface {
-	// StreamChunk calls emit for every local edge of the logical PE.
+	// EmitChunk appends every local edge of the logical PE to e — the
+	// generator packages' own contract, which the pipelines drive with
+	// one reused Emitter per goroutine — and adds the chunk's work to
+	// e's counters.
+	EmitChunk(pe uint64, e *Emitter) error
+	// StreamChunk calls emit for every local edge of the logical PE: the
+	// per-edge form of EmitChunk, fed from a small batch.
 	StreamChunk(pe uint64, emit func(Edge)) error
 	// PEs returns the number of logical PEs.
 	PEs() uint64
 	// N returns the number of vertices of the instance.
 	N() uint64
 }
+
+// Emitter is the batch every generator streams a chunk into; see
+// EmitChunk. The zero Emitter collects the whole chunk.
+type Emitter = core.Emitter
 
 // Stream runs every PE of s concurrently on at most `workers` goroutines
 // (0 selects GOMAXPROCS) and writes the edge stream to sink: Begin once,
@@ -82,17 +93,26 @@ func StreamChunksFrom(s Streamer, first, count uint64, workers, batchSize int, s
 	}
 	err := sink.Begin(s.N(), P)
 	if err == nil {
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		// One Emitter per pipeline goroutine for the run, so a generator's
+		// scratch carries over from chunk to chunk.
+		ems := make([]Emitter, workers)
 		var mu sync.Mutex
 		var chunkErr error
-		err = pe.Stream(int(first), int(count), workers, batchSize, func(peID int, emit func(graph.Edge)) {
-			if e := s.StreamChunk(uint64(peID), emit); e != nil {
+		err = pe.Stream(int(first), int(count), workers, batchSize, func(w, peID int, batch []Edge, flush func([]Edge) ([]Edge, bool)) []Edge {
+			e := &ems[w]
+			e.Reset(batch, flush)
+			if err := s.EmitChunk(uint64(peID), e); err != nil {
 				mu.Lock()
 				if chunkErr == nil {
-					chunkErr = e
+					chunkErr = err
 				}
 				mu.Unlock()
 			}
-		}, func(peID int, batch []graph.Edge, final bool) error {
+			return e.Edges()
+		}, func(peID int, batch []Edge, final bool) error {
 			mu.Lock()
 			e := chunkErr
 			mu.Unlock()
