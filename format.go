@@ -68,6 +68,25 @@ func (f Format) Ext() string {
 	}
 }
 
+// NewGzipWriter returns a gzip writer to w at the format's level. It is
+// the one place the level is chosen: a job shard's chunk members and
+// NewFormatSink's stream are both written through it, and Reset keeps the
+// level. text.gz is Huffman-coded without LZ match search: its 12-symbol
+// alphabet (digits, space, newline) is where nearly all of deflate's gain
+// on text comes from, and the match search cost about twenty times the
+// generator. binary.gz keeps the default level, because fixed-width
+// records compress mainly through LZ matches. Readers accept either, so a
+// shard whose members were written at different levels stays valid. See
+// DESIGN.md, "Compressed sinks", for the measurements.
+func (f Format) NewGzipWriter(w io.Writer) *gzip.Writer {
+	level := gzip.DefaultCompression
+	if f == FormatTextGz {
+		level = gzip.HuffmanOnly
+	}
+	gz, _ := gzip.NewWriterLevel(w, level) // both levels are valid
+	return gz
+}
+
 // AppendEdges appends the payload encoding of a batch of edges to buf and
 // returns the grown buffer: "u v\n" lines for the text formats, 16-byte
 // little-endian (u, v) records for the binary formats. Headers are not
@@ -110,7 +129,7 @@ func NewFormatSink(w io.Writer, f Format) Sink {
 	}
 	s := &streamSink{format: f}
 	if f.Compressed() {
-		s.gz = gzip.NewWriter(w)
+		s.gz = f.NewGzipWriter(w)
 		w = s.gz
 	}
 	s.bw = bufio.NewWriterSize(w, 1<<20)

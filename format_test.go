@@ -2,6 +2,10 @@ package kagen
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -75,6 +79,85 @@ func TestBinaryStreamSinkSentinel(t *testing.T) {
 	if _, err := ReadEdgeListBinary(bytes.NewReader(torn)); err == nil {
 		t.Fatal("torn sentinel stream read back without error")
 	}
+}
+
+// binaryHeader returns a 16-byte binary edge-list header declaring n
+// vertices and m edges.
+func binaryHeader(n, m uint64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, n), m)
+}
+
+// TestReadEdgeListUntrustedCount: the binary header's edge count is input,
+// not a promise. A bare header declaring 2^60 edges (which used to panic in
+// makeslice) or 2^32 (a 64 GiB reservation) and a body one record short of
+// its count all fail with io.ErrUnexpectedEOF, compressed or not.
+func TestReadEdgeListUntrustedCount(t *testing.T) {
+	oneShort := append(binaryHeader(8, 2), make([]byte, 16)...)
+	for name, in := range map[string][]byte{
+		"m=2^60, no body": binaryHeader(8, 1<<60),
+		"m=2^32, no body": binaryHeader(8, 1<<32),
+		"m=2, one record": oneShort,
+	} {
+		var gz bytes.Buffer
+		w := gzip.NewWriter(&gz)
+		w.Write(in)
+		w.Close()
+		for f, b := range map[Format][]byte{FormatBinary: in, FormatBinaryGz: gz.Bytes()} {
+			el, err := ReadEdgeList(bytes.NewReader(b), f)
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s, %s: got %v, %v; want io.ErrUnexpectedEOF", name, f, el, err)
+			}
+		}
+	}
+}
+
+// FuzzReadEdgeList: ReadEdgeList never panics on any input in any format,
+// and whatever it accepts, written back through NewFormatSink and read
+// again, yields the same vertex count and edges.
+func FuzzReadEdgeList(f *testing.F) {
+	s, err := New(ModelGNMDirected, ModelParams{N: 40, M: 30}, Options{Seed: 3, PEs: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, format := range Formats() {
+		var buf bytes.Buffer
+		if err := Stream(s, 1, NewFormatSink(&buf, format)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes(), uint8(i))
+	}
+	sentinel := append(binaryHeader(40, StreamingEdgeCount), binaryHeader(1, 2)...)
+	f.Add(sentinel, uint8(1))
+	f.Add(sentinel[:len(sentinel)-5], uint8(1)) // a torn record
+	f.Add(binaryHeader(8, 1<<60), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, fi uint8) {
+		format := Formats()[int(fi)%len(Formats())]
+		el, err := ReadEdgeList(bytes.NewReader(data), format)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		sink := NewFormatSink(&buf, format)
+		if err := sink.Begin(el.N, 1); err != nil {
+			t.Fatal(err)
+		}
+		if len(el.Edges) > 0 {
+			if err := sink.Batch(0, el.Edges); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sink.EndPE(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadEdgeList(&buf, format)
+		if err != nil {
+			t.Fatalf("%s: re-reading the written-back list: %v", format, err)
+		}
+		requireSameList(t, string(format), again, el)
+	})
 }
 
 // TestStreamChunksFromMatchesFullStream: the resumable entry point is a

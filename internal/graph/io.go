@@ -127,9 +127,10 @@ const StreamingEdgeCount = ^uint64(0)
 // StreamEdgeListBinary incrementally parses the format written by
 // WriteEdgeListBinary: header (if non-nil) receives the declared vertex
 // and edge counts (m may be StreamingEdgeCount), then edge is called once
-// per record. A fixed count reads exactly m records; the sentinel reads
-// until EOF, where a trailing partial record is an error. It is the
-// single binary decoder: ReadEdgeListBinary is built on it.
+// per record. A fixed count reads exactly m records, and a body shorter
+// than that is io.ErrUnexpectedEOF; the sentinel reads until EOF, where a
+// trailing partial record is an error. It is the single binary decoder:
+// ReadEdgeListBinary is built on it.
 func StreamEdgeListBinary(r io.Reader, header func(n, m uint64) error, edge func(u, v uint64) error) error {
 	br := bufio.NewReader(r)
 	var buf [16]byte
@@ -144,10 +145,13 @@ func StreamEdgeListBinary(r io.Reader, header func(n, m uint64) error, edge func
 	}
 	for i := uint64(0); m == StreamingEdgeCount || i < m; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			if err == io.EOF && m == StreamingEdgeCount {
-				return nil
+			if err == io.EOF {
+				if m == StreamingEdgeCount {
+					return nil
+				}
+				err = io.ErrUnexpectedEOF
 			}
-			return err // ErrUnexpectedEOF on a partial record
+			return err
 		}
 		if err := edge(binary.LittleEndian.Uint64(buf[0:]), binary.LittleEndian.Uint64(buf[8:])); err != nil {
 			return err
@@ -155,6 +159,11 @@ func StreamEdgeListBinary(r io.Reader, header func(n, m uint64) error, edge func
 	}
 	return nil
 }
+
+// maxPresizeEdges caps how many edges ReadEdgeListBinary reserves up front
+// for a fixed-count header. The count is untrusted input: a 16-byte file
+// may declare 2^60 edges. Longer lists grow by append as records arrive.
+const maxPresizeEdges = 1 << 16
 
 // ReadEdgeListBinary parses the format written by WriteEdgeListBinary,
 // accepting both fixed-count and sentinel (until-EOF) framing.
@@ -164,7 +173,7 @@ func ReadEdgeListBinary(r io.Reader) (*EdgeList, error) {
 		func(n, m uint64) error {
 			e.N = n
 			if m != StreamingEdgeCount {
-				e.Edges = make([]Edge, 0, m)
+				e.Edges = make([]Edge, 0, min(m, maxPresizeEdges))
 			}
 			return nil
 		},

@@ -161,7 +161,7 @@ func (e *chunkEncoder) begin(send func(*block, bool) bool, timed bool) {
 		e.flush = e.encodeEdges
 		if e.format.Compressed() {
 			e.wire = sha256.New()
-			e.gz = gzip.NewWriter(nil)
+			e.gz = e.format.NewGzipWriter(nil)
 		}
 	}
 	e.payload.Reset()

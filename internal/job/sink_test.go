@@ -2,10 +2,12 @@ package job
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -143,6 +145,36 @@ func TestShardBytesIndependentOfGoroutines(t *testing.T) {
 	}
 }
 
+// payloadPin hashes what a compressed job's wire bytes stand for: the
+// gunzipped shards in PE order, then every PE's chunk digests, edge counts
+// and Merkle root from worker 0's manifest. It moves when the instance or
+// the payload encoding does, never when only the compressor does.
+func payloadPin(t *testing.T, dir string, spec Spec) string {
+	t.Helper()
+	h := sha256.New()
+	wire := jobBytes(t, dir, spec)
+	for _, shard := range wire[:len(wire)-1] {
+		gz, err := gzip.NewReader(bytes.NewReader(shard))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(h, gz); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := ReadManifest(ManifestPath(dir, 0), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range m.PEs {
+		fmt.Fprintf(h, "pe %d root %s\n", p.PE, p.Root)
+		for _, c := range p.Chunks {
+			fmt.Fprintf(h, "%s %d\n", c.Digest, c.Edges)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestShardGoldenAcrossCommits pins what TestShardBytesIndependentOfGoroutines
 // cannot: identity with the builds before the sink became chunk-parallel.
 // The digests are the SHA-256 over the shard objects in PE order followed
@@ -150,44 +182,57 @@ func TestShardBytesIndependentOfGoroutines(t *testing.T) {
 // goroutine still encoded, hashed and compressed every chunk. Any change
 // to shard bytes, chunk digests, offsets, Merkle roots or the manifest
 // encoding moves them.
+//
+// The text.gz rows were re-pinned when text.gz members became Huffman-only
+// (see kagen.Format.NewGzipWriter). Every compressed row carries a second
+// pin, payloadPin, computed before that change: it proves the re-pin moved
+// wire bytes and shard offsets only — no payload byte, chunk digest, edge
+// count or Merkle root.
 func TestShardGoldenAcrossCommits(t *testing.T) {
 	for _, tc := range []struct {
-		spec Spec
-		want string
+		spec    Spec
+		want    string
+		payload string // compressed rows: payloadPin
 	}{
 		{Spec{Model: "gnm_undirected", N: 600, M: 4000, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text.gz"},
-			"3f12e341b247ce350c21de9528838e95597ebf2546e066354aa2cb9e69053611"},
+			"2267f00fb69473438212b797fc848ed04ad0b221b6b46af6120dd8300baabe5b",
+			"bd8c9a01afdd47fcc1a90144603ecec7929e6bc34f18382f2b7b7f8f3eec927c"},
 		{Spec{Model: "rgg2d", N: 500, R: 0.07, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary"},
-			"4bb350e4262c6f17a4aa9855c399be853e05bb5b03f98526827d55e5a1ec990f"},
+			"4bb350e4262c6f17a4aa9855c399be853e05bb5b03f98526827d55e5a1ec990f", ""},
 		// One row per remaining model, every format at least once. These were
 		// pinned before the model table replaced the per-model wrappers, so
 		// they prove that refactor moved no shard byte, digest, Merkle root
 		// or spec hash. rgg3d and sbm use the registry defaults (connectivity
 		// radius; 2 blocks, pIn = 8p, pOut = p).
 		{Spec{Model: "gnm_directed", N: 600, M: 3000, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text"},
-			"74f4ffeb0c933aaf9ff486d2cf840164e4ea77ba3fbccda536f26bfff49ecbf8"},
+			"74f4ffeb0c933aaf9ff486d2cf840164e4ea77ba3fbccda536f26bfff49ecbf8", ""},
 		{Spec{Model: "gnp_directed", N: 400, Prob: 0.02, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary.gz"},
-			"8e5856e102e8c1b059bff01d4e0399f6741f5116d03a9b78d1cf0f1dcb884313"},
+			"8e5856e102e8c1b059bff01d4e0399f6741f5116d03a9b78d1cf0f1dcb884313",
+			"3bee123330ccd3d5d2639b6ec3760b09c912fce7b73de6358ae468f33021826d"},
 		{Spec{Model: "gnp_undirected", N: 400, Prob: 0.02, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text"},
-			"ec2d184ae2f533d02fc515f18a093d21a88c47bc72ff7134e2c4d2aa3a57cc32"},
+			"ec2d184ae2f533d02fc515f18a093d21a88c47bc72ff7134e2c4d2aa3a57cc32", ""},
 		{Spec{Model: "rgg3d", N: 400, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary.gz"},
-			"f7e340673007566d1f662456e1ede6510a7182150ec7aba5b4e8e1b1e4f28917"},
+			"f7e340673007566d1f662456e1ede6510a7182150ec7aba5b4e8e1b1e4f28917",
+			"6b6f299fbc305be9b72860bf3a3d53431cce8015b8a146ad1b89beb2bb1e0cdc"},
 		{Spec{Model: "rdg2d", N: 300, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text.gz"},
-			"3f320abd20f9f34c2224d7df16257fe083064700641b394a523f1c86d6991465"},
+			"d129ab14d38b52ca6d87595dd405b92dd6240d81585474fa36fae86450ae43be",
+			"93243365aef6b23bde214f52e10ea298c49efcebd1b5c0f3d45ad131adb1d52a"},
 		{Spec{Model: "rdg3d", N: 150, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary"},
-			"56aa22494f5519a194f8eea6b8a31cf768b71e28c96fa8eeb057e4b652f80eed"},
+			"56aa22494f5519a194f8eea6b8a31cf768b71e28c96fa8eeb057e4b652f80eed", ""},
 		{Spec{Model: "srhg", N: 400, AvgDeg: 8, Gamma: 2.8, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary.gz"},
-			"65b8a3ab2db6031d97f63f4aa0482a6d9a41d6794b1b2ef78534fc6171d5c31e"},
+			"65b8a3ab2db6031d97f63f4aa0482a6d9a41d6794b1b2ef78534fc6171d5c31e",
+			"06efc27cb88e8f552f43804fee4b173d1556ada3634c071941ba547e2f1d417a"},
 		{Spec{Model: "ba", N: 500, D: 3, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text"},
-			"e76995497a44df3bbea61dc047741bcd9ab19bb400b3ffea0a6f7b7e030e7811"},
+			"e76995497a44df3bbea61dc047741bcd9ab19bb400b3ffea0a6f7b7e030e7811", ""},
 		{Spec{Model: "rmat", Scale: 10, M: 4000, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "binary"},
-			"99b05b519fa1f3184a832a25e09218a11c577059e9b057a09393612cd4dbd55c"},
+			"99b05b519fa1f3184a832a25e09218a11c577059e9b057a09393612cd4dbd55c", ""},
 		{Spec{Model: "sbm", N: 500, Prob: 0.01, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text.gz"},
-			"525c033d4217a16f4360655ba1785f9146c2a3a71571bdbaf93e6aa587d604f0"},
+			"ed4aebc9121ea1f1f7f7a71c9ab7d7a4e5680819622b09b7f87a726c1b0fdacd",
+			"b4e6b4c7eb3b54ac2394888634319d8899baf3f2e1b93b6a73ed71fed25ec02b"},
 		// rhg was materialize-only before the model table and could not run
 		// as a job; this row is pinned at its introduction.
 		{Spec{Model: "rhg", N: 400, AvgDeg: 8, Gamma: 2.8, Seed: 5, PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text"},
-			"6c869bb1409e25649d22ed1d1e47d2b5305ba33ea9db89de02b9cfdbd8bad7ec"},
+			"6c869bb1409e25649d22ed1d1e47d2b5305ba33ea9db89de02b9cfdbd8bad7ec", ""},
 	} {
 		for _, g := range []int{1, 3} {
 			dir := t.TempDir()
@@ -204,6 +249,13 @@ func TestShardGoldenAcrossCommits(t *testing.T) {
 			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 				t.Errorf("%s %s, G=%d: shard set + manifest hash to %s, pinned %s",
 					tc.spec.Model, tc.spec.Format, g, got, tc.want)
+			}
+			if !tc.spec.ShardFormat().Compressed() {
+				continue
+			}
+			if got := payloadPin(t, dir, tc.spec); got != tc.payload {
+				t.Errorf("%s %s, G=%d: payloads + chunk digests + roots hash to %s, pinned %s",
+					tc.spec.Model, tc.spec.Format, g, got, tc.payload)
 			}
 		}
 	}
@@ -535,7 +587,7 @@ func TestEncoderStateAllocatedOnce(t *testing.T) {
 		t.Errorf("PE 0 allocated %d bytes — less than one gzip writer; the guard below proves nothing", perPE[0])
 	}
 	// Two stray blocks (a deeper pipeline than PE 0 happened to reach) fit
-	// under the limit; one gzip.Writer (~0.8 MiB) does not.
+	// under the limit; one text.gz gzip.Writer (≈ 0.7 MiB) does not.
 	const limit = 384 << 10
 	for pe := 1; pe < len(perPE); pe++ {
 		if perPE[pe] > limit {

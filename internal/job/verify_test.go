@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -447,6 +448,43 @@ func TestRepairMemoryBounded(t *testing.T) {
 	}
 }
 
+// recompress rewrites the committed chunk members of one PE's shard with
+// gzip.BestSpeed — a different deflate from the encoder's at either gzip
+// level — and records the new segment ends in prog; the payload digests
+// stand, and bytes past the committed offset are dropped. It returns the
+// rewritten shard. The caller writes the manifest.
+func recompress(t *testing.T, dir string, spec Spec, prog *PEProgress) []byte {
+	t.Helper()
+	path := ShardPath(dir, prog.PE, spec.ShardFormat())
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	for c := range prog.Chunks {
+		start, end := prog.chunkBounds(c)
+		payload, err := readChunkPayload(bytes.NewReader(old), spec.ShardFormat(), start, end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, payload)
+	}
+	shard := bytes.NewBuffer(old[:prog.HeaderEnd:prog.HeaderEnd])
+	for c, payload := range payloads {
+		if len(payload) > 0 {
+			gz, _ := gzip.NewWriterLevel(shard, gzip.BestSpeed)
+			gz.Write(payload)
+			gz.Close()
+		}
+		prog.Chunks[c].End = int64(shard.Len())
+	}
+	prog.Offset = int64(shard.Len())
+	if err := os.WriteFile(path, shard.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return shard.Bytes()
+}
+
 // TestRepairForeignDeflateResetsPE: a shard whose gzip members another
 // deflate wrote decompresses to the right payloads, but no chunk the
 // encoder regenerates fits its segment. Repair of a flipped chunk there
@@ -463,11 +501,6 @@ func TestRepairForeignDeflateResetsPE(t *testing.T) {
 		runAll(t, d, spec)
 	}
 
-	// Recompress PE 0's chunk members with another deflate and record the
-	// new segment ends in the manifest; the payload digests stand. (Go's
-	// BestCompression writes members exactly as long as the default level
-	// does for this data, so it would not do: BestSpeed is a different
-	// compressor.)
 	mpath := ManifestPath(dir, 0)
 	m, err := ReadManifest(mpath, spec)
 	if err != nil {
@@ -475,34 +508,11 @@ func TestRepairForeignDeflateResetsPE(t *testing.T) {
 	}
 	prog := m.progress(0)
 	path := ShardPath(dir, 0, spec.ShardFormat())
-	old, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payloads [][]byte
-	for c := range prog.Chunks {
-		start, end := prog.chunkBounds(c)
-		payload, err := readChunkPayload(bytes.NewReader(old), spec.ShardFormat(), start, end)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads = append(payloads, payload)
-	}
 	start, end := prog.chunkBounds(1)
 	ownLen := end - start
-	shard := bytes.NewBuffer(old[:prog.HeaderEnd:prog.HeaderEnd])
-	for c, payload := range payloads {
-		gz, _ := gzip.NewWriterLevel(shard, gzip.BestSpeed)
-		gz.Write(payload)
-		gz.Close()
-		prog.Chunks[c].End = int64(shard.Len())
-	}
-	prog.Offset = int64(shard.Len())
+	recompress(t, dir, spec, prog)
 	if start, end = prog.chunkBounds(1); end-start == ownLen {
 		t.Fatal("the foreign member of chunk 1 is as long as the encoder's: a splice would fit")
-	}
-	if err := os.WriteFile(path, shard.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
 	}
 	if err := WriteManifest(mpath, m); err != nil {
 		t.Fatal(err)
@@ -530,6 +540,83 @@ func TestRepairForeignDeflateResetsPE(t *testing.T) {
 		t.Errorf("aborted rewrite left %v", tmps)
 	}
 	assertShardsAndMergeEqual(t, clean, dir, spec)
+}
+
+// TestResumeOverForeignCompressor: members another deflate wrote carry the
+// encoder's payloads, so a shard that mixes them with the encoder's own is
+// valid. A text.gz job stopped after its first checkpoint, its committed
+// members recompressed, resumes with the audit passing — nothing
+// quarantined, the foreign members kept and appended to — verifies clean,
+// and merges to a stream that decompresses to a fresh run's.
+func TestResumeOverForeignCompressor(t *testing.T) {
+	spec := Spec{Model: "gnm_undirected", N: 600, M: 4000, Seed: 73,
+		PEs: 2, ChunksPerPE: 3, Workers: 1, Format: "text.gz"}
+	clean, dir := t.TempDir(), t.TempDir()
+	for _, d := range []string{clean, dir} {
+		if err := Init(d, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runAll(t, clean, spec)
+	if err := Run(dir, 0, RunOptions{OnCheckpoint: interruptAfter(1)}); !errors.Is(err, errSimCrash) {
+		t.Fatalf("interrupted run returned %v, want simulated crash", err)
+	}
+
+	mpath := ManifestPath(dir, 0)
+	m, err := ReadManifest(mpath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := make(map[uint64][]byte)
+	for i := range m.PEs {
+		if prog := &m.PEs[i]; prog.ChunksDone > 0 {
+			foreign[prog.PE] = recompress(t, dir, spec, prog)
+		}
+	}
+	if len(foreign) == 0 {
+		t.Fatal("the first checkpoint recorded no chunk")
+	}
+	if err := WriteManifest(mpath, m); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := Run(dir, 0, RunOptions{}); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, "shards", "*.quarantine")); len(q) != 0 {
+		t.Errorf("the resume audit rejected foreign members: quarantined %v", q)
+	}
+	shards := readShards(t, dir, spec)
+	for pe, prefix := range foreign {
+		if !bytes.HasPrefix(shards[pe], prefix) {
+			t.Errorf("shard %d no longer starts with its foreign members", pe)
+		}
+	}
+	if res, err := Verify(dir, VerifyOptions{All: true}); err != nil || !res.OK() {
+		t.Fatalf("mixed-compressor job does not verify clean: %v, %v", res, err)
+	}
+	var merged [2][]byte
+	for i, d := range []string{clean, dir} {
+		out := filepath.Join(d, "merged.txt.gz")
+		if err := MergeToFile(d, out); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gz, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if merged[i], err = io.ReadAll(gz); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	if !bytes.Equal(merged[0], merged[1]) {
+		t.Error("the mixed-compressor merge decompresses to other bytes than a fresh run's")
+	}
 }
 
 // TestCrashBeforeManifestRename: a crash in the window between the
