@@ -93,12 +93,13 @@ type Point struct {
 }
 
 // Dist2 returns the squared Euclidean distance of two points in dim
-// dimensions.
+// dimensions. Each term is rounded before it is added — float64(d*d) — so
+// no architecture fuses the sum into an FMA.
 func Dist2(dim int, a, b [3]float64) float64 {
 	var s float64
 	for i := 0; i < dim; i++ {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

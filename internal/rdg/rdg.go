@@ -56,7 +56,7 @@ func (p Params) grid() *rgg.Grid {
 
 // scratch is what the package keeps in an Emitter between chunks: the
 // grid of the instance last streamed, its cell access (point arena and
-// chunk tables, Reset after every chunk) and the triangulation scratch.
+// chunk tables, Reset at every chunk) and the triangulation scratch.
 type scratch struct {
 	p   Params
 	g   *rgg.Grid
@@ -89,8 +89,8 @@ func StreamChunk(p Params, peID uint64, e *core.Emitter) {
 	s := scratchOf(e, p)
 	lo, hi := s.g.ChunkRange(peID)
 	for chunk := lo; chunk < hi; chunk++ {
+		s.acc.Reset(chunk) // bound memory by one chunk + converged halo
 		triangulateChunk(p, s.g, s.acc, chunk, &s.tri, e)
-		s.acc.Reset() // bound memory by one chunk + converged halo
 	}
 }
 

@@ -2,7 +2,9 @@ package rgg
 
 import (
 	"math"
+	"slices"
 
+	"repro/internal/flat"
 	"repro/internal/geometry"
 	"repro/internal/prng"
 	"repro/internal/sampling"
@@ -90,15 +92,12 @@ func (g *Grid) ChunkRank(chunk uint64) (idBase, count uint64) {
 // CellCounts splits a chunk's vertex count over its cells (row-major
 // in-chunk order).
 func (g *Grid) CellCounts(chunkMorton, count uint64) []uint64 {
-	seed := prng.HashWords64(g.Seed, g.tagCells, chunkMorton)
-	return sampling.RecursiveSplitEqual(seed, count, g.CellsPerChunk(), 0, g.CellsPerChunk())
+	return sampling.RecursiveSplitEqual(g.cellSeed(chunkMorton), count, g.CellsPerChunk(), 0, g.CellsPerChunk())
 }
 
-// CellCountsInto is CellCounts writing into a caller-provided buffer of
-// length CellsPerChunk.
-func (g *Grid) CellCountsInto(chunkMorton, count uint64, out []uint64) {
-	seed := prng.HashWords64(g.Seed, g.tagCells, chunkMorton)
-	sampling.RecursiveSplitEqualInto(seed, count, g.CellsPerChunk(), 0, g.CellsPerChunk(), out)
+// cellSeed is the seed of a chunk's cell split.
+func (g *Grid) cellSeed(chunkMorton uint64) uint64 {
+	return prng.HashWords64(g.Seed, g.tagCells, chunkMorton)
 }
 
 // ChunkCellCoord converts a chunk Morton index and a row-major in-chunk
@@ -169,13 +168,14 @@ func (g *Grid) CellPoints(cellIdx uint64, origin [3]float64, count, idBase uint6
 // AppendCellPoints generates the points of one cell from its hash-seeded
 // stream and appends them to dst — the in-place variant backing the cell
 // arena. The random stream and the produced points are identical to
-// CellPoints.
+// CellPoints. The offset is rounded before the add, so no architecture
+// fuses the coordinate into an FMA.
 func (g *Grid) AppendCellPoints(dst []geometry.Point, cellIdx uint64, origin [3]float64, count, idBase uint64) []geometry.Point {
 	r := prng.New(g.Seed, g.tagPoints, cellIdx)
 	for i := uint64(0); i < count; i++ {
 		var x [3]float64
 		for d := 0; d < g.Dim; d++ {
-			x[d] = origin[d] + r.Float64()*g.CellSide
+			x[d] = origin[d] + float64(r.Float64()*g.CellSide)
 		}
 		dst = append(dst, geometry.Point{X: x, ID: idBase + i})
 	}
@@ -204,44 +204,67 @@ func (g *Grid) AllPoints() []geometry.Point {
 // arena yet (a zero-count cell still gets a real, empty span).
 const unmaterialized = ^uint64(0)
 
-// chunkCells is the dense cell table of one materialized chunk: the
-// per-cell ID prefix sums (prefix[i+1]-prefix[i] is cell i's count) and
-// the arena span offset of every cell. The buffers are recycled across
-// Reset cycles, so steady-state chunk materialization allocates nothing.
+// chunkCells is what CellAccess knows of one touched chunk: its rank
+// (global ID base and vertex count), the seed of its cell split and, once
+// the chunk is dense, its cell table. Entries and tables are recycled
+// across Reset cycles, so steady-state chunk materialization allocates
+// nothing.
 type chunkCells struct {
-	chunk  uint64
-	idBase uint64   // global ID of the chunk's first point
-	total  uint64   // vertex count of the chunk
+	chunk    uint64
+	idBase   uint64     // global ID of the chunk's first point
+	total    uint64     // vertex count of the chunk
+	seed     uint64     // seed of the chunk's cell split
+	resolved uint64     // cells resolved by rank queries since the chunk was touched
+	dense    *cellTable // nil while the chunk is sparse
+}
+
+// cellTable is the dense cell table of a chunk: the per-cell ID prefix
+// sums (prefix[i+1]-prefix[i] is cell i's count) and the arena span
+// offset of every cell.
+type cellTable struct {
 	prefix []uint64 // len CellsPerChunk+1; in-chunk ID prefix sums
 	spans  []uint64 // len CellsPerChunk; arena offsets, or unmaterialized
 }
 
+// cellSpan is the arena span of a cell of a sparse chunk.
+type cellSpan struct{ off, n uint64 }
+
 // CellAccess materializes cells with globally consistent IDs for the
-// per-PE generation loops. Setup is O(log NumChunks) per touched chunk
-// (lazy divide-and-conquer rank queries instead of the former eager
-// O(NumChunks) arrays), and all points live in one contiguous arena
-// indexed by dense per-chunk {offset, length} cell tables — no per-cell
-// map entries or slice headers. Reset drops the materialized state but
-// keeps the buffers, bounding a streaming PE's memory by one chunk plus
-// its halo. Returned point slices alias the arena; they stay valid (the
-// arena only appends, and stale backing arrays keep their contents) until
-// the next Reset, and must never be mutated.
+// per-PE generation loops, paying only for the cells it is asked for.
+// Reset(chunk) names the chunk being streamed; that chunk gets a dense
+// cell table, built by one recursive split of its vertex count. A cell of
+// any other chunk is resolved on first touch by a rank query down the
+// same split (O(log cells) draws, memoized so nearby cells share the
+// upper levels, and bit-identical to the dense table), so a chunk
+// costs its own cells plus the ghost cells its stencil reads rather than a
+// full split of every neighbour chunk. A chunk touched at half its cells
+// or more turns dense. Chunk ranks are O(log NumChunks) lazy rank queries,
+// and all points live in one contiguous arena indexed by cell spans — no
+// per-cell slice headers. Reset drops the materialized state but keeps
+// the buffers, bounding a streaming PE's memory by one chunk plus its
+// halo. Returned point slices alias the arena; they stay valid (the arena
+// only appends, and stale backing arrays keep their contents) until the
+// next Reset, and must never be mutated.
 type CellAccess struct {
 	g      *Grid
+	cells  uint64 // CellsPerChunk
 	arena  []geometry.Point
 	chunks map[uint64]*chunkCells
-	last   *chunkCells   // most-recently-touched chunk, the hot-path hit
-	free   []*chunkCells // recycled tables for post-Reset reuse
+	last   *chunkCells        // most-recently-touched chunk, the hot-path hit
+	free   []*chunkCells      // recycled entries for post-Reset reuse
+	tables []*cellTable       // recycled dense tables
+	sparse flat.Map[cellSpan] // spans of the cells of sparse chunks, by global cell index
+	memo   sampling.SplitMemo // the drawn nodes of the sparse chunks' splits, by chunk
 }
 
 // NewCellAccess prepares lazy cell access in O(1): no per-chunk state is
 // built until a cell of that chunk is requested.
 func NewCellAccess(g *Grid) *CellAccess {
-	return &CellAccess{g: g, chunks: make(map[uint64]*chunkCells)}
+	return &CellAccess{g: g, cells: g.CellsPerChunk(), chunks: make(map[uint64]*chunkCells)}
 }
 
-// ChunkTotal returns the vertex count of a chunk — from its table when
-// materialized, otherwise by a single O(log NumChunks) rank query.
+// ChunkTotal returns the vertex count of a chunk — from its entry when
+// touched, otherwise by a single O(log NumChunks) rank query.
 func (a *CellAccess) ChunkTotal(chunk uint64) uint64 {
 	if a.last != nil && a.last.chunk == chunk {
 		return a.last.total
@@ -280,7 +303,8 @@ func (a *CellAccess) Reserve(n int) {
 	}
 }
 
-// chunkFor returns the (materialized) cell table of a chunk.
+// chunkFor returns the entry of a chunk, touching it (rank query only, no
+// cell table) on first use.
 func (a *CellAccess) chunkFor(chunk uint64) *chunkCells {
 	if a.last != nil && a.last.chunk == chunk {
 		return a.last
@@ -295,42 +319,88 @@ func (a *CellAccess) chunkFor(chunk uint64) *chunkCells {
 		a.free = a.free[:n-1]
 	} else {
 		e = &chunkCells{}
+		// Room to recycle every entry made so far (all are in chunks while
+		// free is empty), so Reset never grows the list.
+		a.free = slices.Grow(a.free, len(a.chunks)+1)
 	}
-	cells := a.g.CellsPerChunk()
-	if uint64(cap(e.prefix)) < cells+1 {
-		e.prefix = make([]uint64, cells+1)
-		e.spans = make([]uint64, cells)
-	}
-	e.prefix = e.prefix[:cells+1]
-	e.spans = e.spans[:cells]
-	e.chunk = chunk
+	e.chunk, e.resolved = chunk, 0
 	e.idBase, e.total = a.g.ChunkRank(chunk)
-	// Cell split into prefix[1:], then accumulate in place.
-	a.g.CellCountsInto(chunk, e.total, e.prefix[1:])
-	e.prefix[0] = 0
-	for i := uint64(0); i < cells; i++ {
-		e.prefix[i+1] += e.prefix[i]
-		e.spans[i] = unmaterialized
-	}
+	e.seed = a.g.cellSeed(chunk)
 	a.chunks[chunk] = e
 	a.last = e
 	return e
 }
 
+// densify builds the dense cell table of a chunk by one full split. Cells
+// already resolved by rank queries keep their arena spans.
+func (a *CellAccess) densify(e *chunkCells) {
+	cells := a.cells
+	var t *cellTable
+	if n := len(a.tables); n > 0 {
+		t = a.tables[n-1]
+		a.tables = a.tables[:n-1]
+	} else {
+		t = &cellTable{prefix: make([]uint64, cells+1), spans: make([]uint64, cells)}
+		// Every table made so far belongs to an entry in chunks.
+		a.tables = slices.Grow(a.tables, len(a.chunks))
+	}
+	// Cell split into prefix[1:], then accumulate in place.
+	sampling.RecursiveSplitEqualInto(e.seed, e.total, cells, 0, cells, t.prefix[1:])
+	t.prefix[0] = 0
+	for i := uint64(0); i < cells; i++ {
+		t.prefix[i+1] += t.prefix[i]
+		t.spans[i] = unmaterialized
+	}
+	if e.resolved > 0 {
+		for i := uint64(0); i < cells; i++ {
+			if s, ok := a.sparse.Get(a.g.GlobalCellIndex(a.g.ChunkCellCoord(e.chunk, i)), 0); ok {
+				t.spans[i] = s.off
+			}
+		}
+	}
+	e.dense = t
+}
+
 // Cell returns the points of a global cell coordinate, materializing them
 // into the arena on first access.
 func (a *CellAccess) Cell(c [3]uint32) []geometry.Point {
+	pts, _ := a.cell(c)
+	return pts
+}
+
+// cell is Cell, also reporting whether this call materialized the points.
+func (a *CellAccess) cell(c [3]uint32) ([]geometry.Point, bool) {
 	e := a.chunkFor(a.g.OwnerChunkOfCell(c))
 	inIdx := a.g.InChunkCellIndex(c)
-	count := e.prefix[inIdx+1] - e.prefix[inIdx]
-	if off := e.spans[inIdx]; off != unmaterialized {
-		return a.arena[off : off+count : off+count]
+	if e.dense != nil {
+		return a.denseCell(e.dense, e.idBase, inIdx, c)
+	}
+	idx := a.g.GlobalCellIndex(c)
+	if s, ok := a.sparse.Get(idx, 0); ok {
+		return a.arena[s.off : s.off+s.n : s.off+s.n], false
+	}
+	before, count := a.memo.Rank(e.chunk, e.seed, e.total, a.cells, inIdx)
+	off := uint64(len(a.arena))
+	a.arena = a.g.AppendCellPoints(a.arena, idx, a.g.CellOrigin(c), count, e.idBase+before)
+	a.sparse.Put(idx, 0, cellSpan{off, count})
+	if e.resolved++; 2*e.resolved >= a.cells {
+		a.densify(e)
+	}
+	return a.arena[off : off+count : off+count], true
+}
+
+// denseCell returns cell inIdx (global coordinate c) of the chunk whose
+// dense table is t and whose first point has ID idBase, materializing it
+// on first access, and reports whether it did.
+func (a *CellAccess) denseCell(t *cellTable, idBase, inIdx uint64, c [3]uint32) ([]geometry.Point, bool) {
+	count := t.prefix[inIdx+1] - t.prefix[inIdx]
+	if off := t.spans[inIdx]; off != unmaterialized {
+		return a.arena[off : off+count : off+count], false
 	}
 	off := uint64(len(a.arena))
-	idx := a.g.GlobalCellIndex(c)
-	a.arena = a.g.AppendCellPoints(a.arena, idx, a.g.CellOrigin(c), count, e.idBase+e.prefix[inIdx])
-	e.spans[inIdx] = off
-	return a.arena[off : off+count : off+count]
+	a.arena = a.g.AppendCellPoints(a.arena, a.g.GlobalCellIndex(c), a.g.CellOrigin(c), count, idBase+t.prefix[inIdx])
+	t.spans[inIdx] = off
+	return a.arena[off : off+count : off+count], true
 }
 
 // CellTorus returns the cell at possibly out-of-range global cell
@@ -369,17 +439,26 @@ func (a *CellAccess) CellTorus(coord [3]int64) []geometry.Point {
 	return out
 }
 
-// Reset drops all materialized chunks and empties the arena while keeping
-// every buffer for reuse. Called between a streaming PE's chunks so its
-// live memory stays bounded by one chunk plus halo; regenerating a
-// previously dropped cell is bit-identical by construction.
-func (a *CellAccess) Reset() {
-	for chunk, e := range a.chunks {
+// Reset drops every materialized cell and touched chunk, empties the
+// arena while keeping every buffer for reuse, and makes chunk the dense
+// chunk: the one whose cells are about to be streamed. Called when a
+// streaming PE starts each of its chunks, so its live memory stays
+// bounded by one chunk plus halo; regenerating a previously dropped cell
+// is bit-identical by construction.
+func (a *CellAccess) Reset(chunk uint64) {
+	for _, e := range a.chunks {
+		if e.dense != nil {
+			a.tables = append(a.tables, e.dense)
+			e.dense = nil
+		}
 		a.free = append(a.free, e)
-		delete(a.chunks, chunk)
 	}
+	clear(a.chunks)
+	a.sparse.Clear()
+	a.memo.Reset()
 	a.last = nil
 	a.arena = a.arena[:0]
+	a.densify(a.chunkFor(chunk))
 }
 
 // RGGTarget is the cell-side target of the RGG generator (§5):

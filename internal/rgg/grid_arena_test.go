@@ -126,7 +126,7 @@ func TestArenaResetRegenerates(t *testing.T) {
 		snap = append(snap, cp)
 	}
 	totals := g.ChunkCounts()
-	acc.Reset()
+	acc.Reset(g.NumChunks / 2)
 	for chunk := uint64(0); chunk < g.NumChunks; chunk++ {
 		if acc.ChunkTotal(chunk) != totals[chunk] {
 			t.Fatalf("chunk %d: total after reset %d, want %d", chunk, acc.ChunkTotal(chunk), totals[chunk])
@@ -179,6 +179,51 @@ func TestChunkRankMatchesCounts(t *testing.T) {
 					gi, chunk, idBase, count, before, counts[chunk])
 			}
 			before += counts[chunk]
+		}
+	}
+}
+
+// TestSparseMatchesDense: a cell resolved by its own rank query holds the
+// same points (count, coordinates and IDs) as the same cell read from its
+// chunk's dense table, for every cell of several chunks. Touching every
+// cell of a sparse chunk turns it dense without materializing any cell
+// twice.
+func TestSparseMatchesDense(t *testing.T) {
+	for gi, g := range testGrids() {
+		dense, sparse := NewCellAccess(g), NewCellAccess(g)
+		for _, chunk := range []uint64{0, g.NumChunks / 2, g.NumChunks - 1} {
+			other := (chunk + 1) % g.NumChunks
+			dense.Reset(chunk)
+			for ci := uint64(0); ci < g.CellsPerChunk(); ci++ {
+				cc := g.ChunkCellCoord(chunk, ci)
+				sparse.Reset(other)
+				got, fresh := sparse.cell(cc)
+				if e := sparse.chunks[chunk]; !fresh || e.resolved != 1 {
+					t.Fatalf("grid %d chunk %d cell %d: not resolved by a rank query", gi, chunk, ci)
+				}
+				if want := dense.Cell(cc); !samePoints(got, want) {
+					t.Fatalf("grid %d chunk %d cell %d: sparse cell %v, dense %v", gi, chunk, ci, got, want)
+				}
+			}
+
+			sparse.Reset(other)
+			first := make([][]geometry.Point, g.CellsPerChunk())
+			for ci := range first {
+				pts, fresh := sparse.cell(g.ChunkCellCoord(chunk, uint64(ci)))
+				if !fresh {
+					t.Fatalf("grid %d chunk %d cell %d: first touch not fresh", gi, chunk, ci)
+				}
+				first[ci] = pts
+			}
+			if sparse.chunks[chunk].dense == nil {
+				t.Fatalf("grid %d chunk %d: all %d cells touched, chunk still sparse", gi, chunk, len(first))
+			}
+			for ci := range first {
+				pts, fresh := sparse.cell(g.ChunkCellCoord(chunk, uint64(ci)))
+				if fresh || !samePoints(pts, first[ci]) {
+					t.Fatalf("grid %d chunk %d cell %d: second touch fresh=%v or points differ", gi, chunk, ci, fresh)
+				}
+			}
 		}
 	}
 }

@@ -13,7 +13,6 @@ package rgg
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geometry"
@@ -57,83 +56,16 @@ func (p Params) grid() *Grid {
 		p.Seed, core.TagRGGCounts, core.TagRGGCell, core.TagRGGPoints)
 }
 
-// ghostSet tracks which ghost chunks have been counted towards the
-// redundancy statistic: a bitset over the bounded neighbour box of the
-// PE's chunk range (own chunks dilated by the cell-stencil reach in
-// chunks), replacing the former per-PE map[uint64]bool.
-type ghostSet struct {
-	g     *Grid
-	base  [3]int64
-	dims  [3]int64
-	words []uint64
-}
-
-// reset empties the set and derives the neighbour box of the chunks
-// [lo, hi) with a dilation of chunkHalo chunks per side, clamped to the
-// chunk grid. The bitset's words are kept from use to use.
-func (s *ghostSet) reset(g *Grid, lo, hi uint64, chunkHalo int64) {
-	s.g = g
-	var bmin, bmax [3]int64
-	for i := range bmin {
-		bmin[i], bmax[i] = int64(g.ChunkGridDim), -1
-	}
-	for chunk := lo; chunk < hi; chunk++ {
-		cc := geometry.MortonDecode(g.Dim, chunk)
-		for i := 0; i < g.Dim; i++ {
-			if int64(cc[i]) < bmin[i] {
-				bmin[i] = int64(cc[i])
-			}
-			if int64(cc[i]) > bmax[i] {
-				bmax[i] = int64(cc[i])
-			}
-		}
-	}
-	for i := 0; i < g.Dim; i++ {
-		bmin[i] -= chunkHalo
-		bmax[i] += chunkHalo
-		if bmin[i] < 0 {
-			bmin[i] = 0
-		}
-		if bmax[i] >= int64(g.ChunkGridDim) {
-			bmax[i] = int64(g.ChunkGridDim) - 1
-		}
-	}
-	n := int64(1)
-	for i := 0; i < 3; i++ {
-		s.base[i] = bmin[i]
-		s.dims[i] = 1
-		if i < g.Dim {
-			s.dims[i] = bmax[i] - bmin[i] + 1
-			n *= s.dims[i]
-		}
-	}
-	s.words = slices.Grow(s.words[:0], int((n+63)/64))[:(n+63)/64]
-	clear(s.words)
-}
-
-// add marks a chunk and reports whether it was newly added.
-func (s *ghostSet) add(chunk uint64) bool {
-	cc := geometry.MortonDecode(s.g.Dim, chunk)
-	idx := int64(0)
-	for i := 0; i < s.g.Dim; i++ {
-		idx = idx*s.dims[i] + int64(cc[i]) - s.base[i]
-	}
-	w, b := idx/64, uint64(1)<<(idx%64)
-	if s.words[w]&b != 0 {
-		return false
-	}
-	s.words[w] |= b
-	return true
-}
-
 // scratch is what the package keeps in an Emitter between chunks: the
 // grid of the instance last streamed, its cell access (point arena and
-// chunk tables, Reset after every chunk) and the ghost set.
+// chunk tables, Reset at every chunk) and the cell stencil.
 type scratch struct {
 	p      Params
 	g      *Grid
 	acc    *CellAccess
-	ghosts ghostSet
+	layers int64      // stencil reach in cells
+	offs   [][3]int64 // stencil offsets, in emission order
+	deltas []int64    // in-chunk cell-index step of each offset
 }
 
 // scratchOf returns the Emitter's scratch for p, replacing whatever the
@@ -144,6 +76,24 @@ func scratchOf(e *core.Emitter, p Params) *scratch {
 	}
 	g := p.grid()
 	s := &scratch{p: p, g: g, acc: NewCellAccess(g)}
+	s.layers = int64(math.Ceil(p.R / g.CellSide))
+	if s.layers < 1 {
+		s.layers = 1
+	}
+	c := int64(g.CellsPerDim)
+	for dx := -s.layers; dx <= s.layers; dx++ {
+		for dy := -s.layers; dy <= s.layers; dy++ {
+			if p.Dim == 2 {
+				s.offs = append(s.offs, [3]int64{dx, dy})
+				s.deltas = append(s.deltas, dx*c+dy)
+				continue
+			}
+			for dz := -s.layers; dz <= s.layers; dz++ {
+				s.offs = append(s.offs, [3]int64{dx, dy, dz})
+				s.deltas = append(s.deltas, (dx*c+dy)*c+dz)
+			}
+		}
+	}
 	e.Scratch = s
 	return s
 }
@@ -151,80 +101,123 @@ func scratchOf(e *core.Emitter, p Params) *scratch {
 // StreamChunk runs one logical PE into e: it generates the vertices of its
 // chunks plus the ghost cells of neighbouring chunks and emits every edge
 // incident to its local vertices, cell by cell, without materializing the
-// chunk edge list. Only the cell arena of the chunk in flight (plus its
-// ghost halo) is held; the arena resets between the PE's chunks and is
-// kept in e's Scratch for the next call. Undirected edges appear once per
-// endpoint across the PEs. The redundant-vertex and comparison counts go
-// to e's Work.
+// chunk edge list. Only the cell arena of the chunk in flight (plus the
+// ghost cells its stencil reads) is held; the arena resets as each of the
+// PE's chunks starts and is kept in e's Scratch for the next call. An
+// interior cell, whose stencil stays inside its chunk, finds its
+// neighbours by in-chunk index arithmetic; only cells within the stencil
+// reach of the chunk border look neighbours up by global coordinate.
+// Undirected edges appear once per endpoint across the PEs. The redundant
+// vertices (points of ghost cells outside the PE's chunks, each time one
+// is generated) and the comparison count go to e's Work.
 func StreamChunk(p Params, peID uint64, e *core.Emitter) {
 	s := scratchOf(e, p)
-	g, acc, ghosts := s.g, s.acc, &s.ghosts
+	g, acc, layers := s.g, s.acc, s.layers
 	lo, hi := g.ChunkRange(peID)
-
-	layers := int64(math.Ceil(p.R / g.CellSide))
-	if layers < 1 {
-		layers = 1
-	}
 	r2 := p.R * p.R
-	chunkHalo := (layers + int64(g.CellsPerDim) - 1) / int64(g.CellsPerDim)
-	ghosts.reset(g, lo, hi, chunkHalo)
+	c := int64(g.CellsPerDim)
+	gd := int64(g.GlobalDim)
 	var redundantVertices, comparisons uint64
 
+	// pairs emits the edges between the points of an own cell and a
+	// neighbour cell.
+	pairs := func(own, pts []geometry.Point, same bool) {
+		n := uint64(len(own)) * uint64(len(pts))
+		if same {
+			n -= uint64(len(own))
+		}
+		comparisons += n
+		if p.Dim == 2 {
+			pairs2(e, own, pts, same, r2)
+		} else {
+			pairs3(e, own, pts, same, r2)
+		}
+	}
+
 	for chunk := lo; chunk < hi; chunk++ {
-		cellsInChunk := g.CellsPerChunk()
-		for ci := uint64(0); ci < cellsInChunk; ci++ {
-			cc := g.ChunkCellCoord(chunk, ci)
-			own := acc.Cell(cc)
+		acc.Reset(chunk)
+		ch := acc.chunkFor(chunk)
+		dense, idBase := ch.dense, ch.idBase
+		base := g.ChunkCellCoord(chunk, 0)
+		for ci := uint64(0); ci < acc.cells; ci++ {
+			var local [3]int64
+			if p.Dim == 2 {
+				local[0], local[1] = int64(ci)/c, int64(ci)%c
+			} else {
+				local[0], local[1], local[2] = int64(ci)/(c*c), int64(ci)/c%c, int64(ci)%c
+			}
+			var cc [3]uint32
+			interior := true
+			for i := 0; i < p.Dim; i++ {
+				cc[i] = base[i] + uint32(local[i])
+				interior = interior && local[i] >= layers && local[i] < c-layers
+			}
+			own, _ := acc.denseCell(dense, idBase, ci, cc)
 			if len(own) == 0 {
 				continue
 			}
-			var off [3]int64
-			visit := func() {
+			if interior {
+				for k, off := range s.offs {
+					nc := [3]uint32{uint32(int64(cc[0]) + off[0]), uint32(int64(cc[1]) + off[1]), uint32(int64(cc[2]) + off[2])}
+					pts, _ := acc.denseCell(dense, idBase, uint64(int64(ci)+s.deltas[k]), nc)
+					pairs(own, pts, off == [3]int64{})
+				}
+				continue
+			}
+		stencil:
+			for _, off := range s.offs {
 				var nc [3]uint32
 				for i := 0; i < p.Dim; i++ {
 					v := int64(cc[i]) + off[i]
-					if v < 0 || v >= int64(g.GlobalDim) {
-						return
+					if v < 0 || v >= gd {
+						continue stencil
 					}
 					nc[i] = uint32(v)
 				}
-				pts := acc.Cell(nc)
-				neighChunk := g.OwnerChunkOfCell(nc)
-				if (neighChunk < lo || neighChunk >= hi) && ghosts.add(neighChunk) {
-					redundantVertices += acc.ChunkTotal(neighChunk)
-				}
-				same := nc == cc
-				for i := range own {
-					for j := range pts {
-						if same && i == j {
-							continue
-						}
-						comparisons++
-						if geometry.Dist2(p.Dim, own[i].X, pts[j].X) <= r2 {
-							e.Append(own[i].ID, pts[j].ID)
-						}
+				pts, fresh := acc.cell(nc)
+				if fresh {
+					if oc := g.OwnerChunkOfCell(nc); oc < lo || oc >= hi {
+						redundantVertices += uint64(len(pts))
 					}
 				}
-			}
-			for dx := -layers; dx <= layers; dx++ {
-				off[0] = dx
-				for dy := -layers; dy <= layers; dy++ {
-					off[1] = dy
-					if p.Dim == 2 {
-						visit()
-						continue
-					}
-					for dz := -layers; dz <= layers; dz++ {
-						off[2] = dz
-						visit()
-					}
-				}
+				pairs(own, pts, off == [3]int64{})
 			}
 		}
-		acc.Reset() // bound memory by one chunk + halo
 	}
 	e.RedundantVertices += redundantVertices
 	e.Comparisons += comparisons
+}
+
+// pairs2 emits (own[i], pts[j]) for every pair of two-dimensional points
+// at distance at most r (r2 = r*r), skipping i == j when own and pts are
+// the same cell. Each squared term is rounded on its own — float64(d*d) —
+// so no architecture fuses the sum into an FMA, and the sum is
+// geometry.Dist2's bit for bit.
+func pairs2(e *core.Emitter, own, pts []geometry.Point, same bool, r2 float64) {
+	for i := range own {
+		x, y, id := own[i].X[0], own[i].X[1], own[i].ID
+		for j := range pts {
+			q := &pts[j]
+			dx, dy := x-q.X[0], y-q.X[1]
+			if float64(dx*dx)+float64(dy*dy) <= r2 && (!same || i != j) {
+				e.Append(id, q.ID)
+			}
+		}
+	}
+}
+
+// pairs3 is pairs2 in three dimensions.
+func pairs3(e *core.Emitter, own, pts []geometry.Point, same bool, r2 float64) {
+	for i := range own {
+		x, y, z, id := own[i].X[0], own[i].X[1], own[i].X[2], own[i].ID
+		for j := range pts {
+			q := &pts[j]
+			dx, dy, dz := x-q.X[0], y-q.X[1], z-q.X[2]
+			if float64(dx*dx)+float64(dy*dy)+float64(dz*dz) <= r2 && (!same || i != j) {
+				e.Append(id, q.ID)
+			}
+		}
+	}
 }
 
 // Points returns all generated vertex positions in ID order. Used by

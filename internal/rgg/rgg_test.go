@@ -226,17 +226,65 @@ func TestGhostDeterminism(t *testing.T) {
 	}
 }
 
-// TestRedundantVerticesBounded: ghost recomputation should stay a bounded
-// fraction for reasonably dense chunks.
+// TestRedundantVerticesCounted: RedundantVertices is exactly the number
+// of points the PE generated that belong to another PE — the points of
+// every ghost cell some non-empty own cell's stencil reaches, once per
+// own chunk that reads it — counted here from the full cell split.
 func TestRedundantVerticesCounted(t *testing.T) {
-	p := Params{N: 10000, R: 0.01, Dim: 2, Seed: 19, Chunks: 4}
-	res := generateChunk(p, 0)
-	if res.RedundantVertices == 0 {
-		t.Error("expected some ghost vertices to be recomputed")
+	for _, tc := range []struct {
+		p  Params
+		pe uint64
+	}{
+		{Params{N: 10000, R: 0.01, Dim: 2, Seed: 19, Chunks: 4}, 0},
+		{Params{N: 20000, R: 0.02, Dim: 2, Seed: 20, Chunks: 7}, 3}, // two chunks
+		{Params{N: 8000, R: 0.08, Dim: 3, Seed: 21, Chunks: 8}, 5},
+		{Params{N: 1000, R: 0.15, Dim: 2, Seed: 22, Chunks: 64}, 27}, // two layers
+	} {
+		res := generateChunk(tc.p, tc.pe)
+		want := ghostPoints(tc.p, tc.pe)
+		if want == 0 || res.RedundantVertices != want {
+			t.Errorf("%+v pe %d: %d redundant vertices, the ghost cells hold %d points",
+				tc.p, tc.pe, res.RedundantVertices, want)
+		}
 	}
-	if res.RedundantVertices > p.N {
-		t.Errorf("redundant vertices %d exceed n", res.RedundantVertices)
+}
+
+// ghostPoints counts, by brute force over every cell, the points of the
+// cells outside pe's chunks that a non-empty cell of one of its chunks
+// has within its stencil, once per such chunk.
+func ghostPoints(p Params, pe uint64) uint64 {
+	g := p.grid()
+	layers := int64(math.Max(1, math.Ceil(p.R/g.CellSide)))
+	count := map[[3]uint32]uint64{}
+	for chunk, total := range g.ChunkCounts() {
+		for ci, n := range g.CellCounts(uint64(chunk), total) {
+			count[g.ChunkCellCoord(uint64(chunk), uint64(ci))] = n
+		}
 	}
+	lo, hi := g.ChunkRange(pe)
+	var ghosts uint64
+	for chunk := lo; chunk < hi; chunk++ {
+		seen := map[[3]uint32]bool{}
+		for ci := uint64(0); ci < g.CellsPerChunk(); ci++ {
+			cc := g.ChunkCellCoord(chunk, ci)
+			if count[cc] == 0 {
+				continue
+			}
+			for k := 0; k < int(math.Pow(float64(2*layers+1), float64(p.Dim))); k++ {
+				nc, in := cc, true
+				for i, rest := 0, k; i < p.Dim; i, rest = i+1, rest/int(2*layers+1) {
+					v := int64(cc[i]) + int64(rest%int(2*layers+1)) - layers
+					in = in && v >= 0 && v < int64(g.GlobalDim)
+					nc[i] = uint32(v)
+				}
+				if owner := g.OwnerChunkOfCell(nc); in && !seen[nc] && (owner < lo || owner >= hi) {
+					seen[nc] = true
+					ghosts += count[nc]
+				}
+			}
+		}
+	}
+	return ghosts
 }
 
 func TestValidate(t *testing.T) {

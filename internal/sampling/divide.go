@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"repro/internal/dist"
+	"repro/internal/flat"
 	"repro/internal/prng"
 )
 
@@ -157,6 +158,48 @@ func RecursiveSplitEqualRank(seed, total uint64, buckets, b uint64) (before, at 
 	return before, total
 }
 
+// SplitMemo answers RecursiveSplitEqualRank queries, drawing each node
+// of a split's recursion at most once until Reset: queries for nearby
+// buckets share the upper levels of their paths, which hold the largest
+// totals and so the costliest draws, and any number of queries on a split
+// draws no more than its buckets-1 nodes. One memo serves many splits;
+// the caller names each by an id that stands for one (seed, total,
+// buckets) until the next Reset. The zero SplitMemo is ready to use, and
+// once its storage has grown to a workload, Reset and refill allocate
+// nothing.
+type SplitMemo struct {
+	lefts flat.Map[uint64] // left count of each drawn node, by (split id, node number)
+}
+
+// Reset forgets every drawn node, keeping the storage.
+func (m *SplitMemo) Reset() { m.lefts.Clear() }
+
+// Rank is RecursiveSplitEqualRank(seed, total, buckets, b) of the split
+// named split.
+func (m *SplitMemo) Rank(split, seed, total, buckets, b uint64) (before, at uint64) {
+	if b >= buckets {
+		panic("sampling: bucket index out of range")
+	}
+	// node numbers the recursion heap-style: the root is 1 and the
+	// children of node k are 2k and 2k+1.
+	lo, hi, node := uint64(0), buckets, uint64(1)
+	for hi-lo > 1 && total > 0 {
+		mid := lo + (hi-lo)/2
+		left, ok := m.lefts.Get(split, node)
+		if !ok {
+			left = drawLeft(seed, total, lo, hi)
+			m.lefts.Put(split, node, left)
+		}
+		if b < mid {
+			hi, total, node = mid, left, 2*node
+		} else {
+			before += left
+			lo, total, node = mid, total-left, 2*node+1
+		}
+	}
+	return before, total
+}
+
 // RecursiveSplitEqualPrefix returns the sum of the bucket counts in
 // [0, b) of the equal-weight recursive split — the prefix-sum query behind
 // global ID derivation. b == buckets returns the full total.
@@ -171,6 +214,16 @@ func RecursiveSplitEqualPrefix(seed, total uint64, buckets, b uint64) uint64 {
 	return before
 }
 
+// drawLeft draws how many of the total items of the equal-weight
+// recursion node [lo, hi) fall into its left half [lo, mid).
+// RecursiveSplitEqualRank makes the same draw inline.
+func drawLeft(seed, total, lo, hi uint64) uint64 {
+	mid := lo + (hi-lo)/2
+	frac := float64(mid-lo) / float64(hi-lo)
+	r := prng.New(seed, tagDivide+2, lo, hi)
+	return dist.Binomial(&r, total, frac)
+}
+
 func recSplitEqual(seed, total, lo, hi, qlo, qhi uint64, out []uint64) {
 	if total == 0 {
 		return
@@ -180,9 +233,7 @@ func recSplitEqual(seed, total, lo, hi, qlo, qhi uint64, out []uint64) {
 		return
 	}
 	mid := lo + (hi-lo)/2
-	frac := float64(mid-lo) / float64(hi-lo)
-	r := prng.New(seed, tagDivide+2, lo, hi)
-	left := dist.Binomial(&r, total, frac)
+	left := drawLeft(seed, total, lo, hi)
 	if qlo < mid && lo < qhi {
 		recSplitEqual(seed, left, lo, mid, qlo, qhi, out)
 	}

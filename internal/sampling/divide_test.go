@@ -282,6 +282,43 @@ func TestRecursiveSplitEqualRankProperty(t *testing.T) {
 	}
 }
 
+// TestSplitMemoProperty: one SplitMemo serving two splits answers rank
+// queries on both in any interleaved order, repeated or not, exactly as
+// the full splits, draws no more nodes than the splits have, and after
+// Reset answers for new splits under the same ids.
+func TestSplitMemoProperty(t *testing.T) {
+	var m SplitMemo
+	f := func(seed uint32, totalRaw uint32, bRaw uint16, order []uint16) bool {
+		m.Reset()
+		type split struct{ seed, total, buckets uint64 }
+		splits := []split{
+			{uint64(seed), uint64(totalRaw % 200000), uint64(bRaw%600) + 1},
+			{uint64(seed) + 1, uint64(totalRaw % 1000), uint64(bRaw%7) + 1},
+		}
+		var nodes uint64
+		for _, sp := range splits {
+			nodes += sp.buckets - 1
+		}
+		for _, o := range append(order, order...) {
+			id := uint64(o) % 2
+			sp := splits[id]
+			b := uint64(o) / 2 % sp.buckets
+			full := RecursiveSplitEqual(sp.seed, sp.total, sp.buckets, 0, sp.buckets)
+			var wantBefore uint64
+			for _, c := range full[:b] {
+				wantBefore += c
+			}
+			if before, at := m.Rank(id, sp.seed, sp.total, sp.buckets, b); before != wantBefore || at != full[b] {
+				return false
+			}
+		}
+		return uint64(m.lefts.Len()) <= nodes
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestRecursiveSplitEqualPrefixBefore: PrefixBefore(b) equals summing the
 // full split slice, for every b including the b == buckets total.
 func TestRecursiveSplitEqualPrefixBefore(t *testing.T) {

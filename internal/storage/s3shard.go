@@ -164,10 +164,17 @@ func (w *s3Shard) Write(p []byte) (int, error) {
 		w.part = w.b.takePart()
 	}
 	if need := len(w.part) + len(p); need > cap(w.part) {
-		// The job layer writes a chunk as a run of 64 KiB blocks. Grow by
-		// doubling: append's 1.25x steps would copy a multi-megabyte part
-		// about five times over on the way up, doubling copies it twice.
-		grown := make([]byte, len(w.part), max(need, 2*cap(w.part)))
+		// The job layer writes a chunk as a run of 64 KiB blocks. A fresh
+		// buffer starts at twice the part size: a part seals at its first
+		// commit at or past partSize, so a part made of one chunk up to that
+		// size never regrows. Past that, grow by doubling: append's 1.25x
+		// steps would copy a multi-megabyte part about five times over on
+		// the way up, doubling copies it twice.
+		size := 2 * cap(w.part)
+		if size == 0 {
+			size = int(2 * w.b.cfg.partSize)
+		}
+		grown := make([]byte, len(w.part), max(need, size))
 		copy(grown, w.part)
 		w.part = grown
 	}

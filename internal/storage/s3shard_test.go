@@ -32,7 +32,7 @@ func TestPartBuffersReusedAcrossShards(t *testing.T) {
 	b := be.(*s3Backend)
 
 	// Eight 700-byte chunks: two to a part, so four parts a shard, each
-	// buffer grown twice on its way to 1400 bytes in the first shard.
+	// in a buffer of twice the part size.
 	chunk := bytes.Repeat([]byte("0123456789"), 70)
 	write := func(key string) {
 		t.Helper()
@@ -81,5 +81,65 @@ func TestPartBuffersReusedAcrossShards(t *testing.T) {
 	}
 	if len(second) > 2*(concurrency+1) {
 		t.Errorf("backend keeps %d part buffers, want at most %d", len(second), 2*(concurrency+1))
+	}
+}
+
+// TestFreshPartBufferNeverRegrows: a fresh part buffer is sized for the
+// part at once. With one-chunk parts of 1.3 x partSize written in small
+// blocks, every part is built in a single buffer of 2 x partSize that
+// keeps its backing array from the first block to the seal.
+func TestFreshPartBufferNeverRegrows(t *testing.T) {
+	const partSize = 1000
+	srv := s3test.New("test-access", "test-secret", "bkt")
+	t.Cleanup(srv.Close)
+	t.Setenv("KAGEN_S3_ENDPOINT", srv.URL())
+	t.Setenv("AWS_ACCESS_KEY_ID", "test-access")
+	t.Setenv("AWS_SECRET_ACCESS_KEY", "test-secret")
+	t.Setenv("AWS_REGION", "us-east-1")
+	t.Setenv("KAGEN_S3_PART_SIZE", fmt.Sprint(partSize))
+	t.Setenv("KAGEN_S3_CONCURRENCY", "2")
+	be, err := Resolve("s3://bkt/job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := be.(*s3Backend).CreateShard("s3://bkt/pe0.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := w.(*s3Shard)
+	part := func() []byte {
+		sw.mu.Lock()
+		defer sw.mu.Unlock()
+		return sw.part
+	}
+	chunk := bytes.Repeat([]byte("0123456789"), 130) // 1.3 x partSize
+	var want []byte
+	for c := 0; c < 6; c++ {
+		var data *byte
+		for off := 0; off < len(chunk); off += 100 {
+			if _, err := w.Write(chunk[off : off+100]); err != nil {
+				t.Fatal(err)
+			}
+			buf := part()
+			if off == 0 {
+				data = unsafe.SliceData(buf[:cap(buf)])
+				if cap(buf) != 2*partSize {
+					t.Fatalf("chunk %d: part buffer of %d bytes, want %d", c, cap(buf), 2*partSize)
+				}
+			} else if unsafe.SliceData(buf[:cap(buf)]) != data {
+				t.Fatalf("chunk %d: part buffer regrown at byte %d", c, off)
+			}
+		}
+		if _, err := w.Commit(sha256.Sum256(chunk)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, chunk...)
+	}
+	if err := w.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if got := srv.Object("bkt", "pe0.bin"); !bytes.Equal(got, want) {
+		t.Fatalf("object of %d bytes differs from the %d written", len(got), len(want))
 	}
 }
