@@ -1,9 +1,9 @@
 // Command kagen generates graphs from the supported network models and
 // writes them as edge lists (text or binary) or METIS adjacency files.
 //
-// With -stream the graph is never materialized: the model's streaming
-// generator runs all PEs on a worker pool and the edge stream is written
-// straight to the sink in deterministic PE order, so instances larger
+// With -stream the graph is never materialized: the PEs run on a worker
+// pool through the job runner's chunk encoders, and each PE's bytes are
+// written to -o in PE order while later PEs generate, so instances larger
 // than memory can be generated (formats: text, binary, text.gz,
 // binary.gz, their sharded-<fmt> variants, and none). A sharded-<fmt>
 // stream writes one shard per PE as a job with one chunk per PE, its PEs
@@ -86,7 +86,7 @@ func main() {
 		out     = flag.String("o", "", "output destination: a file, file:// or s3:// URI (default: stdout; the job directory or URI for sharded formats)")
 		format  = flag.String("format", "text", "output format: text, binary, metis, none; with -stream also text.gz, binary.gz and sharded-<fmt>")
 		stats   = flag.Bool("stats", false, "print graph statistics to stderr")
-		stream  = flag.Bool("stream", false, "stream edges to the sink without materializing the graph")
+		stream  = flag.Bool("stream", false, "stream edges to -o as they are generated, without materializing the graph")
 		params  kagen.ModelParams
 	)
 	params.RegisterFlags(flag.CommandLine)
@@ -129,9 +129,7 @@ func main() {
 	}
 }
 
-// writeGraph writes a materialized graph to out ("" or "-" is stdout)
-// through the backend's single-shot writer: nothing is published at out
-// unless the whole graph was written.
+// writeGraph writes a materialized graph to out ("" or "-" is stdout).
 func writeGraph(el *kagen.EdgeList, format, out string) error {
 	var write func(io.Writer, *kagen.EdgeList) error
 	switch format {
@@ -146,60 +144,52 @@ func writeGraph(el *kagen.EdgeList, format, out string) error {
 	default:
 		return fmt.Errorf("unknown format %q", format)
 	}
+	return writeTo(out, func(w io.Writer) error { return write(w, el) })
+}
+
+// writeTo runs fill on out: stdout for "" or "-", else the destination's
+// single-shot writer, so nothing is published at out unless fill
+// succeeds.
+func writeTo(out string, fill func(io.Writer) error) error {
 	if out == "" || out == "-" {
-		return write(os.Stdout, el)
+		return fill(os.Stdout)
 	}
 	store, err := storage.Resolve(out)
 	if err != nil {
 		return err
 	}
-	return storage.WriteObject(store, out, func(w io.Writer) error { return write(w, el) })
+	return storage.WriteObject(store, out, fill)
 }
 
-// countingSink wraps a Sink and counts the delivered edges for -stats.
-type countingSink struct {
-	kagen.Sink
-	edges uint64
-}
-
-func (c *countingSink) Batch(pe uint64, edges []kagen.Edge) error {
-	c.edges += uint64(len(edges))
-	return c.Sink.Batch(pe, edges)
-}
-
-// discardSink counts edges without writing them (-format none).
-type discardSink struct{}
-
-func (discardSink) Begin(n, pes uint64) error             { return nil }
-func (discardSink) Batch(pe uint64, e []kagen.Edge) error { return nil }
-func (discardSink) EndPE(pe uint64) error                 { return nil }
-func (discardSink) Close() error                          { return nil }
-
+// runStream writes the edge stream through job.Stream, the job's chunk
+// encoders without shards. -format none streams the zero format, which
+// generates and counts but writes nothing.
 func runStream(s kagen.Streamer, model, format, out string, workers int, stats bool) {
-	var sink kagen.Sink = discardSink{}
+	var f kagen.Format
 	if format != "none" {
-		f, err := kagen.ParseFormat(format)
-		if err != nil {
-			fatal(err)
-		}
-		// OpenSink resolves out — "" or "-" is stdout (where a non-seekable
-		// pipe makes the binary sink fall back to sentinel framing, which
-		// readers accept), a path or file:// is the local filesystem, and
-		// s3:// streams a striped multipart upload to the object store.
-		sink, err = kagen.OpenSink(out, f)
-		if err != nil {
+		var err error
+		if f, err = kagen.ParseFormat(format); err != nil {
 			fatal(err)
 		}
 	}
-
-	counting := &countingSink{Sink: sink}
 	start := time.Now()
-	if err := kagen.Stream(s, workers, counting); err != nil {
+	var edges uint64
+	stream := func(w io.Writer) (err error) {
+		edges, err = job.Stream(s, f, w, workers)
+		return err
+	}
+	var err error
+	if f == "" {
+		err = stream(io.Discard) // -format none writes nowhere
+	} else {
+		err = writeTo(out, stream)
+	}
+	if err != nil {
 		fatal(err)
 	}
 	if stats {
 		fmt.Fprintf(os.Stderr, "model=%s n=%d edges=%d pes=%d time=%s\n",
-			model, s.N(), counting.edges, s.PEs(), time.Since(start))
+			model, s.N(), edges, s.PEs(), time.Since(start))
 	}
 }
 

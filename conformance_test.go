@@ -96,8 +96,8 @@ func TestConformance(t *testing.T) {
 			// any worker count.
 			for _, workers := range []int{1, 3} {
 				sink := &collectSink{}
-				if err := Stream(gen, workers, sink); err != nil {
-					t.Fatalf("Stream workers=%d: %v", workers, err)
+				if err := StreamChunksFrom(gen, 0, gen.PEs(), workers, 0, sink); err != nil {
+					t.Fatalf("StreamChunksFrom workers=%d: %v", workers, err)
 				}
 				if sink.n != whole.N || sink.pes != gen.PEs() {
 					t.Fatalf("sink header (%d, %d), want (%d, %d)",
@@ -175,7 +175,7 @@ func TestStreamerConstructorsMatchRegistry(t *testing.T) {
 			t.Fatalf("%s: %v", c.model, err)
 		}
 		sink := &collectSink{}
-		if err := Stream(mustNew(t, c.model, c.p, opt), 2, sink); err != nil {
+		if err := StreamChunksFrom(mustNew(t, c.model, c.p, opt), 0, opt.PEs, 2, 0, sink); err != nil {
 			t.Fatalf("%s: %v", c.model, err)
 		}
 		sameEdges(t, c.model, "helper vs registry stream", sink.edges, want.Edges)

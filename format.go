@@ -1,13 +1,13 @@
 package kagen
 
 import (
-	"bufio"
 	"compress/gzip"
 	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/graph"
+	"repro/internal/storage"
 )
 
 // Format identifies a streaming edge-list encoding. The gzip-compressed
@@ -69,8 +69,9 @@ func (f Format) Ext() string {
 }
 
 // NewGzipWriter returns a gzip writer to w at the format's level. It is
-// the one place the level is chosen: a job shard's chunk members and
-// NewFormatSink's stream are both written through it, and Reset keeps the
+// the one place the level is chosen: every gzip member the repository
+// writes — a job shard's header and chunks, and so a plain .gz stream's —
+// comes from the job's chunk encoder through it, and Reset keeps the
 // level. text.gz is Huffman-coded without LZ match search: its 12-symbol
 // alphabet (digits, space, newline) is where nearly all of deflate's gain
 // on text comes from, and the match search cost about twenty times the
@@ -109,33 +110,6 @@ func (f Format) AppendHeader(buf []byte, n uint64) []byte {
 	return fmt.Appendf(buf, "# %d\n", n)
 }
 
-// NewFormatSink returns a Sink writing the format to w. It is the
-// io.Writer-level primitive under OpenSink — use it when the bytes go
-// into an existing writer (an HTTP response, a pipe); use OpenSink when
-// they go to a destination URI. The plain binary
-// format patches the true edge count into the header at Close when w
-// supports random-access writes and falls back to the StreamingEdgeCount
-// sentinel otherwise. The probe matters: a piped stdout is an *os.File
-// that satisfies io.WriteSeeker but fails every Seek, and a shell
-// `>> file` redirect seeks fine but silently redirects the Close-time
-// header patch to EOF (O_APPEND) — both must select sentinel framing up
-// front rather than surface as a corrupt file or a lost run at Close.
-// The compressed formats always use sentinel framing.
-func NewFormatSink(w io.Writer, f Format) Sink {
-	if f == FormatBinary {
-		if ws, ok := w.(io.WriteSeeker); ok && seekPatchable(ws) {
-			return &binarySink{streamSink: streamSink{format: f, bw: bufio.NewWriterSize(ws, 1<<20)}, ws: ws}
-		}
-	}
-	s := &streamSink{format: f}
-	if f.Compressed() {
-		s.gz = f.NewGzipWriter(w)
-		w = s.gz
-	}
-	s.bw = bufio.NewWriterSize(w, 1<<20)
-	return s
-}
-
 // ReadEdgeList reads one edge-list stream in the given format,
 // decompressing the gzip variants.
 func ReadEdgeList(r io.Reader, f Format) (*EdgeList, error) {
@@ -159,19 +133,22 @@ func ReadEdgeListFile(path string, f Format) (*EdgeList, error) {
 	return ReadEdgeListFrom(path, f)
 }
 
-// seekPatchable reports whether ws supports the seek-back header patch:
-// Seek must work (rules out pipes and terminals) and, for an *os.File,
-// positioned writes must not be redirected to EOF by append mode (an
-// empty WriteAt is a no-op on a regular file but fails immediately on a
-// file opened with O_APPEND).
-func seekPatchable(ws io.WriteSeeker) bool {
-	if _, err := ws.Seek(0, io.SeekCurrent); err != nil {
-		return false
+// ReadEdgeListFrom reads one edge-list object from a destination URI
+// ("" and "-" read stdin), decompressing the gzip formats. It is the
+// backend-aware counterpart of ReadEdgeListFile: a bare path reads the
+// local filesystem, s3:// streams straight from the object store.
+func ReadEdgeListFrom(src string, f Format) (*EdgeList, error) {
+	if src == "" || src == "-" {
+		return ReadEdgeList(os.Stdin, f)
 	}
-	if f, ok := ws.(*os.File); ok {
-		if _, err := f.WriteAt(nil, 0); err != nil {
-			return false
-		}
+	be, err := storage.Resolve(src)
+	if err != nil {
+		return nil, err
 	}
-	return true
+	r, err := be.Open(src)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return ReadEdgeList(r, f)
 }

@@ -15,9 +15,9 @@ import (
 )
 
 // blockSize is the capacity of one block of finished wire bytes, the unit
-// that crosses goroutines in a job: 64 KiB, the size of the 4096-edge
-// batches kagen.Stream hands around, so the pipeline buffers what it
-// always did — by count of blocks, never by chunk size.
+// that crosses goroutines in a job: 64 KiB, the size of one encodeBatch of
+// binary edges, so the pipeline buffers by count of blocks, never by
+// chunk size.
 const blockSize = 64 << 10
 
 // encodeBatch is how many edges a chunk encoder gathers before it encodes
@@ -92,8 +92,9 @@ func (l *blockList) put(b *block) {
 
 // chunkEncoders is the encoding state of one worker: one chunk encoder per
 // pipeline goroutine and the block free list they share. runWorker owns
-// one for all its PEs; encoders initialise on first use, so a goroutine
-// that never gets a chunk costs nothing.
+// one for all its PEs, Stream and Verify one for their pass; encoders
+// initialise on first use, so a goroutine that never gets a chunk costs
+// nothing.
 type chunkEncoders struct {
 	enc    []chunkEncoder
 	blocks blockList
@@ -131,9 +132,12 @@ type chunkEncoder struct {
 	em      kagen.Emitter // what the generator streams into; flushes to encode
 	flush   func([]kagen.Edge) ([]kagen.Edge, bool)
 	scratch []byte
-	payload hash.Hash
-	wire    hash.Hash    // compressed formats only
-	gz      *gzip.Writer // compressed formats only
+	// noDigest leaves the trailer's digests zero, for Stream: its chunks
+	// are recorded in no manifest, so it skips hashing every byte.
+	noDigest bool
+	payload  hash.Hash    // nil under noDigest
+	wire     hash.Hash    // compressed formats only; nil under noDigest
+	gz       *gzip.Writer // compressed formats only
 
 	// Per-chunk state, set by begin.
 	send     func(*block, bool) bool
@@ -155,16 +159,25 @@ type chunkEncoder struct {
 // never reads the clock.
 func (e *chunkEncoder) begin(send func(*block, bool) bool, timed bool) {
 	batch := e.em.Edges()
-	if e.payload == nil {
-		e.payload = sha256.New()
+	if e.flush == nil {
 		batch = make([]kagen.Edge, 0, encodeBatch)
 		e.flush = e.encodeEdges
+		if e.format == "" {
+			e.flush = e.countEdges
+		}
+		if !e.noDigest {
+			e.payload = sha256.New()
+			if e.format.Compressed() {
+				e.wire = sha256.New()
+			}
+		}
 		if e.format.Compressed() {
-			e.wire = sha256.New()
 			e.gz = e.format.NewGzipWriter(nil)
 		}
 	}
-	e.payload.Reset()
+	if e.payload != nil {
+		e.payload.Reset()
+	}
 	if e.wire != nil {
 		e.wire.Reset()
 	}
@@ -185,6 +198,13 @@ func (e *chunkEncoder) encodeEdges(batch []kagen.Edge) ([]kagen.Edge, bool) {
 	return batch, e.live
 }
 
+// countEdges is the Emitter's flush for the zero format, which encodes
+// nothing: the batch's edges are counted and dropped.
+func (e *chunkEncoder) countEdges(batch []kagen.Edge) ([]kagen.Edge, bool) {
+	e.t.edges += uint64(len(batch))
+	return batch, e.live
+}
+
 // writePayload adds payload bytes to the chunk: hashed for the Merkle
 // leaf, then compressed (the member starts with the chunk's first payload
 // byte, so an empty chunk has none) or copied into blocks as they are.
@@ -196,7 +216,9 @@ func (e *chunkEncoder) writePayload(p []byte) {
 	if e.timed {
 		t0 = time.Now()
 	}
-	e.payload.Write(p)
+	if e.payload != nil {
+		e.payload.Write(p)
+	}
 	if e.gz != nil {
 		if e.t.payloadBytes == 0 {
 			e.gz.Reset(e)
@@ -250,7 +272,7 @@ func (e *chunkEncoder) seal() {
 // digests taken — and returns its last block, trailer filled in, for the
 // caller to send as final. genErr is the streamer's result for the chunk.
 func (e *chunkEncoder) finish(genErr error) *block {
-	e.encodeEdges(e.em.Edges())
+	e.flush(e.em.Edges())
 	if e.gz != nil && e.t.payloadBytes > 0 {
 		var t0 time.Time
 		if e.timed {
@@ -262,7 +284,9 @@ func (e *chunkEncoder) finish(genErr error) *block {
 		}
 	}
 	e.seal()
-	e.payload.Sum(e.t.payload[:0])
+	if e.payload != nil {
+		e.payload.Sum(e.t.payload[:0])
+	}
 	e.t.wire = e.t.payload
 	if e.wire != nil {
 		e.wire.Sum(e.t.wire[:0])

@@ -280,7 +280,9 @@ func TestMergeRefusesMisplacedManifest(t *testing.T) {
 
 // verifySequential is the one-goroutine Verify the parallel one replaced,
 // kept as the reference its result must equal: every PE's sample drawn
-// and checked in turn, each chunk's payload read whole from its segment.
+// and checked in turn, each chunk collected whole and encoded with
+// Format.AppendEdges rather than through the chunk encoder, and its
+// payload read whole from its segment.
 func verifySequential(dir string, opts VerifyOptions) (*VerifyResult, error) {
 	store, err := storage.Resolve(dir)
 	if err != nil {
@@ -329,14 +331,13 @@ func verifySequential(dir string, opts VerifyOptions) (*VerifyResult, error) {
 				fault := func(reason, detail string) {
 					res.Faults = append(res.Faults, Fault{Worker: w, PE: pe, Chunk: int64(c), Reason: reason, Detail: detail})
 				}
-				sink := &captureSink{format: format, hash: sha256.New()}
-				if err := sink.regen(streamer, first+uint64(c)); err != nil {
+				var em kagen.Emitter
+				if err := streamer.EmitChunk(first+uint64(c), &em); err != nil {
 					fault(FaultManifestDigest, fmt.Sprintf("cannot re-derive chunk: %v", err))
 					continue
 				}
-				var leaf merkle.Digest
-				sink.hash.Sum(leaf[:0])
-				edges := sink.edges
+				leaf := merkle.Digest(sha256.Sum256(payloadFormat(format).AppendEdges(nil, em.Edges())))
+				edges := uint64(len(em.Edges()))
 				if hex.EncodeToString(leaf[:]) != rec.Digest || edges != rec.Edges {
 					fault(FaultManifestDigest, fmt.Sprintf("manifest records digest %.12s…/%d edges, spec derives %.12s…/%d", rec.Digest, rec.Edges, hex.EncodeToString(leaf[:]), edges))
 					continue
@@ -481,33 +482,45 @@ func TestVerifyParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCaptureSinkHashesBatchAtATime: Verify's captureSink, which
-// re-derives chunks through StreamChunksFrom and Format.AppendEdges, finds
-// the payload digest and edge count the chunk encoder computes, while
-// keeping only one encoded batch — its memory does not grow with the
-// chunk, however large.
-func TestCaptureSinkHashesBatchAtATime(t *testing.T) {
-	spec := Spec{Model: "gnm_directed", N: 1 << 16, M: 1 << 18, Seed: 4, PEs: 2, ChunksPerPE: 1, Workers: 1, Format: "text"}
+// TestVerifierRederivesInOneBlock: a verifier re-derives a chunk through
+// its chunk encoder over the plain payload format and finds the payload
+// digest and edge count the job's compressed encoder computes, holding
+// one block whatever the chunk's size — and, once warm, allocating
+// nothing.
+func TestVerifierRederivesInOneBlock(t *testing.T) {
+	spec := Spec{Model: "gnm_directed", N: 1 << 20, M: 1 << 20, Seed: 4, PEs: 2, ChunksPerPE: 1, Workers: 1, Format: "text.gz"}
 	streamer, err := spec.Streamer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := &newChunkEncoders(kagen.FormatText, 1).enc[0]
-	sink := captureSink{format: kagen.FormatText, hash: sha256.New()}
+	enc := &newChunkEncoders(spec.ShardFormat(), 1).enc[0]
+	encs := newChunkEncoders(payloadFormat(spec.ShardFormat()), 1)
+	v := verifier{spec: spec, streamer: streamer, enc: &encs.enc[0]}
 	for chunk := uint64(0); chunk < 2; chunk++ {
 		want, err := enc.encodeTo(nil, func(e *chunkEncoder) error { return streamer.EmitChunk(chunk, &e.em) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sink.regen(streamer, chunk); err != nil {
+		got, err := v.rederive(chunk)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sink.hash.Sum(nil); !bytes.Equal(got, want.payload[:]) || sink.edges != want.edges {
-			t.Errorf("chunk %d: hashed %x/%d edges, encoder %x/%d", chunk, got, sink.edges, want.payload, want.edges)
+		if got.payload != want.payload || got.edges != want.edges {
+			t.Errorf("chunk %d: re-derived %x/%d edges, encoder %x/%d", chunk, got.payload, got.edges, want.payload, want.edges)
 		}
-		if uint64(cap(sink.buf)) > want.payloadBytes/8 {
-			t.Errorf("chunk %d: hashing sink holds %d bytes of a %d-byte payload", chunk, cap(sink.buf), want.payloadBytes)
+		if got.payloadBytes < 4<<20 || got.wireBytes != got.payloadBytes {
+			t.Fatalf("chunk %d: %d payload bytes, %d wire bytes: want >= 4 MiB of plain payload", chunk, got.payloadBytes, got.wireBytes)
 		}
+	}
+	if n := encs.blocks.allocated; n != 1 {
+		t.Errorf("verifier made %d blocks, want 1", n)
+	}
+	if allocs := testing.AllocsPerRun(2, func() {
+		if _, err := v.rederive(1); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("%.0f allocs per re-derived chunk after warm-up, want 0", allocs)
 	}
 }
 

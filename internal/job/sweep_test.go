@@ -172,7 +172,8 @@ func (s *auditShard) Finalize() error {
 
 // TestCheckpointCrashSweep crashes a job at every failpoint site of the
 // checkpoint path — the per-chunk sites, the manifest publish sites inside
-// the backends, and the sites between the steps of a round — on each of
+// the backends, the sites between the steps of a round, and S3's shard
+// completion — on each of
 // their first k evaluations, for every shard format kind, backend and
 // goroutine count; resumes it under the other goroutine count; and
 // requires shards, manifest and merged output byte-identical to an
@@ -184,6 +185,7 @@ func TestCheckpointCrashSweep(t *testing.T) {
 	type site struct {
 		name  string
 		local bool // reaches into the shard file: filesystem only
+		s3    bool // inside the S3 backend's shard writer: s3 only
 		gate  bool // hold PE 0's Finalize until PE 1 has committed a chunk
 	}
 	sites := []site{
@@ -198,6 +200,9 @@ func TestCheckpointCrashSweep(t *testing.T) {
 		{name: "job/crash-before-finalize"},
 		{name: "job/crash-after-finalize"},
 		{name: "job/crash-after-finalize", gate: true},
+		// Every part uploaded, CompleteMultipartUpload not sent: resume
+		// finds the upload and completes it.
+		{name: "storage/s3-finalize-crash", s3: true},
 	}
 	goroutines := []int{1, 3}
 	for _, format := range []string{"text", "binary", "text.gz"} {
@@ -227,7 +232,7 @@ func TestCheckpointCrashSweep(t *testing.T) {
 
 		for _, backend := range []string{"fs", "mem", "s3"} {
 			for _, s := range sites {
-				if s.local && backend != "fs" {
+				if s.local && backend != "fs" || s.s3 && backend != "s3" {
 					continue
 				}
 				for gi, g := range goroutines {

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"io/fs"
 	"math/rand"
@@ -143,9 +142,12 @@ func Verify(dir string, opts VerifyOptions) (*VerifyResult, error) {
 		}
 	}
 	verifiers := make([]verifier, runtime.GOMAXPROCS(0))
+	// A chunk's digest is taken before compression, so the encoders run
+	// the format's plain payload encoding: Verify builds no gzip member
+	// only to throw it away.
+	encs := newChunkEncoders(payloadFormat(format), len(verifiers))
 	for i := range verifiers {
-		verifiers[i] = verifier{spec: spec, streamer: streamer,
-			capture: captureSink{format: format, hash: sha256.New()}, shards: checkingReader(store, format)}
+		verifiers[i] = verifier{spec: spec, streamer: streamer, enc: &encs.enc[i], shards: checkingReader(store, format)}
 	}
 	pe.Ordered(0, len(checks), len(verifiers),
 		func(worker, i int, send func(*Fault, bool) bool) { send(verifiers[worker].check(&checks[i]), true) },
@@ -178,15 +180,30 @@ type chunkCheck struct {
 	path   string
 }
 
-// verifier is one verify goroutine's scratch. It re-derives chunks through
-// its own encoder (StreamChunksFrom into captureSink's
-// Format.AppendEdges), not the job's chunk encoder, so Verify stays an
-// independent check of what Run wrote.
+// verifier is one verify goroutine's scratch, kept for the whole pass: a
+// chunk encoder with its Emitter, which re-derives chunks, and a reader
+// of shard segments.
 type verifier struct {
 	spec     Spec
 	streamer kagen.Streamer
-	capture  captureSink
+	enc      *chunkEncoder
 	shards   shardReader
+}
+
+// payloadFormat returns the format without its gzip layer: the encoding
+// a chunk's digest is taken over.
+func payloadFormat(f kagen.Format) kagen.Format {
+	if f.Binary() {
+		return kagen.FormatBinary
+	}
+	return kagen.FormatText
+}
+
+// rederive regenerates one global chunk through the encoder, dropping its
+// blocks as they fill, and returns the trailer: payload digest and edge
+// count.
+func (v *verifier) rederive(chunk uint64) (chunkTrailer, error) {
+	return v.enc.encodeTo(nil, func(e *chunkEncoder) error { return v.streamer.EmitChunk(chunk, &e.em) })
 }
 
 // check runs one unit of a verify pass and returns its fault, if any.
@@ -199,15 +216,16 @@ func (v *verifier) check(k *chunkCheck) *Fault {
 		return &Fault{Worker: k.worker, PE: int64(p.PE), Chunk: int64(c), Reason: reason, Detail: fmt.Sprintf(format, args...)}
 	}
 	first, _ := v.spec.ChunkRange(p.PE)
-	if err := v.capture.regen(v.streamer, first+uint64(c)); err != nil {
+	t, err := v.rederive(first + uint64(c))
+	if err != nil {
 		return fault(FaultManifestDigest, "cannot re-derive chunk: %v", err)
 	}
-	var leaf, root merkle.Digest
-	v.capture.hash.Sum(leaf[:0])
-	if rec := p.Chunks[c]; hex.EncodeToString(leaf[:]) != rec.Digest || v.capture.edges != rec.Edges {
-		return fault(FaultManifestDigest, "manifest records digest %.12s…/%d edges, spec derives %.12s…/%d", rec.Digest, rec.Edges, hex.EncodeToString(leaf[:]), v.capture.edges)
+	leaf := t.payload
+	if rec := p.Chunks[c]; hex.EncodeToString(leaf[:]) != rec.Digest || t.edges != rec.Edges {
+		return fault(FaultManifestDigest, "manifest records digest %.12s…/%d edges, spec derives %.12s…/%d", rec.Digest, rec.Edges, hex.EncodeToString(leaf[:]), t.edges)
 	}
 	if p.Done {
+		var root merkle.Digest
 		leaves, _ := p.leafDigests() // readManifest has checked them and the root
 		decodeDigest(p.Root, &root)
 		if !merkle.VerifyProof(leaf, merkle.Proof(leaves, c), root) {
@@ -215,7 +233,7 @@ func (v *verifier) check(k *chunkCheck) *Fault {
 		}
 	}
 	start, end := p.chunkBounds(c)
-	err := v.shards.open(k.path)
+	err = v.shards.open(k.path)
 	var disk merkle.Digest
 	if err == nil {
 		disk, err = v.shards.digest(start, end)
@@ -248,33 +266,6 @@ func sampleIndices(n int, opts VerifyOptions, rng *rand.Rand) []int {
 	}
 	return rng.Perm(n)[:s]
 }
-
-// captureSink re-derives one chunk's payload, its format-encoded edges
-// before compression, and hashes it a batch at a time: buf holds one
-// encoded batch, whatever the chunk's size.
-type captureSink struct {
-	format kagen.Format
-	hash   hash.Hash
-	buf    []byte
-	edges  uint64
-}
-
-// regen re-derives one global chunk into the sink, reusing its buffer.
-func (s *captureSink) regen(streamer kagen.Streamer, globalChunk uint64) error {
-	s.edges = 0
-	s.hash.Reset()
-	return kagen.StreamChunksFrom(streamer, globalChunk, 1, 1, 0, s)
-}
-
-func (s *captureSink) Begin(n, pes uint64) error { return nil }
-func (s *captureSink) Batch(chunk uint64, edges []kagen.Edge) error {
-	s.edges += uint64(len(edges))
-	s.buf = s.format.AppendEdges(s.buf[:0], edges)
-	s.hash.Write(s.buf)
-	return nil
-}
-func (s *captureSink) EndPE(chunk uint64) error { return nil }
-func (s *captureSink) Close() error             { return nil }
 
 // RepairResult aggregates one repair pass.
 type RepairResult struct {

@@ -58,6 +58,11 @@ const maxQueuedBatches = 16
 // batches are delivered, no further chunks are started, and the error is
 // returned. A PE whose produce is already running completes, with its
 // output discarded.
+//
+// Edge streams no longer run on Stream: the job's chunk encoders drive
+// Ordered directly, for shards and plain streams alike. Its one caller
+// outside tests is kagen.StreamChunksFrom, for bench/'s batch hand-off
+// replay; it goes, with batchPool, once that replays through EmitChunk.
 func Stream[T any](first, count, workers, batchSize int,
 	produce func(worker, pe int, batch []T, flush func(full []T) (next []T, live bool)) (last []T),
 	consume func(pe int, batch []T, final bool) error) error {
@@ -100,8 +105,9 @@ type queued[B any] struct {
 }
 
 // Ordered is the ordered-delivery core under every streaming pipeline of
-// this repository — the edge batches of Stream and the finished byte
-// blocks of the job runner's shard sink are both its items. It executes
+// this repository — the byte blocks of the job's chunk encoders (shards,
+// plain streams) and of Merge, Verify's checks, and the edge batches of
+// Stream are all its items. It executes
 // produce for every pe in [first, first+count) on at most workers
 // goroutines (0 selects GOMAXPROCS) and hands what the producers send to
 // consume in increasing PE order and, within a PE, in send order,

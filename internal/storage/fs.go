@@ -172,9 +172,9 @@ func (fsBackend) Create(name string) (Writer, error) {
 
 func (w *fsWriter) Write(p []byte) (int, error) { return w.f.Write(p) }
 
-// Seek exposes the staging file's random access: the binary sink probes
-// for io.WriteSeeker to patch the header edge count before the object is
-// published.
+// Seek exposes the staging file's random access: job.Stream probes for
+// io.WriteSeeker to patch plain binary's header edge count before the
+// object is published.
 func (w *fsWriter) Seek(offset int64, whence int) (int64, error) { return w.f.Seek(offset, whence) }
 
 func (w *fsWriter) Finalize() error {
@@ -302,15 +302,6 @@ func (s *fsShard) Close() error {
 	}
 	err := s.f.Close()
 	s.f = nil
-	return err
-}
-
-func (s *fsShard) Abort() error {
-	name := s.f.Name()
-	err := s.Close()
-	if rerr := os.Remove(name); err == nil && !os.IsNotExist(rerr) {
-		err = rerr
-	}
 	return err
 }
 

@@ -215,13 +215,6 @@ func (w *memShard) Finalize() error {
 
 func (w *memShard) Close() error { return nil }
 
-func (w *memShard) Abort() error {
-	w.s.mu.Lock()
-	delete(w.s.obj, w.name)
-	w.s.mu.Unlock()
-	return nil
-}
-
 // memLock is a map-entry mutex.
 type memLock struct {
 	s    *memSpace

@@ -85,11 +85,16 @@ func (b *s3Backend) newShard(bucket, key, uploadID string, resumeOff int64, resu
 	}
 }
 
-// CreateShard starts a fresh shard: any stale multipart upload for the
-// key is aborted (its parts are unreachable garbage otherwise), then a
-// new upload is initiated eagerly so part uploads can start with the
-// first sealed part.
+// CreateShard starts a fresh shard, initiating its multipart upload
+// eagerly so part uploads can start with the first sealed part.
 func (b *s3Backend) CreateShard(name string) (ShardWriter, error) {
+	return b.freshShard(name)
+}
+
+// freshShard starts a new multipart upload of name, after aborting any
+// stale one for the key — left by a crash or a failed run, its parts are
+// unreachable garbage otherwise.
+func (b *s3Backend) freshShard(name string) (*s3Shard, error) {
 	bucket, key, err := splitS3(name)
 	if err != nil {
 		return nil, err
@@ -360,15 +365,15 @@ func (w *s3Shard) Close() error {
 	return nil
 }
 
-// Abort cancels in-flight part uploads and aborts the multipart upload,
-// discarding every part.
-func (w *s3Shard) Abort() error {
+// abort cancels in-flight part uploads and aborts the multipart upload,
+// discarding every part: the single-shot writer's Abort.
+func (w *s3Shard) abort() error {
 	obs.Logger("storage").Info("aborting multipart upload", "key", w.key, "upload", w.upload)
 	w.cancel()
 	w.wg.Wait()
 	if failpoint.Armed() && failpoint.Eval("storage/s3-abort-crash") {
 		// Simulated crash before AbortMultipartUpload: the orphaned upload
-		// must be swept by the next CreateShard.
+		// must be swept by the next write of the name.
 		return failpoint.Crash("storage/s3-abort-crash")
 	}
 	return w.b.abortMultipart(w.bucket, w.key, w.upload)
@@ -388,7 +393,6 @@ func (s *finalizedShard) Commit([32]byte) (int64, error) {
 func (s *finalizedShard) Sync() (int64, error) { return s.off, nil }
 func (s *finalizedShard) Finalize() error      { return nil }
 func (s *finalizedShard) Close() error         { return nil }
-func (s *finalizedShard) Abort() error         { return nil }
 
 // s3Writer is the single-shot object writer: small objects buffer in
 // memory and publish with one PUT; anything reaching the part-size
@@ -421,15 +425,11 @@ func (w *s3Writer) Write(p []byte) (int, error) {
 	}
 	w.buf = append(w.buf, p...)
 	if int64(len(w.buf)) >= w.b.cfg.partSize {
-		bucket, key, err := splitS3(w.name)
+		shard, err := w.b.freshShard(w.name)
 		if err != nil {
 			return len(p), err
 		}
-		id, err := w.b.createMultipart(bucket, key)
-		if err != nil {
-			return len(p), err
-		}
-		w.shard = w.b.newShard(bucket, key, id, 0, nil)
+		w.shard = shard
 		if _, err := w.shard.Write(w.buf); err != nil {
 			return len(p), err
 		}
@@ -448,6 +448,9 @@ func (w *s3Writer) Finalize() error {
 	w.done = true
 	if w.shard != nil {
 		err := w.shard.Finalize()
+		if err != nil && !errors.Is(err, failpoint.ErrCrash) {
+			w.shard.abort() // a failed publish leaves no upload behind
+		}
 		w.shard.cancel()
 		return err
 	}
@@ -461,7 +464,7 @@ func (w *s3Writer) Abort() error {
 	w.done = true
 	w.buf = nil
 	if w.shard != nil {
-		return w.shard.Abort()
+		return w.shard.abort()
 	}
 	return nil
 }

@@ -2,8 +2,8 @@
 // filesystem, an S3/MinIO-compatible object store, or memory (tests).
 // Destinations are URIs — a bare path or file://path resolves to the
 // filesystem backend, s3://bucket/prefix to the object store, mem://space
-// to the in-memory backend — and every consumer (the sinks in the root
-// package, the job runner, the serve layer) goes through the Backend
+// to the in-memory backend — and every consumer (the CLI's single-object
+// outputs, the job runner, the serve layer) goes through the Backend
 // interface instead of the os package.
 //
 // The interface is shaped by the paper's communication-free invariants
@@ -84,10 +84,12 @@ type Reader interface {
 
 // Writer is a single-shot object writer: bytes stream in, nothing is
 // visible at the destination until Finalize, and Abort discards
-// everything. Exactly one of Finalize or Abort must be called.
+// everything. Exactly one of Finalize or Abort must be called; a Finalize
+// that fails leaves the destination as it was, as Abort does.
 //
 // The filesystem implementation also supports io.Seeker on the staging
-// file, which the binary sink detects to patch the header edge count.
+// file, which job.Stream detects to patch plain binary's header edge
+// count.
 type Writer interface {
 	io.Writer
 	Finalize() error
@@ -117,18 +119,18 @@ type Writer interface {
 // not — may or may not survive a crash; ResumeShard discards them.
 //
 // Write and Commit belong to one goroutine at a time; Sync may run on
-// another, concurrently with them. Finalize, Close and Abort need the
-// writer quiescent. Finalize drains outstanding uploads and publishes
-// the object, after which everything committed is durable; Close
-// releases resources keeping durable state resumable; Abort discards
-// the partial object (S3: AbortMultipartUpload).
+// another, concurrently with them. Finalize and Close need the writer
+// quiescent. Finalize drains outstanding uploads and publishes the
+// object, after which everything committed is durable; Close releases
+// resources keeping durable state resumable. A shard is never discarded:
+// one that fails stays resumable, and CreateShard replaces whatever stale
+// state its name holds.
 type ShardWriter interface {
 	io.Writer
 	Commit(digest [32]byte) (int64, error)
 	Sync() (durable int64, err error)
 	Finalize() error
 	Close() error
-	Abort() error
 }
 
 // WriteObject writes name through the backend's single-shot writer: fill

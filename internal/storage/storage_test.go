@@ -447,32 +447,69 @@ func TestPartRetry(t *testing.T) {
 }
 
 // TestPartPermanentFailure: a part that keeps failing surfaces as an
-// error from the writer, and Abort cleans the multipart upload up.
+// error from the single-shot writer's Finalize, which then leaves no
+// upload and no object; Abort with the failing part in flight leaves
+// none either.
 func TestPartPermanentFailure(t *testing.T) {
 	srv := setupS3(t, 8)
 	t.Setenv("KAGEN_S3_MAX_ATTEMPTS", "2")
-	failpoint.Arm("storage/s3-part-fail", 1)
 	defer failpoint.Reset()
 	be, _ := storage.Resolve("s3://bkt/x")
-	w, err := be.CreateShard("s3://bkt/permfail/pe0.bin")
+	for _, finalize := range []bool{true, false} {
+		failpoint.Arm("storage/s3-part-fail", 1)
+		w, err := be.Create("s3://bkt/permfail/out.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.WriteString(w, "doomed-chunk-padded-past-size") // spills into a multipart upload
+		if finalize {
+			if err := w.Finalize(); err == nil {
+				t.Fatal("Finalize succeeded despite permanent part failure")
+			}
+		} else if err := w.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if n := srv.Uploads("bkt"); n != 0 {
+			t.Fatalf("finalize=%v: %d uploads left, want 0", finalize, n)
+		}
+		if srv.Object("bkt", "permfail/out.bin") != nil {
+			t.Fatalf("finalize=%v: a failed write became an object", finalize)
+		}
+	}
+}
+
+// TestSingleShotSweepsOrphanedUpload: a single-shot write that spilled
+// into a multipart upload and crashed before aborting it leaves the
+// upload behind; the next write of the same name removes it, as
+// CreateShard does for a shard.
+func TestSingleShotSweepsOrphanedUpload(t *testing.T) {
+	srv := setupS3(t, 8)
+	defer failpoint.Reset()
+	be, _ := storage.Resolve("s3://bkt/x")
+	w, err := be.Create("s3://bkt/orphan/out.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := []byte("doomed-chunk-padded-past-size")
-	w.Write(c)
-	w.Commit(sum(c))
-	err = w.Finalize()
-	if err == nil {
-		t.Fatal("Finalize succeeded despite permanent part failure")
+	io.WriteString(w, "spilled-past-the-part-size")
+	failpoint.Arm("storage/s3-abort-crash", 1)
+	if err := w.Abort(); !errors.Is(err, failpoint.ErrCrash) {
+		t.Fatalf("Abort: got %v, want the simulated crash", err)
 	}
-	if err := w.Abort(); err != nil {
+	if n := srv.Uploads("bkt"); n != 1 {
+		t.Fatalf("%d uploads after the crashed abort, want the orphan", n)
+	}
+	want := "written-again-and-spilled-too"
+	if err := storage.WriteObject(be, "s3://bkt/orphan/out.bin", func(w io.Writer) error {
+		_, err := io.WriteString(w, want)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if n := srv.Uploads("bkt"); n != 0 {
-		t.Fatalf("%d uploads left after Abort, want 0", n)
+		t.Fatalf("%d uploads left after writing the name again, want 0", n)
 	}
-	if srv.Object("bkt", "permfail/pe0.bin") != nil {
-		t.Fatal("aborted shard became an object")
+	if got := srv.Object("bkt", "orphan/out.bin"); string(got) != want {
+		t.Fatalf("object %q, want %q", got, want)
 	}
 }
 

@@ -1,77 +1,99 @@
-package kagen
+package kagen_test
 
 import (
+	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	kagen "repro"
+	"repro/internal/job"
+	"repro/internal/storage"
 )
 
-// TestOpenSinkObjectURI: a single-object destination round-trips through
-// the backend, and nothing is visible at the destination until the clean
-// Close publishes it.
+// streamTo streams gen to dest through its backend's single-shot writer,
+// as `kagen -stream -o dest` does; inside, before Stream runs, check sees
+// the destination.
+func streamTo(t *testing.T, gen kagen.Generator, format kagen.Format, dest string, check func(storage.Backend)) {
+	t.Helper()
+	store, err := storage.Resolve(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteObject(store, dest, func(w io.Writer) error {
+		_, err := job.Stream(gen, format, w, 2)
+		check(store)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenSinkObjectURI: a stream to an object destination round-trips
+// through the backend, and nothing is visible at the destination until
+// the whole stream is written.
 func TestOpenSinkObjectURI(t *testing.T) {
-	dest := "mem://sinkuri-obj/graph.txt"
-	s, err := OpenSink(dest, FormatText)
+	gen, err := kagen.New(kagen.ModelGNMDirected, kagen.ModelParams{N: 300, M: 1500}, kagen.Options{Seed: 4, PEs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}
-	if err := s.Begin(4, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Batch(0, edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EndPE(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadEdgeListFrom(dest, FormatText); err == nil {
-		t.Fatal("object visible before the sink's Close published it")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadEdgeListFrom(dest, FormatText)
+	want, err := gen.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameList(t, "object URI", got, &EdgeList{N: 4, Edges: edges})
+	for _, format := range kagen.Formats() {
+		dest := "mem://sinkuri-obj/graph." + format.Ext()
+		streamTo(t, gen, format, dest, func(store storage.Backend) {
+			if _, err := store.Stat(dest); !errors.Is(err, storage.ErrNotExist) {
+				t.Fatalf("%s: object visible before the stream ended: %v", format, err)
+			}
+		})
+		got, err := kagen.ReadEdgeListFrom(dest, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameList(t, string(format), got, want)
+	}
 }
 
-// TestOpenSinkRejectsBadDestinations: an unknown scheme fails at open
-// time, not mid-stream.
+// TestOpenSinkRejectsBadDestinations: an unknown scheme fails when the
+// destination resolves, before anything is generated, and reading from
+// it fails the same way.
 func TestOpenSinkRejectsBadDestinations(t *testing.T) {
-	if _, err := OpenSink("gopher://x/y", FormatText); err == nil {
-		t.Fatal("unknown scheme accepted")
+	if _, err := storage.Resolve("gopher://x/y"); err == nil {
+		t.Fatal("unknown scheme accepted for writing")
+	}
+	if _, err := kagen.ReadEdgeListFrom("gopher://x/y", kagen.FormatText); err == nil {
+		t.Fatal("unknown scheme accepted for reading")
 	}
 }
 
-// TestOpenSinkFileURI: file:// destinations are the local filesystem.
+// TestOpenSinkFileURI: file:// destinations are the local filesystem,
+// and plain binary there gets its exact edge count.
 func TestOpenSinkFileURI(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "graph.txt")
-	s, err := OpenSink("file://"+path, FormatText)
+	gen, err := kagen.New(kagen.ModelGNMDirected, kagen.ModelParams{N: 300, M: 1500}, kagen.Options{Seed: 4, PEs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := []Edge{{U: 0, V: 1}}
-	if err := s.Begin(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Batch(0, edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EndPE(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
+	dir := t.TempDir()
+	streamTo(t, gen, kagen.FormatText, "file://"+filepath.Join(dir, "graph.txt"), func(storage.Backend) {})
+	b, err := os.ReadFile(filepath.Join(dir, "graph.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), "0 1") {
-		t.Fatalf("file:// output missing edges: %q", b)
+	if !strings.HasPrefix(string(b), "# 300\n") || strings.Count(string(b), "\n") != 1501 {
+		t.Fatalf("file:// output is not a 1500-edge text stream: %.40q…", b)
+	}
+	path := filepath.Join(dir, "graph.bin")
+	streamTo(t, gen, kagen.FormatBinary, "file://"+path, func(storage.Backend) {})
+	el, err := kagen.ReadEdgeListFile(path, kagen.FormatBinary)
+	if err != nil || el.Len() != 1500 {
+		t.Fatalf("file:// binary: %v edges, %v", el, err)
+	}
+	if b, _ := os.ReadFile(path); binary.LittleEndian.Uint64(b[8:16]) != 1500 {
+		t.Fatalf("file:// binary header does not carry the count 1500: % x", b[:16])
 	}
 }

@@ -28,8 +28,9 @@ import (
 // its whole sector's points while it emits; sRHG is its memory-bounded
 // counterpart.
 //
-// Use Stream to run all PEs of a Streamer on a worker pool and deliver the
-// chunks to a Sink in deterministic PE order.
+// internal/job's Stream runs all PEs of a Streamer on a worker pool and
+// writes them, in PE order, as one edge-list stream; a job writes them as
+// checkpointed shards.
 type Streamer interface {
 	// EmitChunk appends every local edge of the logical PE to e — the
 	// generator packages' own contract, which the pipelines drive with
@@ -37,7 +38,9 @@ type Streamer interface {
 	// e's counters.
 	EmitChunk(pe uint64, e *Emitter) error
 	// StreamChunk calls emit for every local edge of the logical PE: the
-	// per-edge form of EmitChunk, fed from a small batch.
+	// per-edge form of EmitChunk, fed from a small batch. Outside tests
+	// only bench/'s generator replay calls it; it goes once that calls
+	// EmitChunk.
 	StreamChunk(pe uint64, emit func(Edge)) error
 	// PEs returns the number of logical PEs.
 	PEs() uint64
@@ -49,39 +52,16 @@ type Streamer interface {
 // EmitChunk. The zero Emitter collects the whole chunk.
 type Emitter = core.Emitter
 
-// Stream runs every PE of s concurrently on at most `workers` goroutines
-// (0 selects GOMAXPROCS) and writes the edge stream to sink: Begin once,
-// then per PE — in increasing PE order, identical for every worker count —
-// zero or more Batch calls followed by one EndPE call, then Close. The
-// head PE's batches reach the sink while that chunk is still generating,
-// so the pipeline buffers a bounded number of fixed-size batches instead
-// of whole chunks (see pe.Stream). Close is called even when a chunk or
-// sink error aborts the run; the first error is returned. A chunk that
-// fails to generate aborts the run, but batches it emitted before failing
-// may already have reached the sink (the registry models validate their
-// parameters before emitting anything, so their failures produce no
-// partial output).
-func Stream(s Streamer, workers int, sink Sink) error {
-	return StreamBatched(s, workers, pe.DefaultBatchSize, sink)
-}
-
-// StreamBatched is Stream with an explicit edge-batch capacity (0 selects
-// pe.DefaultBatchSize). The edge sequence the sink observes is identical
-// for every batch size; only the Batch call boundaries move.
-func StreamBatched(s Streamer, workers, batchSize int, sink Sink) error {
-	return StreamChunksFrom(s, 0, s.PEs(), workers, batchSize, sink)
-}
-
-// StreamChunksFrom is the resumable entry point of the streaming stack:
-// it streams only the chunk range [first, first+count) of s to sink, with
-// the same per-PE call protocol and the same deterministic order as a
-// full run restricted to that range. Because every chunk derives its
+// StreamChunksFrom streams the chunk range [first, first+count) of s to
+// sink in batches of batchSize edges (0 = pe.DefaultBatchSize) through
+// pe.Stream, with the Sink call protocol and the same deterministic order
+// as a full run restricted to that range. Because every chunk derives its
 // random decisions from (seed, chunk identity) alone, starting at an
-// arbitrary chunk costs only the model's O(log P) per-chunk setup — no
-// replay of earlier chunks — which is what makes chunk-granular
-// checkpoint/resume practical (see internal/job). Begin still announces
-// the full instance (N, PEs); Close is called exactly once, also on
-// abort.
+// arbitrary chunk costs only the model's O(log P) per-chunk setup. Begin
+// still announces the full instance (N, PEs); Close is called exactly
+// once, also on abort.
+//
+// Outside tests only bench/'s batch hand-off replay calls it; see Sink.
 func StreamChunksFrom(s Streamer, first, count uint64, workers, batchSize int, sink Sink) error {
 	P := s.PEs()
 	if first > P || count > P-first {

@@ -61,13 +61,13 @@ func TestStreamBatchSizeInvariance(t *testing.T) {
 	}
 	for _, c := range cases {
 		want := &collectSink{}
-		if err := StreamBatched(c.s, 1, 0, want); err != nil {
+		if err := StreamChunksFrom(c.s, 0, c.s.PEs(), 1, 0, want); err != nil {
 			t.Fatal(err)
 		}
 		for _, batchSize := range []int{1, 7, 4096} {
 			for _, workers := range []int{1, 3} {
 				got := &collectSink{}
-				if err := StreamBatched(c.s, workers, batchSize, got); err != nil {
+				if err := StreamChunksFrom(c.s, 0, c.s.PEs(), workers, batchSize, got); err != nil {
 					t.Fatalf("%s batch=%d workers=%d: %v", c.name, batchSize, workers, err)
 				}
 				if !got.closed {
