@@ -584,7 +584,8 @@ func TestInitRefusesExistingJob(t *testing.T) {
 	spec := Spec{Model: "gnm_undirected", N: 100, M: 200, Seed: 1, PEs: 2, Workers: 1, Format: "text"}
 	other := spec
 	other.Seed, other.Format = 2, "binary"
-	for name, dir := range map[string]string{"fs": t.TempDir(), "mem": "mem://init-refuses/job"} {
+	setupJobS3(t, 1)
+	for name, dir := range map[string]string{"fs": t.TempDir(), "s3": "s3://bkt/init-refuses/job"} {
 		store, err := storage.Resolve(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -69,7 +69,6 @@ func plainSHA(t *testing.T, b []byte, format kagen.Format) string {
 // The third instance has mostly empty chunks.
 func TestMergeBytesPinnedAcrossCommits(t *testing.T) {
 	setupJobS3(t, 1)
-	t.Cleanup(storage.ResetMem)
 	instances := []struct {
 		spec Spec
 		want map[string]string // format -> SHA-256 (decompressed for .gz)
@@ -94,14 +93,10 @@ func TestMergeBytesPinnedAcrossCommits(t *testing.T) {
 		for _, format := range kagen.Formats() {
 			spec := inst.spec
 			spec.Format = string(format)
-			for _, backend := range []string{"fs", "mem", "s3"} {
-				id := fmt.Sprintf("pin%d-%s", i, strings.ReplaceAll(spec.Format, ".", ""))
+			for _, backend := range []string{"fs", "s3"} {
 				dir, merged := t.TempDir(), ""
-				switch backend {
-				case "mem":
-					dir = "mem://mergepin/" + id
-				case "s3":
-					dir = "s3://bkt/mergepin/" + id
+				if backend == "s3" {
+					dir = fmt.Sprintf("s3://bkt/mergepin/pin%d-%s", i, strings.ReplaceAll(spec.Format, ".", ""))
 				}
 				if err := Init(dir, spec); err != nil {
 					t.Fatal(err)
@@ -129,7 +124,6 @@ func TestMergeBytesPinnedAcrossCommits(t *testing.T) {
 // an object store or an HTTP response.
 func TestMergeBinaryHeaderIndependentOfWriter(t *testing.T) {
 	setupJobS3(t, 1)
-	t.Cleanup(storage.ResetMem)
 	spec := Spec{Model: "gnm_directed", N: 1000, M: 5000, Seed: 1, PEs: 2, ChunksPerPE: 4, Workers: 1, Format: "binary"}
 	dir := t.TempDir()
 	if err := Init(dir, spec); err != nil {
@@ -143,7 +137,6 @@ func TestMergeBinaryHeaderIndependentOfWriter(t *testing.T) {
 	outputs := map[string][]byte{
 		"file": mergeBytes(t, dir, filepath.Join(t.TempDir(), "merged.bin")),
 		"pipe": pipe.Bytes(),
-		"mem":  mergeBytes(t, dir, "mem://mergehdr/merged.bin"),
 		"s3":   mergeBytes(t, dir, "s3://bkt/mergehdr/merged.bin"),
 	}
 	want := outputs["file"]

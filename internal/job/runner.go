@@ -338,15 +338,15 @@ func runPE(store storage.Backend, dir string, spec Spec, streamer kagen.Streamer
 		if err := cp.idle(); err != nil {
 			return err
 		}
-		if store.PartialReads() {
+		if store.Local() {
 			// Before extending committed state, audit it: re-hash the committed
 			// chunks in the store against their manifest digests. A mismatch
 			// means the shard rotted (or a failpoint bit it) since the
 			// checkpoint — appending to it would launder corruption into a
 			// "complete" job, so the bad suffix is quarantined and regenerated
-			// instead. Backends without partial reads (S3: parts of an open
-			// multipart upload are unreadable) skip the audit — there the store
-			// verified every part's checksum on receipt.
+			// instead. Non-local backends (S3: parts of an open multipart
+			// upload are unreadable) skip the audit — there the store verified
+			// every part's checksum on receipt.
 			if err := auditCommitted(store, path, format, streamer.N(), manifest, mpath, prog); err != nil {
 				return err
 			}

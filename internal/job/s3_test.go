@@ -190,17 +190,16 @@ func TestS3CrashResumeByteIdentical(t *testing.T) {
 // s3 shard are caught by verify re-deriving the chunks from the spec, and
 // repair rewrites the shard once through the backend's single-shot writer
 // — with part size 1, as a multipart upload of many parts — whether one
-// chunk or two of it are bad, plain or gzip. A mem:// row runs the same
-// repair on the in-memory backend.
+// chunk or two of it are bad, plain or gzip.
 func TestS3VerifyRepairBitflip(t *testing.T) {
 	for _, tc := range []struct {
-		name, backend, format string
-		chunks                []int // chunks of PE 0 to flip a byte in
+		name, format string
+		chunks       []int // chunks of PE 0 to flip a byte in
 	}{
-		{"text", "s3", "text", []int{2}},
-		{"text.gz", "s3", "text.gz", []int{2}},
-		{"text-two-chunks", "s3", "text", []int{0, 2}},
-		{"mem-binary.gz-two-chunks", "mem", "binary.gz", []int{0, 1}},
+		{"text", "text", []int{2}},
+		{"text.gz", "text.gz", []int{2}},
+		{"text-two-chunks", "text", []int{0, 2}},
+		{"binary.gz-two-chunks", "binary.gz", []int{0, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := Spec{Model: "gnm_undirected", N: 600, M: 4000, Seed: 99,
@@ -214,9 +213,6 @@ func TestS3VerifyRepairBitflip(t *testing.T) {
 			runAll(t, local, spec)
 
 			dir := "s3://bkt/repairme"
-			if tc.backend == "mem" {
-				dir = "mem://repair/" + tc.name
-			}
 			if err := Init(dir, spec); err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +269,7 @@ func TestS3VerifyRepairBitflip(t *testing.T) {
 			if rep.ChunksSpliced != len(tc.chunks) || rep.PEsReset != 0 || len(rep.Unrepaired) != 0 {
 				t.Fatalf("repair: %+v", rep)
 			}
-			if tc.backend == "s3" && (uploads.Load() != 1 || parts.Load() < 2) {
+			if uploads.Load() != 1 || parts.Load() < 2 {
 				t.Errorf("repair wrote the shard in %d multipart uploads of %d parts in all, want one of several parts",
 					uploads.Load(), parts.Load())
 			}

@@ -20,7 +20,7 @@ import (
 
 // jobBytes returns every shard object of a finished or interrupted job, in
 // PE order, followed by worker 0's manifest — read through the job's own
-// backend, so it works for directories, mem:// and s3:// alike.
+// backend, so it works for directories and s3:// alike.
 func jobBytes(t *testing.T, dir string, spec Spec) [][]byte {
 	t.Helper()
 	store, err := storage.Resolve(dir)
@@ -95,17 +95,14 @@ func TestShardBytesIndependentOfGoroutines(t *testing.T) {
 			if big && !spec.ShardFormat().Compressed() && len(want[0]) < int(spec.ChunksPerPE)<<20 {
 				t.Fatalf("%s/%s: shard of %d bytes, want chunks of >= 1 MiB", format, name, len(want[0]))
 			}
-			for _, backend := range []string{"fs", "mem", "s3"} {
+			for _, backend := range []string{"fs", "s3"} {
 				for i, g := range goroutines {
 					if big && backend != "fs" && g != 2 {
 						continue
 					}
 					dest := func(kind string) string {
 						id := fmt.Sprintf("%s-%s-%s-g%d", kind, strings.ReplaceAll(format, ".", ""), name, g)
-						switch backend {
-						case "mem":
-							return "mem://sinktest/" + id
-						case "s3":
+						if backend == "s3" {
 							return "s3://bkt/sinktest/" + id
 						}
 						return t.TempDir()

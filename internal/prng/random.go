@@ -69,8 +69,3 @@ func (r *Random) UintN(n uint64) uint64 {
 	}
 	return hi
 }
-
-// UniformRange returns a uniform float64 in [lo, hi).
-func (r *Random) UniformRange(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}

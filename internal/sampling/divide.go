@@ -85,11 +85,6 @@ func EqualSplit(n, chunks uint64) SizeFunc {
 	}
 }
 
-// EqualSplitStart returns the first element of chunk i under EqualSplit.
-func EqualSplitStart(n, chunks, i uint64) uint64 {
-	return i * n / chunks
-}
-
 // RecursiveSplit splits total across buckets whose relative weights are
 // given by weights, drawing binomials over a binary recursion seeded by
 // (seed, node ids). Unlike dist.Multinomial the result is reproducible for

@@ -19,9 +19,7 @@ import (
 // files so os-level tooling (and the fault injectors) can inspect them.
 type fsBackend struct{}
 
-func (fsBackend) Scheme() string     { return "file" }
-func (fsBackend) Local() bool        { return true }
-func (fsBackend) PartialReads() bool { return true }
+func (fsBackend) Local() bool { return true }
 
 // fsReader adapts an *os.File to Reader with a cached size.
 type fsReader struct {

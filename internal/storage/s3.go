@@ -165,9 +165,7 @@ func newS3FromEnv() (Backend, error) {
 	}, nil
 }
 
-func (*s3Backend) Scheme() string     { return "s3" }
-func (*s3Backend) Local() bool        { return false }
-func (*s3Backend) PartialReads() bool { return false }
+func (*s3Backend) Local() bool { return false }
 
 // splitS3 parses s3://bucket/key into its bucket and key.
 func splitS3(name string) (bucket, key string, err error) {
@@ -407,6 +405,9 @@ func (b *s3Backend) List(prefix string) ([]string, error) {
 		}
 		if !out.IsTruncated || out.NextContinuationToken == "" {
 			break
+		}
+		if out.NextContinuationToken == token {
+			return nil, fmt.Errorf("storage: ListObjectsV2 pagination did not advance past continuation token %q", token)
 		}
 		token = out.NextContinuationToken
 	}
@@ -756,11 +757,11 @@ func (b *s3Backend) listUploads(bucket, key string) ([]string, error) {
 
 func (b *s3Backend) listParts(bucket, key, uploadID string) ([]s3Part, error) {
 	var parts []s3Part
-	marker := ""
+	marker := 0
 	for {
 		q := map[string]string{"uploadId": uploadID}
-		if marker != "" {
-			q["part-number-marker"] = marker
+		if marker != 0 {
+			q["part-number-marker"] = strconv.Itoa(marker)
 		}
 		resp, _, err := b.do(func() (*http.Request, error) {
 			return b.newReq(http.MethodGet, bucket, key, buildQuery(q), nil, nil)
@@ -789,7 +790,11 @@ func (b *s3Backend) listParts(bucket, key, uploadID string) ([]s3Part, error) {
 		if !out.IsTruncated || out.NextPartNumberMarker == "" {
 			break
 		}
-		marker = out.NextPartNumberMarker
+		next, err := strconv.Atoi(out.NextPartNumberMarker)
+		if err != nil || next <= marker {
+			return nil, fmt.Errorf("storage: ListParts pagination did not advance past part number marker %d (next %q)", marker, out.NextPartNumberMarker)
+		}
+		marker = next
 	}
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Num < parts[j].Num })
 	return parts, nil

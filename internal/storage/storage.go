@@ -1,10 +1,9 @@
 // Package storage abstracts where generated artifacts live: the local
-// filesystem, an S3/MinIO-compatible object store, or memory (tests).
-// Destinations are URIs — a bare path or file://path resolves to the
-// filesystem backend, s3://bucket/prefix to the object store, mem://space
-// to the in-memory backend — and every consumer (the CLI's single-object
-// outputs, the job runner, the serve layer) goes through the Backend
-// interface instead of the os package.
+// filesystem or an S3/MinIO-compatible object store. Destinations are
+// URIs — a bare path or file://path resolves to the filesystem backend,
+// s3://bucket/prefix to the object store — and every consumer (the CLI's
+// single-object outputs, the job runner, the serve layer) goes through
+// the Backend interface instead of the os package.
 //
 // The interface is shaped by the paper's communication-free invariants
 // rather than by generic blob semantics:
@@ -37,7 +36,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -114,9 +112,9 @@ type Writer interface {
 // Commit made before Sync started (the first Sync of a fresh shard also
 // syncs the directory, so the entry is durable before a manifest can
 // reference it). S3: the contiguous run of parts whose uploads
-// completed, without waiting for the rest. Memory: the committed length,
-// published to readers. Bytes past the returned offset — committed or
-// not — may or may not survive a crash; ResumeShard discards them.
+// completed, without waiting for the rest. Bytes past the returned
+// offset — committed or not — may or may not survive a crash;
+// ResumeShard discards them.
 //
 // Write and Commit belong to one goroutine at a time; Sync may run on
 // another, concurrently with them. Finalize and Close need the writer
@@ -158,17 +156,14 @@ type Unlock interface {
 // destinations of its own scheme (the strings Resolve and Join hand
 // around), so a name can be logged or stored and resolved again later.
 type Backend interface {
-	// Scheme is the URI scheme ("file", "s3", "mem").
-	Scheme() string
-	// Local reports whether objects are plain local files that os-level
-	// tooling (and the byte-level fault injectors) can touch in place.
+	// Local reports whether objects are plain local files. That means
+	// two things, which hold together: os-level tooling (and the
+	// byte-level fault injectors) can touch them in place, and the
+	// committed prefix of an in-progress shard can be read back before
+	// Finalize, so the resume audit re-hashes committed chunks. On S3
+	// neither holds (parts of an open multipart upload are unreadable),
+	// so resume there trusts the server-verified part checksums instead.
 	Local() bool
-	// PartialReads reports whether the committed prefix of an in-progress
-	// shard can be read back before Finalize. The filesystem can (the
-	// resume audit re-hashes committed chunks); S3 cannot (parts of an
-	// open multipart upload are unreadable), so resume there trusts the
-	// server-verified part checksums instead.
-	PartialReads() bool
 
 	Open(name string) (Reader, error)
 	Get(name string) ([]byte, error)
@@ -206,12 +201,10 @@ func Resolve(dest string) (Backend, error) {
 	switch {
 	case strings.HasPrefix(dest, "s3://"):
 		return newS3FromEnv()
-	case strings.HasPrefix(dest, "mem://"):
-		return memBackendFor(dest)
 	case strings.HasPrefix(dest, "file://"):
 		return fsBackend{}, nil
 	case strings.Contains(dest, "://"):
-		return nil, fmt.Errorf("storage: unknown scheme in destination %q (want a path, file://, s3:// or mem://)", dest)
+		return nil, fmt.Errorf("storage: unknown scheme in destination %q (want a path, file:// or s3://)", dest)
 	default:
 		return fsBackend{}, nil
 	}
@@ -325,42 +318,6 @@ func trackInFlight(delta int64) {
 			}
 		}
 	}
-}
-
-// --- mem registry ---
-
-var (
-	memMu     sync.Mutex
-	memSpaces = map[string]*memSpace{}
-)
-
-// memBackendFor returns the backend of a mem:// destination's space,
-// creating it on first use. Spaces live for the process — exactly the
-// lifetime unit tests need.
-func memBackendFor(dest string) (Backend, error) {
-	rest := strings.TrimPrefix(dest, "mem://")
-	space := rest
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		space = rest[:i]
-	}
-	if space == "" {
-		return nil, fmt.Errorf("storage: mem destination %q needs a space name (mem://space/...)", dest)
-	}
-	memMu.Lock()
-	defer memMu.Unlock()
-	sp, ok := memSpaces[space]
-	if !ok {
-		sp = newMemSpace(space)
-		memSpaces[space] = sp
-	}
-	return sp, nil
-}
-
-// ResetMem drops every in-memory space (tests).
-func ResetMem() {
-	memMu.Lock()
-	defer memMu.Unlock()
-	memSpaces = map[string]*memSpace{}
 }
 
 // sortedNames sorts a name list in place and returns it.

@@ -35,11 +35,9 @@ func setupS3(t *testing.T, partSize int) *s3test.Server {
 func backendCases(t *testing.T) map[string]string {
 	t.Helper()
 	setupS3(t, 16)
-	storage.ResetMem()
 	return map[string]string{
-		"fs":  t.TempDir(),
-		"mem": "mem://conformance",
-		"s3":  "s3://bkt/conformance",
+		"fs": t.TempDir(),
+		"s3": "s3://bkt/conformance",
 	}
 }
 
@@ -219,16 +217,8 @@ func TestBackendShardLifecycle(t *testing.T) {
 			if off != int64(len(want)) {
 				t.Fatalf("Commit offset %d, want %d", off, len(want))
 			}
-			// Commit only marks: nothing is published or vouched for until a
-			// Sync. The memory backend shows it — its readers see the synced
-			// prefix and nothing else.
-			if name == "mem" {
-				if b, _ := be.Get(shard); len(b) != 0 {
-					t.Fatalf("%d bytes readable after Commit without Sync, want 0", len(b))
-				}
-			}
 			// Sync hardens and reports the contiguous durable prefix: all of
-			// it at once on fs and mem, as the part uploads finish on s3.
+			// it at once on fs, as the part uploads finish on s3.
 			dur, err := w.Sync()
 			if err != nil {
 				t.Fatal(err)
@@ -243,11 +233,6 @@ func TestBackendShardLifecycle(t *testing.T) {
 				time.Sleep(time.Millisecond)
 				if dur, err = w.Sync(); err != nil {
 					t.Fatal(err)
-				}
-			}
-			if name == "mem" {
-				if b, _ := be.Get(shard); string(b) != string(want) {
-					t.Fatalf("%d bytes readable after Sync, want %d", len(b), len(want))
 				}
 			}
 			// A chunk that is committed but never synced is not part of the
@@ -602,7 +587,7 @@ func TestResolveAndJoin(t *testing.T) {
 	}
 	for _, tc := range []struct{ dest, elem, want string }{
 		{"s3://bkt/prefix", "shards", "s3://bkt/prefix/shards"},
-		{"mem://space/j", "a.txt", "mem://space/j/a.txt"},
+		{"s3://bkt/j/", "a.txt", "s3://bkt/j/a.txt"},
 		{filepath.Join("x", "y"), "z", filepath.Join("x", "y", "z")},
 	} {
 		if got := storage.Join(tc.dest, tc.elem); got != tc.want {

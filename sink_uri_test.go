@@ -12,6 +12,7 @@ import (
 	kagen "repro"
 	"repro/internal/job"
 	"repro/internal/storage"
+	"repro/internal/storage/s3test"
 )
 
 // streamTo streams gen to dest through its backend's single-shot writer,
@@ -36,6 +37,12 @@ func streamTo(t *testing.T, gen kagen.Generator, format kagen.Format, dest strin
 // through the backend, and nothing is visible at the destination until
 // the whole stream is written.
 func TestOpenSinkObjectURI(t *testing.T) {
+	srv := s3test.New("test-access", "test-secret", "bkt")
+	t.Cleanup(srv.Close)
+	t.Setenv("KAGEN_S3_ENDPOINT", srv.URL())
+	t.Setenv("AWS_ACCESS_KEY_ID", "test-access")
+	t.Setenv("AWS_SECRET_ACCESS_KEY", "test-secret")
+	t.Setenv("AWS_REGION", "us-east-1")
 	gen, err := kagen.New(kagen.ModelGNMDirected, kagen.ModelParams{N: 300, M: 1500}, kagen.Options{Seed: 4, PEs: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +52,7 @@ func TestOpenSinkObjectURI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, format := range kagen.Formats() {
-		dest := "mem://sinkuri-obj/graph." + format.Ext()
+		dest := "s3://bkt/sinkuri-obj/graph." + format.Ext()
 		streamTo(t, gen, format, dest, func(store storage.Backend) {
 			if _, err := store.Stat(dest); !errors.Is(err, storage.ErrNotExist) {
 				t.Fatalf("%s: object visible before the stream ended: %v", format, err)
@@ -63,11 +70,13 @@ func TestOpenSinkObjectURI(t *testing.T) {
 // destination resolves, before anything is generated, and reading from
 // it fails the same way.
 func TestOpenSinkRejectsBadDestinations(t *testing.T) {
-	if _, err := storage.Resolve("gopher://x/y"); err == nil {
-		t.Fatal("unknown scheme accepted for writing")
-	}
-	if _, err := kagen.ReadEdgeListFrom("gopher://x/y", kagen.FormatText); err == nil {
-		t.Fatal("unknown scheme accepted for reading")
+	for _, dest := range []string{"gopher://x/y", "mem://x/y"} {
+		if _, err := storage.Resolve(dest); err == nil {
+			t.Fatalf("%s: unknown scheme accepted for writing", dest)
+		}
+		if _, err := kagen.ReadEdgeListFrom(dest, kagen.FormatText); err == nil {
+			t.Fatalf("%s: unknown scheme accepted for reading", dest)
+		}
 	}
 }
 
