@@ -4,9 +4,9 @@ package kagen_test
 // scaled to laptop sizes, plus the ablation benches of DESIGN.md §7.
 // The benchmark bodies live in internal/benchreg so that cmd/benchsuite
 // can execute the identical code with testing.Benchmark and record the
-// ns/op, B/op and allocs/op trajectory in BENCH_kagen.json; the full
-// parameter sweeps that regenerate each figure's series also live in
-// cmd/benchsuite (internal/experiments).
+// ns/op, B/op and allocs/op trajectory in BENCH_kagen.json. Each figure's
+// series is its sub-benchmarks (one per P for the scaling figures):
+// `go test -bench 'Fig07' .` prints Fig. 7.
 
 import (
 	"testing"

@@ -1,30 +1,28 @@
-// Command benchsuite drives the paper's evaluation at laptop scale.
+// Command benchsuite records and gates the repository's performance
+// trajectory.
 //
-// In its default mode it regenerates every figure of §8 (Figs. 6-18) as
-// CSV-like series tables; see internal/experiments for the sweep
-// definitions.
-//
-// With -bench it instead executes the per-configuration micro-benchmarks
-// of bench_test.go (shared via internal/benchreg) through
+// -bench executes every leaf benchmark of internal/benchreg — the same
+// bodies bench_test.go runs under `go test -bench` — through
 // testing.Benchmark and writes the measured ns/op, B/op and allocs/op per
-// benchmark as JSON — the file committed as BENCH_kagen.json, which pins
-// the repository's performance trajectory. -checkjson validates the shape
-// of such a file (used by CI to keep the format honest).
+// benchmark as JSON: the file committed as BENCH_kagen.json. benchreg's
+// Fig06…Fig18 rows are the one definition of the paper's figures (§8);
+// `go test -bench 'Fig07' .` prints one figure's series, one row per P.
 //
 // -compare diffs two such files (typically the committed baseline against
 // a fresh -bench run) on ns/op and allocs/op and exits non-zero when any
-// benchmark regressed beyond the threshold — the CI regression gate.
+// benchmark regressed beyond the threshold — the CI regression gate. It
+// loads both files through loadBenchFile's shape check, so a malformed
+// file fails the gate too.
 //
 // Usage:
 //
-//	benchsuite [-exp all|fig06|fig07|...|fig18] [-quick] [-seed N]
 //	benchsuite -bench [-benchtime 0.5s] [-quick] [-o BENCH_kagen.json]
-//	benchsuite -checkjson BENCH_kagen.json
 //	benchsuite -compare [-threshold pct] [-allocs-only] old.json new.json
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -33,10 +31,9 @@ import (
 	"testing"
 
 	"repro/internal/benchreg"
-	"repro/internal/experiments"
 )
 
-// benchFile is the JSON shape written by -bench and verified by -checkjson.
+// benchFile is the JSON shape written by -bench and read by -compare.
 type benchFile struct {
 	Schema     string       `json:"schema"`
 	GoOS       string       `json:"goos"`
@@ -57,13 +54,10 @@ const benchSchema = "kagen-bench/v1"
 func main() {
 	testing.Init() // registers test.benchtime before flag.Parse
 	var (
-		quick      = flag.Bool("quick", false, "smaller sizes, fewer points per series; with -bench, one iteration per benchmark")
-		seed       = flag.Uint64("seed", 42, "instance seed")
-		exp        = flag.String("exp", "all", "experiment to run (all, fig06..fig18)")
-		bench      = flag.Bool("bench", false, "run the micro-benchmark registry and write JSON instead of the figure sweeps")
+		quick      = flag.Bool("quick", false, "with -bench, one iteration per benchmark at the smaller -short sizes")
+		bench      = flag.Bool("bench", false, "run the micro-benchmark registry and write JSON")
 		benchtime  = flag.String("benchtime", "0.5s", "per-benchmark measuring time for -bench (testing.B semantics, e.g. 1s or 100x)")
 		out        = flag.String("o", "", "output file for -bench JSON (default: stdout)")
-		checkjson  = flag.String("checkjson", "", "validate the shape of an existing bench JSON file and exit")
 		compare    = flag.Bool("compare", false, "compare two bench JSON files (old.json new.json) and fail on regressions")
 		threshold  = flag.Float64("threshold", 10, "max allowed regression in percent for -compare")
 		allocsOnly = flag.Bool("allocs-only", false, "with -compare, gate only on allocs/op (timings are noisy on shared runners)")
@@ -78,24 +72,12 @@ func main() {
 		if err := compareBenchFiles(flag.Arg(0), flag.Arg(1), *threshold, *allocsOnly); err != nil {
 			fatal(err)
 		}
-	case *checkjson != "":
-		if err := checkBenchFile(*checkjson); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: valid %s file\n", *checkjson, benchSchema)
 	case *bench:
 		if err := runBench(*quick, *benchtime, *out); err != nil {
 			fatal(err)
 		}
 	default:
-		err := experiments.Run(*exp, experiments.Config{
-			Quick: *quick,
-			Seed:  *seed,
-			Out:   os.Stdout,
-		})
-		if err != nil {
-			fatal(err)
-		}
+		fatal(errors.New("usage: benchsuite -bench [-benchtime 0.5s] [-quick] [-o file] | -compare [-threshold pct] [-allocs-only] old.json new.json"))
 	}
 }
 
@@ -138,14 +120,9 @@ func runBench(quick bool, benchtime, out string) error {
 	return os.WriteFile(out, data, 0o644)
 }
 
-// checkBenchFile validates that a JSON file has the benchFile shape: the
-// schema marker, at least one benchmark, and sane fields on every entry.
-func checkBenchFile(path string) error {
-	_, err := loadBenchFile(path)
-	return err
-}
-
-// loadBenchFile reads, parses and shape-validates a bench JSON file.
+// loadBenchFile reads and parses a bench JSON file and checks its shape:
+// the schema marker, at least one benchmark, unique names and sane
+// fields on every entry.
 func loadBenchFile(path string) (*benchFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

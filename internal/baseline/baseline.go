@@ -4,7 +4,9 @@
 // generator of Fig. 6), the naive and Holtgrewe-style random
 // geometric graph generators (Fig. 9), and a query-centric random
 // hyperbolic generator without precomputed trigonometry in the spirit of
-// NkGen (Fig. 14).
+// NkGen (Fig. 14). benchreg's Fig rows time them on one machine, so the
+// Holtgrewe generator's all-to-all exchange is a local sort and its
+// communication cost is not modelled.
 package baseline
 
 import (
@@ -87,41 +89,6 @@ func RGGNaive(pts []geometry.Point, dim int, radius float64) *graph.EdgeList {
 	return el
 }
 
-// HoltgreweCostModel captures the communication cost of the sort-and-
-// exchange RGG generator of Holtgrewe et al. (§3.2). The generator sorts
-// all vertices globally (a sample sort whose exchange phase is an
-// all-to-all: every PE exchanges partition boundaries and vertex payloads
-// with every other PE), so each PE pays a volume term O(n/P) plus a
-// latency term Θ(P). The Θ(P) message count is what lets the
-// communication-free generator overtake the baseline at large P — the
-// crossover of Fig. 9.
-type HoltgreweCostModel struct {
-	BytesPerVertex  float64 // wire size of one vertex
-	BandwidthBytesS float64 // per-PE bandwidth in bytes/second
-	LatencyS        float64 // per-message latency in seconds
-}
-
-// DefaultHoltgreweCost returns a cost model resembling a commodity
-// cluster interconnect.
-func DefaultHoltgreweCost() HoltgreweCostModel {
-	return HoltgreweCostModel{
-		BytesPerVertex:  24,
-		BandwidthBytesS: 1e9,
-		LatencyS:        20e-6,
-	}
-}
-
-// SimulatedExchangeSeconds returns the modeled communication time of one
-// PE for an instance with n vertices on P PEs: the all-to-all vertex
-// exchange of the sample sort (volume n/P, P-1 partners).
-func (c HoltgreweCostModel) SimulatedExchangeSeconds(n, p uint64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	perPE := float64(n) / float64(p)
-	return perPE*c.BytesPerVertex/c.BandwidthBytesS + c.LatencyS*float64(p-1)
-}
-
 // UniformPoints draws n points uniformly from the unit cube with a plain
 // sequential stream (the way the baselines place vertices).
 func UniformPoints(n uint64, dim int, seed uint64) []geometry.Point {
@@ -140,9 +107,9 @@ func UniformPoints(n uint64, dim int, seed uint64) []geometry.Point {
 // RGGHoltgrewe runs the computation phase of the Holtgrewe et al.
 // generator for 2-D: sort the points into the global cell grid ("the
 // exchange"), then generate edges cell-locally without any ghost
-// recomputation. It returns the edge list; callers add the simulated
-// exchange time from the cost model to the measured computation time.
-// The pts slice is reordered in place.
+// recomputation. It returns the edge list; the exchange's communication
+// is not modelled, so a timed call measures computation only. The pts
+// slice is reordered in place.
 func RGGHoltgrewe(pts []geometry.Point, radius float64) *graph.EdgeList {
 	n := uint64(len(pts))
 	gridDim := uint64(1 / radius)

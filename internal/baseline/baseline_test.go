@@ -70,24 +70,6 @@ func TestHoltgreweMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestHoltgreweCostModel(t *testing.T) {
-	c := DefaultHoltgreweCost()
-	if c.SimulatedExchangeSeconds(1<<20, 1) != 0 {
-		t.Error("single PE should not communicate")
-	}
-	t4 := c.SimulatedExchangeSeconds(1<<20, 4)
-	t64 := c.SimulatedExchangeSeconds(1<<20, 64)
-	if t4 <= 0 || t64 <= 0 {
-		t.Error("positive comm times expected")
-	}
-	// Volume shrinks with P but latency grows: per-PE time for huge P is
-	// dominated by the latency term.
-	tHuge := c.SimulatedExchangeSeconds(1<<20, 1<<14)
-	if tHuge >= t4 && tHuge <= 0 {
-		t.Error("cost model inconsistent")
-	}
-}
-
 // TestRHGNkGenStats: the baseline produces a hyperbolic graph with
 // plausible degree statistics (its correctness backs Fig. 14).
 func TestRHGNkGenStats(t *testing.T) {

@@ -1,7 +1,9 @@
 // Package benchreg is the benchmark registry shared by the `go test`
 // benchmarks (bench_test.go) and the cmd/benchsuite JSON runner: one leaf
 // case per figure configuration of the paper's evaluation (§8, Figs. 6-18)
-// plus the ablation benches of DESIGN.md §7. Keeping the bodies here, in a
+// plus the ablation benches of DESIGN.md §7. Its Fig rows are the only
+// definition of the paper's figures: a figure's series is its rows (one
+// per P for the scaling figures), and a new sweep point is a new row. Keeping the bodies here, in a
 // non-test package, lets cmd/benchsuite execute the exact same code with
 // testing.Benchmark and record the per-benchmark ns/op, B/op and allocs/op
 // trajectory in BENCH_kagen.json.
@@ -133,8 +135,10 @@ func All() []Case {
 			runChunk(b, func(e *core.Emitter) { rgg.StreamChunk(p, P/2, e) })
 		})
 		add("Fig09RGG2DComparison/holtgrewe-perPE", func(b *testing.B) {
-			// The baseline's computation per PE: its share of the sorted
-			// generation (measured over the full instance and divided).
+			// The baseline's computation over the whole n-vertex
+			// instance, not divided by P; the exchange's communication is
+			// not modelled. RGGHoltgrewe sorts pts in place, so every
+			// iteration after the first sorts points already in cell order.
 			pts := baseline.UniformPoints(n, 2, 1)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -48,7 +48,7 @@ func directMerged(t *testing.T, spec job.Spec) []byte {
 	return b
 }
 
-func submit(t *testing.T, ts *httptest.Server, spec job.Spec) (JobStatus, int) {
+func submit(t testing.TB, ts *httptest.Server, spec job.Spec) (JobStatus, int) {
 	t.Helper()
 	b, err := json.Marshal(spec)
 	if err != nil {
@@ -70,7 +70,7 @@ func submit(t *testing.T, ts *httptest.Server, spec job.Spec) (JobStatus, int) {
 
 // waitState polls a job until it reaches want (failing on failed states
 // that are not the wanted one) or the deadline passes.
-func waitState(t *testing.T, ts *httptest.Server, id, want string) JobStatus {
+func waitState(t testing.TB, ts *httptest.Server, id, want string) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -96,7 +96,7 @@ func waitState(t *testing.T, ts *httptest.Server, id, want string) JobStatus {
 	return JobStatus{}
 }
 
-func get(t *testing.T, url string) (int, []byte) {
+func get(t testing.TB, url string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -605,4 +605,97 @@ func TestServeFailedCompaction(t *testing.T) {
 		t.Fatalf("re-submit after failure returned %d", code)
 	}
 	waitState(t, ts2, st.ID, StateComplete)
+}
+
+// FuzzShardRange: whatever Range and If-Range a client sends for a
+// finalized shard, the endpoint answers 200 with the whole shard, 206 or
+// 416, and never panics; a single-range 206 carries exactly the shard
+// bytes its Content-Range names.
+func FuzzShardRange(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"bytes=0-9", ""},
+		{"bytes=-5", ""},
+		{"bytes=-0", ""},
+		{"bytes=10-", `"stale"`},
+		{"bytes=0-0,5-9", ""},
+		{"bytes=999999-", ""},
+		{"bytes=5-2", ""},
+		{"items=0-1", ""},
+		{"bytes=0-9", "Mon, 02 Jan 2006 15:04:05 GMT"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	srv, err := New(Config{Dir: f.TempDir(), Executors: 1, QueueCap: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	st, code := submit(f, ts, testSpec())
+	if code != http.StatusAccepted {
+		f.Fatalf("submit returned %d, want 202", code)
+	}
+	waitState(f, ts, st.ID, StateComplete)
+	path := "/jobs/" + st.ID + "/shards/0"
+	code, shard := get(f, ts.URL+path)
+	if code != http.StatusOK || len(shard) == 0 {
+		f.Fatalf("shard fetch: code %d, %d bytes", code, len(shard))
+	}
+	f.Add("bytes=3-7", fmt.Sprintf(`"%s-pe0"`, st.ID))
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, rng, ifRange string) {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.Header.Set("Range", rng)
+		if ifRange != "" {
+			req.Header.Set("If-Range", ifRange)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		body := rec.Body.Bytes()
+		switch rec.Code {
+		case http.StatusOK:
+			if !bytes.Equal(body, shard) {
+				t.Fatalf("Range %q If-Range %q: 200 body of %d bytes is not the %d-byte shard", rng, ifRange, len(body), len(shard))
+			}
+		case http.StatusRequestedRangeNotSatisfiable:
+		case http.StatusPartialContent:
+			if strings.HasPrefix(rec.Header().Get("Content-Type"), "multipart/byteranges") {
+				return
+			}
+			var first, last, size int
+			cr := rec.Header().Get("Content-Range")
+			if _, err := fmt.Sscanf(cr, "bytes %d-%d/%d", &first, &last, &size); err != nil ||
+				size != len(shard) || first < 0 || first > last || last >= size {
+				t.Fatalf("Range %q If-Range %q: 206 with Content-Range %q for a %d-byte shard", rng, ifRange, cr, len(shard))
+			}
+			if !bytes.Equal(body, shard[first:last+1]) {
+				t.Fatalf("Range %q If-Range %q: 206 body is not shard bytes %d-%d", rng, ifRange, first, last)
+			}
+		default:
+			t.Fatalf("Range %q If-Range %q: status %d, want 200, 206 or 416", rng, ifRange, rec.Code)
+		}
+	})
+}
+
+// TestSatisfiableRange: ranges that select no byte are dropped before
+// http.ServeContent sees them; malformed headers pass through for it to
+// refuse.
+func TestSatisfiableRange(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		size int64
+		want string
+	}{
+		{"bytes=0-9", 100, "bytes=0-9"},
+		{"bytes=-0", 100, "bytes=100-"},
+		{"bytes= -0 ,0-4", 100, "bytes=0-4"},
+		{"bytes=-5", 0, "bytes=0-"},
+		{"bytes=--0", 100, "bytes=--0"},
+		{"items=-0", 100, "items=-0"},
+	} {
+		if got := satisfiableRange(tc.in, tc.size); got != tc.want {
+			t.Errorf("satisfiableRange(%q, %d) = %q, want %q", tc.in, tc.size, got, tc.want)
+		}
+	}
 }

@@ -25,10 +25,12 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/textproto"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -722,7 +724,38 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// disables Last-Modified, which could not be trusted anyway — the
 	// ETag is the whole identity.
 	w.Header().Set("ETag", fmt.Sprintf(`"%s-pe%d"`, js.id, pe))
+	if rng := r.Header.Get("Range"); rng != "" {
+		r = r.Clone(r.Context())
+		r.Header.Set("Range", satisfiableRange(rng, f.Size()))
+	}
 	http.ServeContent(w, r, storage.Base(path), time.Time{}, f)
+}
+
+// satisfiableRange drops the ranges of a Range header that select no
+// byte of a size-byte body: a zero-length suffix ("-0"), or any suffix of
+// an empty body. http.ServeContent would answer each with a part whose
+// Content-Range ends before it starts. When none is left it asks for the
+// range starting at size, which ServeContent answers 416 once If-Range
+// has kept the Range (200 for an empty body, whose Range it ignores).
+func satisfiableRange(h string, size int64) string {
+	specs, ok := strings.CutPrefix(h, "bytes=")
+	if !ok {
+		return h
+	}
+	var keep []string
+	for _, ra := range strings.Split(specs, ",") {
+		start, end, _ := strings.Cut(ra, "-")
+		end = textproto.TrimString(end)
+		n, err := strconv.ParseInt(end, 10, 64)
+		if textproto.TrimString(start) == "" && !strings.HasPrefix(end, "-") && err == nil && (n == 0 || size == 0) {
+			continue
+		}
+		keep = append(keep, ra)
+	}
+	if len(keep) == 0 {
+		return "bytes=" + strconv.FormatInt(size, 10) + "-"
+	}
+	return "bytes=" + strings.Join(keep, ",")
 }
 
 // handleTrace serves the merged Chrome trace-event JSON of a job's

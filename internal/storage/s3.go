@@ -382,12 +382,6 @@ func (b *s3Backend) List(prefix string) ([]string, error) {
 		if token != "" {
 			q["continuation-token"] = token
 		}
-		resp, _, err := b.do(func() (*http.Request, error) {
-			return b.newReq(http.MethodGet, bucket, "", buildQuery(q), nil, nil)
-		})
-		if err != nil {
-			return nil, err
-		}
 		var out struct {
 			Contents []struct {
 				Key string `xml:"Key"`
@@ -395,10 +389,8 @@ func (b *s3Backend) List(prefix string) ([]string, error) {
 			IsTruncated           bool   `xml:"IsTruncated"`
 			NextContinuationToken string `xml:"NextContinuationToken"`
 		}
-		err = xml.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("storage: bad ListObjectsV2 response: %w", err)
+		if err := b.listPage("ListObjectsV2", bucket, "", q, &out); err != nil {
+			return nil, err
 		}
 		for _, c := range out.Contents {
 			names = append(names, "s3://"+bucket+"/"+c.Key)
@@ -725,34 +717,59 @@ func (b *s3Backend) abortMultipart(bucket, key, uploadID string) error {
 	return nil
 }
 
-// listUploads returns the in-progress multipart uploads whose key equals
-// key exactly.
-func (b *s3Backend) listUploads(bucket, key string) ([]string, error) {
+// listPage GETs one page of an S3 listing and decodes its XML into out.
+func (b *s3Backend) listPage(op, bucket, key string, q map[string]string, out any) error {
 	resp, _, err := b.do(func() (*http.Request, error) {
-		return b.newReq(http.MethodGet, bucket, "", buildQuery(map[string]string{"uploads": "", "prefix": key}), nil, nil)
+		return b.newReq(http.MethodGet, bucket, key, buildQuery(q), nil, nil)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	var out struct {
-		Uploads []struct {
-			Key      string `xml:"Key"`
-			UploadID string `xml:"UploadId"`
-			// Initiated orders concurrent uploads; the newest wins.
-			Initiated string `xml:"Initiated"`
-		} `xml:"Upload"`
+	if err := xml.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("storage: bad %s response: %w", op, err)
 	}
-	if err := xml.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("storage: bad ListMultipartUploads response: %w", err)
-	}
+	return nil
+}
+
+// listUploads returns the in-progress multipart uploads whose key equals
+// key exactly, following the listing's key and upload ID markers past
+// its first page (1,000 uploads on S3).
+func (b *s3Backend) listUploads(bucket, key string) ([]string, error) {
 	var ids []string
-	for _, u := range out.Uploads {
-		if u.Key == key {
-			ids = append(ids, u.UploadID)
+	var keyMarker, idMarker string
+	for {
+		q := map[string]string{"uploads": "", "prefix": key}
+		if keyMarker != "" || idMarker != "" {
+			q["key-marker"], q["upload-id-marker"] = keyMarker, idMarker
 		}
+		var out struct {
+			Uploads []struct {
+				Key      string `xml:"Key"`
+				UploadID string `xml:"UploadId"`
+			} `xml:"Upload"`
+			IsTruncated        bool   `xml:"IsTruncated"`
+			NextKeyMarker      string `xml:"NextKeyMarker"`
+			NextUploadIDMarker string `xml:"NextUploadIdMarker"`
+		}
+		if err := b.listPage("ListMultipartUploads", bucket, "", q, &out); err != nil {
+			return nil, err
+		}
+		for _, u := range out.Uploads {
+			if u.Key == key {
+				ids = append(ids, u.UploadID)
+			}
+		}
+		if !out.IsTruncated {
+			return ids, nil
+		}
+		// Keys list in ascending order, so the next pair must differ from
+		// the one just sent and may not move the key backwards.
+		if out.NextKeyMarker < keyMarker || out.NextKeyMarker == keyMarker && out.NextUploadIDMarker == idMarker {
+			return nil, fmt.Errorf("storage: ListMultipartUploads pagination did not advance past key marker %q, upload ID marker %q", keyMarker, idMarker)
+		}
+		keyMarker, idMarker = out.NextKeyMarker, out.NextUploadIDMarker
 	}
-	return ids, nil
 }
 
 func (b *s3Backend) listParts(bucket, key, uploadID string) ([]s3Part, error) {
@@ -762,12 +779,6 @@ func (b *s3Backend) listParts(bucket, key, uploadID string) ([]s3Part, error) {
 		q := map[string]string{"uploadId": uploadID}
 		if marker != 0 {
 			q["part-number-marker"] = strconv.Itoa(marker)
-		}
-		resp, _, err := b.do(func() (*http.Request, error) {
-			return b.newReq(http.MethodGet, bucket, key, buildQuery(q), nil, nil)
-		})
-		if err != nil {
-			return nil, err
 		}
 		var out struct {
 			Parts []struct {
@@ -779,10 +790,8 @@ func (b *s3Backend) listParts(bucket, key, uploadID string) ([]s3Part, error) {
 			IsTruncated          bool   `xml:"IsTruncated"`
 			NextPartNumberMarker string `xml:"NextPartNumberMarker"`
 		}
-		err = xml.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("storage: bad ListParts response: %w", err)
+		if err := b.listPage("ListParts", bucket, key, q, &out); err != nil {
+			return nil, err
 		}
 		for _, p := range out.Parts {
 			parts = append(parts, s3Part{Num: p.PartNumber, Size: p.Size, ETag: p.ETag, Checksum: p.ChecksumSHA256})
