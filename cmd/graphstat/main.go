@@ -1,10 +1,12 @@
-// Command graphstat reads an edge-list file (text or binary, as written by
-// cmd/kagen) and prints summary statistics, a degree histogram and — when
-// requested — a power-law exponent estimate.
+// Command graphstat reads an edge list as written by cmd/kagen and prints
+// summary statistics, a degree histogram and — when requested — a
+// power-law exponent estimate. The input is a path, a file:// or s3://
+// URI, or - for stdin, in any streaming format (text, binary, text.gz,
+// binary.gz).
 //
 // Usage:
 //
-//	graphstat [-binary] [-histogram] [-powerlaw dmin] file
+//	graphstat [-format text|binary|text.gz|binary.gz] [-histogram] [-powerlaw dmin] file
 package main
 
 import (
@@ -17,7 +19,7 @@ import (
 
 func main() {
 	var (
-		binary    = flag.Bool("binary", false, "input is the binary edge-list format")
+		informat  = flag.String("format", "text", "input format: text, binary, text.gz, binary.gz")
 		histogram = flag.Bool("histogram", false, "print the degree histogram")
 		powerlaw  = flag.Uint64("powerlaw", 0, "estimate the power-law exponent with this dmin (0 = off)")
 	)
@@ -26,18 +28,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: graphstat [flags] file")
 		os.Exit(2)
 	}
-	f, err := os.Open(flag.Arg(0))
+	format, err := kagen.ParseFormat(*informat)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-
-	var el *kagen.EdgeList
-	if *binary {
-		el, err = kagen.ReadEdgeListBinary(f)
-	} else {
-		el, err = kagen.ReadEdgeListText(f)
-	}
+	el, err := kagen.ReadEdgeListFrom(flag.Arg(0), format)
 	if err != nil {
 		fatal(err)
 	}

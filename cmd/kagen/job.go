@@ -19,8 +19,8 @@ const jobUsage = `usage: kagen job <command> [flags]
 
 Plan, execute, checkpoint and resume distributed generation runs with
 zero inter-worker communication. A job destination — a local directory
-or an s3:// URI (-out is an alias of -dir) — holds the spec (job.json),
-one shard per PE, and one checkpoint manifest per worker; any worker can
+or an s3:// URI, named by -dir — holds the spec (job.json), one shard
+per PE, and one checkpoint manifest per worker; any worker can
 crash (or be preempted) and resume from its last chunk-granular
 checkpoint, producing output byte-identical to an uninterrupted run. On
 an object store, shards stream as striped multipart uploads — parts
@@ -61,10 +61,10 @@ examples:
   kagen job trace  -dir j -o trace.json  # open in Perfetto / chrome://tracing
   kagen job status -dir j -watch      # live per-PE progress + edges/sec
 
-  kagen job init   -out s3://bucket/jobs/j -model rgg2d -n 1000000 -pes 16
-  kagen job run    -out s3://bucket/jobs/j -worker 0
-  kagen job verify -out s3://bucket/jobs/j -all
-  kagen job merge  -out s3://bucket/jobs/j -o s3://bucket/graph.txt
+  kagen job init   -dir s3://bucket/jobs/j -model rgg2d -n 1000000 -pes 16
+  kagen job run    -dir s3://bucket/jobs/j -worker 0
+  kagen job verify -dir s3://bucket/jobs/j -all
+  kagen job merge  -dir s3://bucket/jobs/j -o s3://bucket/graph.txt
 `
 
 func jobMain(args []string) {
@@ -98,7 +98,6 @@ func jobInit(args []string) {
 	fs := flag.NewFlagSet("kagen job init", flag.ExitOnError)
 	var (
 		dir     = fs.String("dir", "", "job destination: a directory or s3:// URI (created if missing)")
-		out     = fs.String("out", "", "alias of -dir")
 		model   = fs.String("model", "gnm_undirected", "model: "+modelList())
 		seed    = fs.Uint64("seed", 1, "random seed")
 		pes     = fs.Uint64("pes", 1, "logical PEs (one shard each)")
@@ -111,7 +110,7 @@ func jobInit(args []string) {
 	applyLog := logFlags(fs, "warn")
 	fs.Parse(args)
 	applyLog()
-	dest := jobDest(fs, *dir, *out)
+	dest := jobDest(fs, *dir)
 	spec := job.SpecFor(*model, p)
 	spec.Seed, spec.PEs, spec.ChunksPerPE, spec.Workers, spec.Format = *seed, *pes, *cpp, *workers, *format
 	if err := job.Init(dest, spec); err != nil {
@@ -126,7 +125,6 @@ func jobRun(verb string, args []string) {
 	fs := flag.NewFlagSet("kagen job "+verb, flag.ExitOnError)
 	var (
 		dir        = fs.String("dir", "", "job destination: a directory or s3:// URI")
-		out        = fs.String("out", "", "alias of -dir")
 		worker     = fs.Uint64("worker", 0, "worker index in [0, job-workers)")
 		workers    = fs.Int("workers", 0, "goroutines that generate, encode and compress chunks (0 = GOMAXPROCS)")
 		failAfter  = fs.Int("fail-after", 0, "abort after at least this many checkpoints as a simulated crash — the manifest records that many chunks or, when one publish covered more, a few more (testing hook; 0 = never)")
@@ -137,7 +135,7 @@ func jobRun(verb string, args []string) {
 	applyLog := logFlags(fs, "warn")
 	fs.Parse(args)
 	applyLog()
-	dest := jobDest(fs, *dir, *out)
+	dest := jobDest(fs, *dir)
 	opts := job.RunOptions{Goroutines: *workers}
 	var tr *obs.Trace
 	if *traceOut != "" {
@@ -226,12 +224,11 @@ func writeTraceFile(path string, tr *obs.Trace) error {
 func jobTrace(args []string) {
 	fs := flag.NewFlagSet("kagen job trace", flag.ExitOnError)
 	dir := fs.String("dir", "", "job destination: a directory or s3:// URI")
-	jout := fs.String("out", "", "alias of -dir")
 	out := fs.String("o", "", "output file (default: stdout)")
 	applyLog := logFlags(fs, "warn")
 	fs.Parse(args)
 	applyLog()
-	dest := jobDest(fs, *dir, *jout)
+	dest := jobDest(fs, *dir)
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -252,13 +249,12 @@ func jobTrace(args []string) {
 func jobStatus(args []string) {
 	fs := flag.NewFlagSet("kagen job status", flag.ExitOnError)
 	dir := fs.String("dir", "", "job destination: a directory or s3:// URI")
-	out := fs.String("out", "", "alias of -dir")
 	watch := fs.Bool("watch", false, "poll progress until the job completes, with per-PE throughput")
 	interval := fs.Duration("interval", time.Second, "poll interval for -watch")
 	applyLog := logFlags(fs, "warn")
 	fs.Parse(args)
 	applyLog()
-	dest := jobDest(fs, *dir, *out)
+	dest := jobDest(fs, *dir)
 	if *watch {
 		jobWatch(dest, *interval)
 		return
@@ -355,7 +351,6 @@ func jobVerify(args []string) {
 	fs := flag.NewFlagSet("kagen job verify", flag.ExitOnError)
 	var (
 		dir    = fs.String("dir", "", "job destination: a directory or s3:// URI")
-		out    = fs.String("out", "", "alias of -dir")
 		all    = fs.Bool("all", false, "check every committed chunk instead of a sample")
 		sample = fs.Int("sample", 2, "chunks checked per PE when sampling")
 		seed   = fs.Int64("seed", 0, "sampling seed (same seed = same chunks)")
@@ -363,7 +358,7 @@ func jobVerify(args []string) {
 	applyLog := logFlags(fs, "warn")
 	fs.Parse(args)
 	applyLog()
-	dest := jobDest(fs, *dir, *out)
+	dest := jobDest(fs, *dir)
 	res, err := job.Verify(dest, job.VerifyOptions{All: *all, Sample: *sample, Seed: *seed})
 	if err != nil {
 		fatal(err)
@@ -389,11 +384,10 @@ func printVerifyResult(res *job.VerifyResult) {
 func jobRepair(args []string) {
 	fs := flag.NewFlagSet("kagen job repair", flag.ExitOnError)
 	dir := fs.String("dir", "", "job destination: a directory or s3:// URI")
-	out := fs.String("out", "", "alias of -dir")
 	applyLog := logFlags(fs, "warn")
 	fs.Parse(args)
 	applyLog()
-	dest := jobDest(fs, *dir, *out)
+	dest := jobDest(fs, *dir)
 	// Repair is verify-driven: an exhaustive pass finds every fault, the
 	// repair regenerates exactly those, and a second pass proves the job
 	// clean — all from the spec, no other worker consulted.
@@ -427,12 +421,11 @@ func jobRepair(args []string) {
 func jobMerge(args []string) {
 	fs := flag.NewFlagSet("kagen job merge", flag.ExitOnError)
 	dir := fs.String("dir", "", "job destination: a directory or s3:// URI")
-	jout := fs.String("out", "", "alias of -dir")
 	out := fs.String("o", "", "merged output: a file or s3:// URI (default: stdout)")
 	applyLog := logFlags(fs, "warn")
 	fs.Parse(args)
 	applyLog()
-	dest := jobDest(fs, *dir, *jout)
+	dest := jobDest(fs, *dir)
 	if *out == "" {
 		if err := job.Merge(dest, os.Stdout); err != nil {
 			fatal(err)
@@ -445,21 +438,13 @@ func jobMerge(args []string) {
 	fmt.Printf("merged into %s\n", *out)
 }
 
-// jobDest resolves the -dir/-out pair (aliases — -out reads naturally
-// for object-store destinations) into the job destination.
-func jobDest(fs *flag.FlagSet, dir, out string) string {
-	if dir != "" && out != "" && dir != out {
-		fmt.Fprintln(os.Stderr, "kagen job: -dir and -out are aliases — set one, not both")
-		os.Exit(2)
-	}
-	dest := dir
-	if dest == "" {
-		dest = out
-	}
-	if dest == "" {
-		fmt.Fprintln(os.Stderr, "kagen job: -dir (or -out) is required")
+// jobDest returns the job destination -dir names, and exits with the
+// usage if it is unset.
+func jobDest(fs *flag.FlagSet, dir string) string {
+	if dir == "" {
+		fmt.Fprintln(os.Stderr, "kagen job: -dir is required")
 		fs.Usage()
 		os.Exit(2)
 	}
-	return dest
+	return dir
 }

@@ -1,16 +1,17 @@
 // Command kagen generates graphs from the supported network models and
-// writes them as edge lists (text or binary) or METIS adjacency files.
+// writes them as edge lists or METIS adjacency files.
 //
-// With -stream the graph is never materialized: the PEs run on a worker
+// An edge list is streamed, never materialized: the PEs run on a worker
 // pool through the job runner's chunk encoders, and each PE's bytes are
 // written to -o in PE order while later PEs generate, so instances larger
 // than memory can be generated (formats: text, binary, text.gz,
-// binary.gz, their sharded-<fmt> variants, and none). A sharded-<fmt>
-// stream writes one shard per PE as a job with one chunk per PE, its PEs
-// split over -workers job workers that run in this process at once: -o
-// names the job directory, which `kagen job verify`, `merge` and
-// `validate -job` read, and a failed run names the
-// `kagen job resume -dir DEST -worker W` of each worker it left unfinished.
+// binary.gz, their sharded-<fmt> variants, and none). A sharded-<fmt> run writes one shard
+// per PE as a job with one chunk per PE, its PEs split over -workers job
+// workers that run in this process at once: -o names the job directory,
+// which `kagen job verify`, `merge` and `validate -job` read, and a
+// failed run names the `kagen job resume -dir DEST -worker W` of each
+// worker it left unfinished. -format metis alone materializes the graph,
+// because a METIS file lists every vertex's neighbours together.
 //
 // The `kagen job` subcommands plan, execute, checkpoint and resume
 // multi-process generation runs with zero inter-worker communication;
@@ -24,9 +25,9 @@
 //
 //	kagen -model gnm_undirected -n 65536 -m 1048576 -o graph.txt
 //	kagen -model rhg -n 1048576 -deg 16 -gamma 2.8 -pes 8 -format metis -o graph.metis
-//	kagen -model rgg2d -n 100000 -stats
-//	kagen -model rgg2d -n 100000000 -pes 256 -stream -format binary.gz -o huge.bin.gz
-//	kagen -model srhg -n 10000000 -pes 64 -stream -format sharded-text.gz -o srhg-job/
+//	kagen -model rgg2d -n 100000 -format none -stats
+//	kagen -model rgg2d -n 100000000 -pes 256 -format binary.gz -o huge.bin.gz
+//	kagen -model srhg -n 10000000 -pes 64 -format sharded-text.gz -o srhg-job/
 //	kagen job init -dir j -model gnm_undirected -n 100000000 -m 1000000000 -pes 128 -chunks-per-pe 8 -job-workers 4 -format binary.gz
 package main
 
@@ -78,73 +79,74 @@ func main() {
 			return
 		}
 	}
-	var (
-		model   = flag.String("model", "gnm_undirected", "model: "+modelList())
-		pes     = flag.Uint64("pes", 1, "number of logical PEs (chunks)")
-		workers = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		out     = flag.String("o", "", "output destination: a file, file:// or s3:// URI (default: stdout; the job directory or URI for sharded formats)")
-		format  = flag.String("format", "text", "output format: text, binary, metis, none; with -stream also text.gz, binary.gz and sharded-<fmt>")
-		stats   = flag.Bool("stats", false, "print graph statistics to stderr")
-		stream  = flag.Bool("stream", false, "stream edges to -o as they are generated, without materializing the graph")
-		params  kagen.ModelParams
-	)
-	params.RegisterFlags(flag.CommandLine)
-	applyLog := logFlags(flag.CommandLine, "warn")
-	flag.Parse()
-	applyLog()
-
-	gen, err := kagen.New(kagen.Model(*model), params, kagen.Options{Seed: *seed, PEs: *pes, Workers: *workers})
-	if err != nil {
-		fatal(err)
-	}
-
-	if *stream {
-		if f, ok := strings.CutPrefix(*format, "sharded-"); ok {
-			spec := job.SpecFor(*model, params)
-			spec.Seed, spec.PEs, spec.Format = *seed, *pes, f
-			runSharded(spec, gen.N(), *out, *workers, *stats)
-			return
-		}
-		runStream(gen, *model, *format, *out, *workers, *stats)
-		return
-	}
-
-	start := time.Now()
-	el, err := gen.Generate()
-	if err != nil {
-		fatal(err)
-	}
-	elapsed := time.Since(start)
-
-	if *stats {
-		s := kagen.ComputeStats(el)
-		fmt.Fprintf(os.Stderr,
-			"model=%s n=%d edges=%d avg_degree=%.2f max_degree=%d components=%d self_loops=%d time=%s\n",
-			*model, s.N, s.M, s.AvgDegree, s.MaxDegree, s.Components, s.SelfLoops, elapsed)
-	}
-
-	if err := writeGraph(el, *format, *out); err != nil {
+	if err := generate(os.Args[1:]); err != nil {
 		fatal(err)
 	}
 }
 
-// writeGraph writes a materialized graph to out ("" or "-" is stdout).
-func writeGraph(el *kagen.EdgeList, format, out string) error {
-	var write func(io.Writer, *kagen.EdgeList) error
-	switch format {
-	case "text":
-		write = kagen.WriteEdgeListText
-	case "binary":
-		write = kagen.WriteEdgeListBinary
-	case "metis":
-		write = kagen.WriteMetis
-	case "none":
-		return nil
-	default:
-		return fmt.Errorf("unknown format %q", format)
+// generate runs kagen without a subcommand: parse args, write the graph
+// to -o in -format, and with -stats print one line to stderr.
+func generate(args []string) error {
+	fs := flag.NewFlagSet("kagen", flag.ExitOnError)
+	var (
+		model   = fs.String("model", "gnm_undirected", "model: "+modelList())
+		pes     = fs.Uint64("pes", 1, "number of logical PEs (chunks)")
+		workers = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		out     = fs.String("o", "", "output destination: a file, file:// or s3:// URI (default: stdout; the job directory or URI for sharded formats)")
+		format  = fs.String("format", "text", "output format: "+formatList())
+		stats   = fs.Bool("stats", false, "print model, n, edges, pes and time to stderr")
+		params  kagen.ModelParams
+	)
+	params.RegisterFlags(fs)
+	applyLog := logFlags(fs, "warn")
+	fs.Parse(args)
+	applyLog()
+
+	gen, err := kagen.New(kagen.Model(*model), params, kagen.Options{Seed: *seed, PEs: *pes, Workers: *workers})
+	if err != nil {
+		return err
 	}
-	return writeTo(out, func(w io.Writer) error { return write(w, el) })
+	start := time.Now()
+	var edges uint64
+	if f, ok := strings.CutPrefix(*format, "sharded-"); ok {
+		spec := job.SpecFor(*model, params)
+		spec.Seed, spec.PEs, spec.Format = *seed, *pes, f
+		edges, err = streamSharded(spec, *out, *workers, job.RunOptions{Goroutines: 1})
+	} else if *format == "metis" {
+		edges, err = writeMetis(gen, *out)
+	} else {
+		edges, err = runStream(gen, *format, *out, *workers)
+	}
+	if err != nil {
+		return err
+	}
+	if *stats {
+		fmt.Fprintf(os.Stderr, "model=%s n=%d edges=%d pes=%d time=%s\n",
+			*model, gen.N(), edges, gen.PEs(), time.Since(start))
+	}
+	return nil
+}
+
+// formatList is the -format usage: the streaming formats, their sharded
+// variants, none and metis.
+func formatList() string {
+	var names []string
+	for _, f := range kagen.Formats() {
+		names = append(names, string(f))
+	}
+	return strings.Join(names, ", ") + ", sharded-<fmt>, none or metis"
+}
+
+// writeMetis is the one output that materializes the graph: a METIS file
+// lists each vertex's neighbours on its line, so it needs the whole
+// adjacency before the first line can be written.
+func writeMetis(gen kagen.Generator, out string) (uint64, error) {
+	el, err := gen.Generate()
+	if err != nil {
+		return 0, err
+	}
+	return uint64(el.Len()), writeTo(out, func(w io.Writer) error { return kagen.WriteMetis(w, el) })
 }
 
 // writeTo runs fill on out: stdout for "" or "-", else the destination's
@@ -162,47 +164,27 @@ func writeTo(out string, fill func(io.Writer) error) error {
 }
 
 // runStream writes the edge stream through job.Stream, the job's chunk
-// encoders without shards. -format none streams the zero format, which
-// generates and counts but writes nothing.
-func runStream(s kagen.Streamer, model, format, out string, workers int, stats bool) {
+// encoders without shards, and returns the edge count. -format none
+// streams the zero format, which generates and counts but writes nothing.
+func runStream(s kagen.Streamer, format, out string, workers int) (uint64, error) {
 	var f kagen.Format
+	var err error
 	if format != "none" {
-		var err error
 		if f, err = kagen.ParseFormat(format); err != nil {
-			fatal(err)
+			return 0, err
 		}
 	}
-	start := time.Now()
 	var edges uint64
 	stream := func(w io.Writer) (err error) {
 		edges, err = job.Stream(s, f, w, workers)
 		return err
 	}
-	var err error
 	if f == "" {
 		err = stream(io.Discard) // -format none writes nowhere
 	} else {
 		err = writeTo(out, stream)
 	}
-	if err != nil {
-		fatal(err)
-	}
-	if stats {
-		fmt.Fprintf(os.Stderr, "model=%s n=%d edges=%d pes=%d time=%s\n",
-			model, s.N(), edges, s.PEs(), time.Since(start))
-	}
-}
-
-func runSharded(spec job.Spec, n uint64, out string, workers int, stats bool) {
-	start := time.Now()
-	edges, err := streamSharded(spec, out, workers, job.RunOptions{Goroutines: 1})
-	if err != nil {
-		fatal(err)
-	}
-	if stats {
-		fmt.Fprintf(os.Stderr, "model=%s n=%d edges=%d pes=%d time=%s\n",
-			spec.Model, n, edges, spec.PEs, time.Since(start))
-	}
+	return edges, err
 }
 
 // streamSharded writes one shard per PE as a job at out with one chunk

@@ -15,7 +15,7 @@ import (
 	"repro/internal/job"
 )
 
-// gnmSharded is the spec kagen -stream -format sharded-<format> builds
+// gnmSharded is the spec kagen -format sharded-<format> builds
 // for a 4-PE gnm_undirected instance.
 func gnmSharded(format string) job.Spec {
 	spec := job.SpecFor("gnm_undirected", kagen.ModelParams{N: 4096, M: 32768})
@@ -104,5 +104,65 @@ func TestShardedStreamNamesUnfinishedWorkers(t *testing.T) {
 	_, err = streamSharded(gnmSharded("text"), dir, 2, job.RunOptions{})
 	if err == nil || strings.Contains(err.Error(), "continue with") {
 		t.Fatalf("re-run of a complete job: %v; want a refusal with no hint", err)
+	}
+}
+
+// TestEveryFormatWithoutModeFlag runs kagen with each -format value and
+// no other switch: the four plain formats read back with the instance's
+// edge count, sharded-binary leaves a complete job, none writes nothing
+// and metis writes a header plus one line per vertex.
+func TestEveryFormatWithoutModeFlag(t *testing.T) {
+	const n = 4096
+	gen, err := kagen.New(kagen.ModelGNMUndirected, kagen.ModelParams{N: n, M: 32768}, kagen.Options{Seed: 7, PEs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	formats := []string{"sharded-binary", "none", "metis"}
+	for _, f := range kagen.Formats() {
+		formats = append(formats, string(f))
+	}
+	for _, format := range formats {
+		t.Run(format, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "out")
+			err := generate([]string{"-model", "gnm_undirected", "-n", fmt.Sprint(n), "-m", "32768",
+				"-seed", "7", "-pes", "3", "-format", format, "-o", out})
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch format {
+			case "sharded-binary":
+				st, err := job.Inspect(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !st.Complete() {
+					t.Fatalf("job at %s is not complete: %v", out, st.Gaps())
+				}
+			case "none":
+				if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("-format none left something at -o: %v", err)
+				}
+			case "metis":
+				b, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lines := strings.Count(string(b), "\n"); lines != n+1 {
+					t.Fatalf("metis file has %d lines, want %d", lines, n+1)
+				}
+			default:
+				el, err := kagen.ReadEdgeListFrom(out, kagen.Format(format))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if el.N != n || el.Len() != want.Len() {
+					t.Fatalf("read back n=%d with %d edges, want n=%d with %d", el.N, el.Len(), n, want.Len())
+				}
+			}
+		})
 	}
 }

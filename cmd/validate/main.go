@@ -4,7 +4,7 @@
 //
 // The input is a single edge-list file or URI in any streaming format
 // (text, binary, text.gz, binary.gz). With -job the argument is a kagen
-// job directory — including the output of `kagen -stream -format
+// job directory — including the output of `kagen -format
 // sharded-<fmt>`: the model and its parameters come from the job spec,
 // the worker manifests decide which PE shards are complete, only those
 // are read, merged in PE order, and unfinished PEs are reported as
@@ -18,7 +18,7 @@
 // Usage:
 //
 //	validate -model gnm_undirected -n 65536 -m 1048576 graph.txt
-//	validate -model rhg -n 1048576 -deg 16 -gamma 2.8 -binary graph.bin
+//	validate -model rhg -n 1048576 -deg 16 -gamma 2.8 -format binary graph.bin
 //	validate -model rgg2d -n 1000000 -format binary.gz graph.bin.gz
 //	validate -job jobdir/
 package main
@@ -36,8 +36,7 @@ import (
 func main() {
 	var (
 		model    = flag.String("model", "", "model the file claims to be")
-		binary   = flag.Bool("binary", false, "input is the binary format (shorthand for -format binary)")
-		informat = flag.String("format", "", "input format: text, binary, text.gz, binary.gz (default: text, or binary with -binary)")
+		informat = flag.String("format", "text", "input format: text, binary, text.gz, binary.gz")
 		jobDir   = flag.Bool("job", false, "input is a kagen job directory (model and parameters from its spec)")
 		params   kagen.ModelParams
 	)
@@ -51,15 +50,9 @@ func main() {
 		report(validateJob(flag.Arg(0)))
 		return
 	}
-	format := kagen.FormatText
-	if *binary {
-		format = kagen.FormatBinary
-	}
-	if *informat != "" {
-		var err error
-		if format, err = kagen.ParseFormat(*informat); err != nil {
-			fatal(err)
-		}
+	format, err := kagen.ParseFormat(*informat)
+	if err != nil {
+		fatal(err)
 	}
 	el, err := kagen.ReadEdgeListFrom(flag.Arg(0), format)
 	if err != nil {

@@ -13,10 +13,10 @@ import (
 // Format identifies a streaming edge-list encoding. The gzip-compressed
 // variants are first-class formats: long streaming runs write them
 // directly (no recompression pass), and every edge reader in the
-// repository — ReadEdgeList, cmd/validate — decompresses them
+// repository — ReadEdgeList, cmd/validate, cmd/graphstat — decompresses them
 // transparently. Compressed binary streams carry the StreamingEdgeCount
 // sentinel in their header (the count cannot be patched into compressed
-// bytes), which ReadEdgeListBinary reads as until-EOF framing.
+// bytes), which ReadEdgeList reads as until-EOF framing.
 type Format string
 
 // Supported streaming formats.
@@ -29,7 +29,7 @@ const (
 
 // StreamingEdgeCount is the sentinel header edge count of binary streams
 // whose writer cannot seek (compressed or piped output); see
-// ReadEdgeListBinary.
+// ReadEdgeList.
 const StreamingEdgeCount = graph.StreamingEdgeCount
 
 // Formats lists the streaming formats.
@@ -111,7 +111,8 @@ func (f Format) AppendHeader(buf []byte, n uint64) []byte {
 }
 
 // ReadEdgeList reads one edge-list stream in the given format,
-// decompressing the gzip variants.
+// decompressing the gzip variants. A binary header may carry the exact
+// edge count or the StreamingEdgeCount sentinel, which reads until EOF.
 func ReadEdgeList(r io.Reader, f Format) (*EdgeList, error) {
 	if f.Compressed() {
 		gz, err := gzip.NewReader(r)
@@ -122,21 +123,15 @@ func ReadEdgeList(r io.Reader, f Format) (*EdgeList, error) {
 		r = gz
 	}
 	if f.Binary() {
-		return ReadEdgeListBinary(r)
+		return graph.ReadEdgeListBinary(r)
 	}
-	return ReadEdgeListText(r)
-}
-
-// ReadEdgeListFile reads one edge-list file in the given format.
-// ReadEdgeListFrom is the same over any destination URI.
-func ReadEdgeListFile(path string, f Format) (*EdgeList, error) {
-	return ReadEdgeListFrom(path, f)
+	return graph.ReadEdgeListText(r)
 }
 
 // ReadEdgeListFrom reads one edge-list object from a destination URI
-// ("" and "-" read stdin), decompressing the gzip formats. It is the
-// backend-aware counterpart of ReadEdgeListFile: a bare path reads the
-// local filesystem, s3:// streams straight from the object store.
+// ("" and "-" read stdin), decompressing the gzip formats: a bare path or
+// file:// reads the local filesystem, s3:// streams straight from the
+// object store.
 func ReadEdgeListFrom(src string, f Format) (*EdgeList, error) {
 	if src == "" || src == "-" {
 		return ReadEdgeList(os.Stdin, f)

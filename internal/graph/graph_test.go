@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -139,13 +140,21 @@ func TestPowerLawMLE(t *testing.T) {
 	}
 }
 
+// binaryEdgeList builds the bytes of a binary edge list by hand: n and
+// the header edge count m, then the edges, all little-endian u64.
+func binaryEdgeList(n, m uint64, edges []Edge) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, n)
+	b = binary.LittleEndian.AppendUint64(b, m)
+	for _, e := range edges {
+		b = binary.LittleEndian.AppendUint64(b, e.U)
+		b = binary.LittleEndian.AppendUint64(b, e.V)
+	}
+	return b
+}
+
 func TestTextRoundTrip(t *testing.T) {
 	e := &EdgeList{N: 5, Edges: []Edge{{0, 1}, {2, 3}, {4, 0}}}
-	var buf bytes.Buffer
-	if err := WriteEdgeListText(&buf, e); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadEdgeListText(&buf)
+	got, err := ReadEdgeListText(bytes.NewBufferString("# 5\n0 1\n2 3\n4 0\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,16 +170,14 @@ func TestTextRoundTrip(t *testing.T) {
 
 func TestBinaryRoundTrip(t *testing.T) {
 	e := &EdgeList{N: 1 << 40, Edges: []Edge{{1 << 39, 7}, {0, 1<<40 - 1}}}
-	var buf bytes.Buffer
-	if err := WriteEdgeListBinary(&buf, e); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadEdgeListBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != e.N || len(got.Edges) != 2 || got.Edges[0] != e.Edges[0] || got.Edges[1] != e.Edges[1] {
-		t.Fatalf("round trip mismatch: %+v", got)
+	for _, m := range []uint64{2, StreamingEdgeCount} {
+		got, err := ReadEdgeListBinary(bytes.NewReader(binaryEdgeList(e.N, m, e.Edges)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.N != e.N || len(got.Edges) != 2 || got.Edges[0] != e.Edges[0] || got.Edges[1] != e.Edges[1] {
+			t.Fatalf("header count %d: round trip mismatch: %+v", m, got)
+		}
 	}
 }
 
@@ -237,11 +244,7 @@ func TestReadEdgeListTextErrors(t *testing.T) {
 }
 
 func TestReadEdgeListBinaryTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteEdgeListBinary(&buf, &EdgeList{N: 3, Edges: []Edge{{0, 1}, {1, 2}}}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := binaryEdgeList(3, 2, []Edge{{0, 1}, {1, 2}})
 	if _, err := ReadEdgeListBinary(bytes.NewReader(raw[:len(raw)-5])); err == nil {
 		t.Error("truncated binary stream accepted")
 	}

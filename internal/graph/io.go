@@ -9,27 +9,12 @@ import (
 	"strings"
 )
 
-// WriteEdgeListText writes one "u v" pair per line preceded by a header
-// line "# n m".
-func WriteEdgeListText(w io.Writer, e *EdgeList) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# %d %d\n", e.N, len(e.Edges)); err != nil {
-		return err
-	}
-	for _, edge := range e.Edges {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", edge.U, edge.V); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// StreamEdgeListText incrementally parses the format written by
-// WriteEdgeListText: header (if non-nil) is called with the vertex count
-// of a leading "# n ..." comment, then edge is called once per edge line
-// in file order. It is the single text decoder: the materializing
-// ReadEdgeListText is built on it, so the parsing rules cannot drift
-// apart.
+// StreamEdgeListText incrementally parses the text edge-list format —
+// an optional leading "# n ..." comment, then one "u v" pair per line:
+// header (if non-nil) is called with the vertex count of that comment,
+// then edge is called once per edge line in file order. It is the single
+// text decoder: the materializing ReadEdgeListText is built on it, so the
+// parsing rules cannot drift apart.
 func StreamEdgeListText(r io.Reader, header func(n uint64) error, edge func(u, v uint64) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -77,7 +62,8 @@ func StreamEdgeListText(r io.Reader, header func(n uint64) error, edge func(u, v
 	return sc.Err()
 }
 
-// ReadEdgeListText parses the format written by WriteEdgeListText.
+// ReadEdgeListText parses the text edge-list format into an EdgeList;
+// vertices beyond the header's count grow n.
 func ReadEdgeListText(r io.Reader) (*EdgeList, error) {
 	e := &EdgeList{}
 	err := StreamEdgeListText(r,
@@ -98,38 +84,19 @@ func ReadEdgeListText(r io.Reader) (*EdgeList, error) {
 	return e, nil
 }
 
-// WriteEdgeListBinary writes a compact little-endian binary format:
-// n (u64), m (u64), then m pairs of u64.
-func WriteEdgeListBinary(w io.Writer, e *EdgeList) error {
-	bw := bufio.NewWriter(w)
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:], e.N)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(len(e.Edges)))
-	if _, err := bw.Write(buf[:]); err != nil {
-		return err
-	}
-	for _, edge := range e.Edges {
-		binary.LittleEndian.PutUint64(buf[0:], edge.U)
-		binary.LittleEndian.PutUint64(buf[8:], edge.V)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // StreamingEdgeCount is the sentinel edge count of the binary header for
 // streamed output: a writer that cannot seek back to patch the real count
 // into the header (a pipe, or a compressed stream) writes it, and readers
 // consume (u, v) pairs until EOF instead of a fixed count.
 const StreamingEdgeCount = ^uint64(0)
 
-// StreamEdgeListBinary incrementally parses the format written by
-// WriteEdgeListBinary: header (if non-nil) receives the declared vertex
-// and edge counts (m may be StreamingEdgeCount), then edge is called once
-// per record. A fixed count reads exactly m records, and a body shorter
-// than that is io.ErrUnexpectedEOF; the sentinel reads until EOF, where a
-// trailing partial record is an error. It is the single binary decoder:
+// StreamEdgeListBinary incrementally parses the little-endian binary
+// edge-list format — n (u64), m (u64), then (u, v) pairs of u64: header
+// (if non-nil) receives the declared vertex and edge counts (m may be
+// StreamingEdgeCount), then edge is called once per record. A fixed count
+// reads exactly m records, and a body shorter than that is
+// io.ErrUnexpectedEOF; the sentinel reads until EOF, where a trailing
+// partial record is an error. It is the single binary decoder:
 // ReadEdgeListBinary is built on it.
 func StreamEdgeListBinary(r io.Reader, header func(n, m uint64) error, edge func(u, v uint64) error) error {
 	br := bufio.NewReader(r)
@@ -165,8 +132,8 @@ func StreamEdgeListBinary(r io.Reader, header func(n, m uint64) error, edge func
 // may declare 2^60 edges. Longer lists grow by append as records arrive.
 const maxPresizeEdges = 1 << 16
 
-// ReadEdgeListBinary parses the format written by WriteEdgeListBinary,
-// accepting both fixed-count and sentinel (until-EOF) framing.
+// ReadEdgeListBinary parses the binary edge-list format, accepting both
+// fixed-count and sentinel (until-EOF) framing.
 func ReadEdgeListBinary(r io.Reader) (*EdgeList, error) {
 	e := &EdgeList{}
 	err := StreamEdgeListBinary(r,

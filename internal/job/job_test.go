@@ -180,11 +180,11 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 // TestJobMatchesDirectStream: the job's merged edge list equals the
 // direct generator output for the same instance definition (same seed,
 // Chunks = PEs*ChunksPerPE) — the job runner adds durability, not a new
-// instance. With one chunk per PE — what `kagen -stream -format
-// sharded-<fmt>` runs — every shard decodes to exactly the direct
-// generator's Chunk(pe), in every format. The pinned text digests were
-// taken from the per-PE files the sharded stream wrote before it ran as a
-// job, so a text shard must not move by a byte.
+// instance. With one chunk per PE — what `kagen -format sharded-<fmt>`
+// runs — every shard decodes to exactly the direct generator's Chunk(pe),
+// in every format. The pinned text digests were taken from the per-PE
+// files the sharded stream wrote before it ran as a job, so a text shard
+// must not move by a byte.
 func TestJobMatchesDirectStream(t *testing.T) {
 	spec := Spec{Model: "gnm_undirected", N: 600, M: 4000, Seed: 7,
 		PEs: 3, ChunksPerPE: 4, Workers: 1, Format: "text.gz"}
@@ -197,7 +197,7 @@ func TestJobMatchesDirectStream(t *testing.T) {
 	if err := MergeToFile(dir, merged); err != nil {
 		t.Fatal(err)
 	}
-	got, err := kagen.ReadEdgeListFile(merged, kagen.FormatTextGz)
+	got, err := kagen.ReadEdgeListFrom(merged, kagen.FormatTextGz)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,26 +8,6 @@ import (
 	"repro/internal/graph"
 )
 
-// WriteEdgeListText writes "# n m" followed by one "u v" pair per line.
-func WriteEdgeListText(w io.Writer, e *EdgeList) error {
-	return graph.WriteEdgeListText(w, e)
-}
-
-// ReadEdgeListText parses the format written by WriteEdgeListText.
-func ReadEdgeListText(r io.Reader) (*EdgeList, error) {
-	return graph.ReadEdgeListText(r)
-}
-
-// WriteEdgeListBinary writes a compact little-endian binary edge list.
-func WriteEdgeListBinary(w io.Writer, e *EdgeList) error {
-	return graph.WriteEdgeListBinary(w, e)
-}
-
-// ReadEdgeListBinary parses the format written by WriteEdgeListBinary.
-func ReadEdgeListBinary(r io.Reader) (*EdgeList, error) {
-	return graph.ReadEdgeListBinary(r)
-}
-
 // WriteMetis writes METIS adjacency format (undirected interpretation; the
 // list must contain both orientations of every edge, which is the native
 // output convention of the undirected generators).

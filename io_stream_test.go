@@ -56,7 +56,7 @@ func sameList(t *testing.T, name string, got, want *kagen.EdgeList) {
 }
 
 // streamFile streams gen to a new file at path through job.Stream, as
-// `kagen -stream -o path` does, and returns the edge count.
+// `kagen -o path` does, and returns the edge count.
 func streamFile(t *testing.T, gen kagen.Generator, format kagen.Format, path string) uint64 {
 	t.Helper()
 	store, err := storage.Resolve(path)
@@ -88,7 +88,7 @@ func TestTextSinkRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := kagen.ReadEdgeListText(f)
+		got, err := kagen.ReadEdgeList(f, kagen.FormatText)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -115,7 +115,7 @@ func TestBinarySinkRoundTrip(t *testing.T) {
 		if m := binary.LittleEndian.Uint64(b[8:]); m != uint64(want.Len()) {
 			t.Fatalf("%s: header edge count %d, want %d", c.name, m, want.Len())
 		}
-		got, err := kagen.ReadEdgeListBinary(bytes.NewReader(b))
+		got, err := kagen.ReadEdgeList(bytes.NewReader(b), kagen.FormatBinary)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -135,7 +135,7 @@ func TestFormatSinkRoundTrip(t *testing.T) {
 		for _, format := range kagen.Formats() {
 			path := filepath.Join(t.TempDir(), "edges."+format.Ext())
 			streamFile(t, c.gen, format, path)
-			got, err := kagen.ReadEdgeListFile(path, format)
+			got, err := kagen.ReadEdgeListFrom(path, format)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.name, format, err)
 			}
@@ -205,12 +205,12 @@ func TestBinaryStreamSinkSentinel(t *testing.T) {
 		if m := binary.LittleEndian.Uint64(b[8:]); m != kagen.StreamingEdgeCount {
 			t.Errorf("%s: header edge count %d, want the sentinel", name, m)
 		}
-		got, err := kagen.ReadEdgeListBinary(bytes.NewReader(b))
+		got, err := kagen.ReadEdgeList(bytes.NewReader(b), kagen.FormatBinary)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		sameList(t, name, got, want)
-		if _, err := kagen.ReadEdgeListBinary(bytes.NewReader(b[:len(b)-7])); err == nil {
+		if _, err := kagen.ReadEdgeList(bytes.NewReader(b[:len(b)-7]), kagen.FormatBinary); err == nil {
 			t.Fatalf("%s: torn sentinel stream read back without error", name)
 		}
 	}

@@ -212,32 +212,39 @@ func TestRHGAndSRHGSameModel(t *testing.T) {
 	}
 }
 
+// TestRoundTripIO: a header and edges from the one encoder,
+// Format.AppendHeader and AppendEdges, read back through ReadEdgeList in
+// every format.
 func TestRoundTripIO(t *testing.T) {
 	el, err := GNM(100, 300, true, Options{Seed: 1, PEs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteEdgeListText(&buf, el); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadEdgeListText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N != el.N || back.Len() != el.Len() {
-		t.Fatal("text round trip mismatch")
-	}
-	buf.Reset()
-	if err := WriteEdgeListBinary(&buf, el); err != nil {
-		t.Fatal(err)
-	}
-	back, err = ReadEdgeListBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N != el.N || back.Len() != el.Len() {
-		t.Fatal("binary round trip mismatch")
+	for _, f := range Formats() {
+		payload := f.AppendEdges(f.AppendHeader(nil, el.N), el.Edges)
+		if f.Compressed() {
+			var buf bytes.Buffer
+			gz := f.NewGzipWriter(&buf)
+			if _, err := gz.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := gz.Close(); err != nil {
+				t.Fatal(err)
+			}
+			payload = buf.Bytes()
+		}
+		back, err := ReadEdgeList(bytes.NewReader(payload), f)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if back.N != el.N || back.Len() != el.Len() {
+			t.Fatalf("%s: n=%d with %d edges, want n=%d with %d", f, back.N, back.Len(), el.N, el.Len())
+		}
+		for i := range el.Edges {
+			if back.Edges[i] != el.Edges[i] {
+				t.Fatalf("%s: edge %d = %v, want %v", f, i, back.Edges[i], el.Edges[i])
+			}
+		}
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 )
 
 // streamTo streams gen to dest through its backend's single-shot writer,
-// as `kagen -stream -o dest` does; inside, before Stream runs, check sees
-// the destination.
+// as `kagen -o dest` does; inside, before Stream runs, check sees the
+// destination.
 func streamTo(t *testing.T, gen kagen.Generator, format kagen.Format, dest string, check func(storage.Backend)) {
 	t.Helper()
 	store, err := storage.Resolve(dest)
@@ -98,7 +98,7 @@ func TestOpenSinkFileURI(t *testing.T) {
 	}
 	path := filepath.Join(dir, "graph.bin")
 	streamTo(t, gen, kagen.FormatBinary, "file://"+path, func(storage.Backend) {})
-	el, err := kagen.ReadEdgeListFile(path, kagen.FormatBinary)
+	el, err := kagen.ReadEdgeListFrom(path, kagen.FormatBinary)
 	if err != nil || el.Len() != 1500 {
 		t.Fatalf("file:// binary: %v edges, %v", el, err)
 	}
