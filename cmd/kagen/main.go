@@ -11,7 +11,9 @@
 // which `kagen job verify`, `merge` and `validate -job` read, and a
 // failed run names the `kagen job resume -dir DEST -worker W` of each
 // worker it left unfinished. -format metis alone materializes the graph,
-// because a METIS file lists every vertex's neighbours together.
+// because a METIS file lists every vertex's neighbours together; METIS
+// graphs are undirected, so it refuses the models that list each edge in
+// one orientation (gnm_directed, gnp_directed, ba, rmat).
 //
 // The `kagen job` subcommands plan, execute, checkpoint and resume
 // multi-process generation runs with zero inter-worker communication;
@@ -114,7 +116,7 @@ func generate(args []string) error {
 		spec.Seed, spec.PEs, spec.Format = *seed, *pes, f
 		edges, err = streamSharded(spec, *out, *workers, job.RunOptions{Goroutines: 1})
 	} else if *format == "metis" {
-		edges, err = writeMetis(gen, *out)
+		edges, err = writeMetis(kagen.Model(*model), gen, *out)
 	} else {
 		edges, err = runStream(gen, *format, *out, *workers)
 	}
@@ -140,8 +142,13 @@ func formatList() string {
 
 // writeMetis is the one output that materializes the graph: a METIS file
 // lists each vertex's neighbours on its line, so it needs the whole
-// adjacency before the first line can be written.
-func writeMetis(gen kagen.Generator, out string) (uint64, error) {
+// adjacency before the first line can be written. METIS graphs are
+// undirected, so a model whose stream lists each edge in one orientation
+// has no METIS form.
+func writeMetis(model kagen.Model, gen kagen.Generator, out string) (uint64, error) {
+	if !kagen.BothOrientations(model) {
+		return 0, fmt.Errorf("-format metis needs both orientations of every edge, and model %s lists each edge once; use text or binary", model)
+	}
 	el, err := gen.Generate()
 	if err != nil {
 		return 0, err

@@ -166,3 +166,88 @@ func TestEveryFormatWithoutModeFlag(t *testing.T) {
 		})
 	}
 }
+
+// TestMetisNeedsBothOrientations: METIS files describe undirected graphs,
+// so -format metis refuses every model whose stream lists an edge in one
+// orientation only, leaving nothing at -o, and for the others writes
+// symmetric adjacency lists under a header of n and the undirected edge
+// count. The model table's claim is checked against each model's edges:
+// a model says it lists both orientations exactly when its edge list is
+// symmetric.
+func TestMetisNeedsBothOrientations(t *testing.T) {
+	oneWay := map[kagen.Model]bool{kagen.ModelGNMDirected: true, kagen.ModelGNPDirected: true,
+		kagen.ModelBA: true, kagen.ModelRMAT: true}
+	params := kagen.ModelParams{N: 512, M: 2048, P: 0.01, D: 4, Scale: 9, AvgDeg: 8, Gamma: 2.8, Blocks: 2}
+	for _, model := range kagen.Models() {
+		gen, err := kagen.New(model, params, kagen.Options{Seed: 3, PEs: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		el, err := gen.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[kagen.Edge]bool, el.Len())
+		for _, e := range el.Edges {
+			seen[e] = true
+		}
+		symmetric := true
+		for e := range seen {
+			symmetric = symmetric && seen[kagen.Edge{U: e.V, V: e.U}]
+		}
+		if el.Len() == 0 || symmetric != !oneWay[model] || kagen.BothOrientations(model) != !oneWay[model] {
+			t.Errorf("%s: %d edges, symmetric %v, BothOrientations %v; want one-way %v",
+				model, el.Len(), symmetric, kagen.BothOrientations(model), oneWay[model])
+		}
+
+		out := filepath.Join(t.TempDir(), "g.metis")
+		err = generate([]string{"-model", string(model), "-n", "512", "-m", "2048", "-p", "0.01", "-d", "4",
+			"-scale", "9", "-deg", "8", "-gamma", "2.8", "-seed", "3", "-pes", "3", "-format", "metis", "-o", out})
+		if oneWay[model] {
+			if err == nil || !strings.Contains(err.Error(), "both orientations") {
+				t.Errorf("%s: -format metis returned %v, want a refusal naming both orientations", model, err)
+			}
+			if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s: a refused -format metis left something at -o: %v", model, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", model, err)
+		}
+		if model == kagen.ModelGNMUndirected {
+			assertSymmetricMetis(t, out, gen.N(), el.Len())
+		}
+	}
+}
+
+// assertSymmetricMetis reads a METIS file back and checks its header (n
+// vertices, half as many undirected edges as directed adjacencies) and
+// that v is on u's line exactly as often as u is on v's.
+func assertSymmetricMetis(t *testing.T, path string, n uint64, adjacencies int) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if want := fmt.Sprintf("%d %d", n, adjacencies/2); lines[0] != want || uint64(len(lines)) != n+1 {
+		t.Fatalf("metis header %q and %d vertex lines, want %q and %d", lines[0], len(lines)-1, want, n)
+	}
+	count := map[[2]string]int{}
+	total := 0
+	for u, line := range lines[1:] {
+		for _, v := range strings.Fields(line) {
+			count[[2]string{fmt.Sprint(u + 1), v}]++
+			total++
+		}
+	}
+	if total != adjacencies {
+		t.Fatalf("metis lists %d adjacencies, the graph has %d", total, adjacencies)
+	}
+	for k, c := range count {
+		if back := count[[2]string{k[1], k[0]}]; back != c {
+			t.Fatalf("vertex %s lists %s %d times, %s lists %s %d times", k[0], k[1], c, k[1], k[0], back)
+		}
+	}
+}

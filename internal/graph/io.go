@@ -9,13 +9,11 @@ import (
 	"strings"
 )
 
-// StreamEdgeListText incrementally parses the text edge-list format —
-// an optional leading "# n ..." comment, then one "u v" pair per line:
-// header (if non-nil) is called with the vertex count of that comment,
-// then edge is called once per edge line in file order. It is the single
-// text decoder: the materializing ReadEdgeListText is built on it, so the
-// parsing rules cannot drift apart.
-func StreamEdgeListText(r io.Reader, header func(n uint64) error, edge func(u, v uint64) error) error {
+// ReadEdgeListText parses the text edge-list format — an optional leading
+// "# n ..." comment, then one "u v" pair per line — into an EdgeList; n
+// is the comment's vertex count, grown by any vertex beyond it.
+func ReadEdgeListText(r io.Reader) (*EdgeList, error) {
+	e := &EdgeList{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	first := true
@@ -30,13 +28,9 @@ func StreamEdgeListText(r io.Reader, header func(n uint64) error, edge func(u, v
 				if len(fields) >= 1 {
 					n, err := strconv.ParseUint(fields[0], 10, 64)
 					if err != nil {
-						return fmt.Errorf("graph: bad header: %v", err)
+						return nil, fmt.Errorf("graph: bad header: %v", err)
 					}
-					if header != nil {
-						if err := header(n); err != nil {
-							return err
-						}
-					}
+					e.N = n
 				}
 				first = false
 			}
@@ -45,40 +39,25 @@ func StreamEdgeListText(r io.Reader, header func(n uint64) error, edge func(u, v
 		first = false
 		fields := strings.Fields(line)
 		if len(fields) < 2 {
-			return fmt.Errorf("graph: bad edge line %q", line)
+			return nil, fmt.Errorf("graph: bad edge line %q", line)
 		}
 		u, err := strconv.ParseUint(fields[0], 10, 64)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		v, err := strconv.ParseUint(fields[1], 10, 64)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := edge(u, v); err != nil {
-			return err
+		e.Edges = append(e.Edges, Edge{u, v})
+		if u >= e.N {
+			e.N = u + 1
+		}
+		if v >= e.N {
+			e.N = v + 1
 		}
 	}
-	return sc.Err()
-}
-
-// ReadEdgeListText parses the text edge-list format into an EdgeList;
-// vertices beyond the header's count grow n.
-func ReadEdgeListText(r io.Reader) (*EdgeList, error) {
-	e := &EdgeList{}
-	err := StreamEdgeListText(r,
-		func(n uint64) error { e.N = n; return nil },
-		func(u, v uint64) error {
-			e.Edges = append(e.Edges, Edge{u, v})
-			if u >= e.N {
-				e.N = u + 1
-			}
-			if v >= e.N {
-				e.N = v + 1
-			}
-			return nil
-		})
-	if err != nil {
+	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -90,66 +69,38 @@ func ReadEdgeListText(r io.Reader) (*EdgeList, error) {
 // consume (u, v) pairs until EOF instead of a fixed count.
 const StreamingEdgeCount = ^uint64(0)
 
-// StreamEdgeListBinary incrementally parses the little-endian binary
-// edge-list format — n (u64), m (u64), then (u, v) pairs of u64: header
-// (if non-nil) receives the declared vertex and edge counts (m may be
-// StreamingEdgeCount), then edge is called once per record. A fixed count
-// reads exactly m records, and a body shorter than that is
-// io.ErrUnexpectedEOF; the sentinel reads until EOF, where a trailing
-// partial record is an error. It is the single binary decoder:
-// ReadEdgeListBinary is built on it.
-func StreamEdgeListBinary(r io.Reader, header func(n, m uint64) error, edge func(u, v uint64) error) error {
-	br := bufio.NewReader(r)
-	var buf [16]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return err
-	}
-	m := binary.LittleEndian.Uint64(buf[8:])
-	if header != nil {
-		if err := header(binary.LittleEndian.Uint64(buf[0:]), m); err != nil {
-			return err
-		}
-	}
-	for i := uint64(0); m == StreamingEdgeCount || i < m; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			if err == io.EOF {
-				if m == StreamingEdgeCount {
-					return nil
-				}
-				err = io.ErrUnexpectedEOF
-			}
-			return err
-		}
-		if err := edge(binary.LittleEndian.Uint64(buf[0:]), binary.LittleEndian.Uint64(buf[8:])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // maxPresizeEdges caps how many edges ReadEdgeListBinary reserves up front
 // for a fixed-count header. The count is untrusted input: a 16-byte file
 // may declare 2^60 edges. Longer lists grow by append as records arrive.
 const maxPresizeEdges = 1 << 16
 
-// ReadEdgeListBinary parses the binary edge-list format, accepting both
-// fixed-count and sentinel (until-EOF) framing.
+// ReadEdgeListBinary parses the little-endian binary edge-list format —
+// n (u64), m (u64), then (u, v) pairs of u64. A fixed count reads exactly
+// m records, and a body shorter than that is io.ErrUnexpectedEOF; the
+// StreamingEdgeCount sentinel reads until EOF, where a trailing partial
+// record is an error.
 func ReadEdgeListBinary(r io.Reader) (*EdgeList, error) {
-	e := &EdgeList{}
-	err := StreamEdgeListBinary(r,
-		func(n, m uint64) error {
-			e.N = n
-			if m != StreamingEdgeCount {
-				e.Edges = make([]Edge, 0, min(m, maxPresizeEdges))
-			}
-			return nil
-		},
-		func(u, v uint64) error {
-			e.Edges = append(e.Edges, Edge{U: u, V: v})
-			return nil
-		})
-	if err != nil {
+	br := bufio.NewReader(r)
+	var buf [16]byte
+	if _, err := io.ReadFull(br, buf[:]); err != nil {
 		return nil, err
+	}
+	e := &EdgeList{N: binary.LittleEndian.Uint64(buf[0:])}
+	m := binary.LittleEndian.Uint64(buf[8:])
+	if m != StreamingEdgeCount {
+		e.Edges = make([]Edge, 0, min(m, maxPresizeEdges))
+	}
+	for i := uint64(0); m == StreamingEdgeCount || i < m; i++ {
+		if _, err := io.ReadFull(br, buf[:]); err != nil {
+			if err == io.EOF {
+				if m == StreamingEdgeCount {
+					return e, nil
+				}
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		e.Edges = append(e.Edges, Edge{U: binary.LittleEndian.Uint64(buf[0:]), V: binary.LittleEndian.Uint64(buf[8:])})
 	}
 	return e, nil
 }

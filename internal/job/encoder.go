@@ -58,25 +58,38 @@ type chunkTrailer struct {
 	err error
 }
 
-// blockList is the free list of a worker's blocks. Producers take from it
-// and the ordered stage gives back, on different goroutines; it lives as
-// long as the worker, so after the pipeline has filled once no PE
-// allocates a block.
+// freeBlocks holds the blocks no pipeline is using. A block is fixed-size
+// and carries nothing from one use to the next — get clears its header and
+// only the n bytes written since are read — so every pipeline of the
+// process takes from and gives back to this one list: blocks outlive the
+// worker, Stream, Merge or Verify pass that made them, and the next run in
+// the process starts with them. The list holds at most what the process's
+// pipelines held at once, which their windows bound. It is not a
+// sync.Pool: under the race detector a Pool drops a quarter of its puts,
+// so a steady state that allocates nothing could not be tested there.
+var freeBlocks struct {
+	mu   sync.Mutex
+	list []*block
+}
+
+// blockList is one pipeline's door to freeBlocks. Producers get and the
+// ordered stage puts, on different goroutines; it counts the blocks the
+// pipeline holds and the most it held at once, so tests can check that
+// every block comes back and that the window bounds them.
 type blockList struct {
-	mu        sync.Mutex
-	free      []*block
-	allocated int // blocks ever made; == len(free) whenever no run is in flight
+	taken int // blocks got and not yet put; guarded by freeBlocks.mu
+	peak  int // the most blocks taken at once; guarded by freeBlocks.mu
 }
 
 func (l *blockList) get() *block {
-	l.mu.Lock()
 	var b *block
-	if n := len(l.free); n > 0 {
-		b, l.free = l.free[n-1], l.free[:n-1]
-	} else {
-		l.allocated++
+	freeBlocks.mu.Lock()
+	if n := len(freeBlocks.list); n > 0 {
+		b, freeBlocks.list = freeBlocks.list[n-1], freeBlocks.list[:n-1]
 	}
-	l.mu.Unlock()
+	l.taken++
+	l.peak = max(l.peak, l.taken)
+	freeBlocks.mu.Unlock()
 	if b == nil {
 		return new(block)
 	}
@@ -85,13 +98,14 @@ func (l *blockList) get() *block {
 }
 
 func (l *blockList) put(b *block) {
-	l.mu.Lock()
-	l.free = append(l.free, b)
-	l.mu.Unlock()
+	freeBlocks.mu.Lock()
+	freeBlocks.list = append(freeBlocks.list, b)
+	l.taken--
+	freeBlocks.mu.Unlock()
 }
 
 // chunkEncoders is the encoding state of one worker: one chunk encoder per
-// pipeline goroutine and the block free list they share. runWorker owns
+// pipeline goroutine and the block list they share. runWorker owns
 // one for all its PEs, Stream and Verify one for their pass; encoders
 // initialise on first use, so a goroutine that never gets a chunk costs
 // nothing.

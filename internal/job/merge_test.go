@@ -505,8 +505,8 @@ func TestVerifierRederivesInOneBlock(t *testing.T) {
 			t.Fatalf("chunk %d: %d payload bytes, %d wire bytes: want >= 4 MiB of plain payload", chunk, got.payloadBytes, got.wireBytes)
 		}
 	}
-	if n := encs.blocks.allocated; n != 1 {
-		t.Errorf("verifier made %d blocks, want 1", n)
+	if n := encs.blocks.peak; n != 1 {
+		t.Errorf("verifier held %d blocks at once, want 1", n)
 	}
 	if allocs := testing.AllocsPerRun(2, func() {
 		if _, err := v.rederive(1); err != nil {

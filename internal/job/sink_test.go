@@ -428,11 +428,14 @@ func TestSinkFailurePaths(t *testing.T) {
 			if !errors.Is(err, wantErr) {
 				t.Fatalf("run returned %v, want %v", err, wantErr)
 			}
-			if out := encs.blocks.allocated - len(encs.blocks.free); out != 0 {
-				t.Errorf("%d of %d blocks never returned to the free list", out, encs.blocks.allocated)
+			if encs.blocks.peak == 0 {
+				t.Error("the run took no block: the two checks below prove nothing")
 			}
-			if max := 2*G*16 + G + 1; encs.blocks.allocated > max {
-				t.Errorf("%d blocks allocated, bound is %d", encs.blocks.allocated, max)
+			if out := encs.blocks.taken; out != 0 {
+				t.Errorf("%d of the run's blocks never returned to the free list", out)
+			}
+			if max := 2*G*16 + G + 1; encs.blocks.peak > max {
+				t.Errorf("%d blocks held at once, bound is %d", encs.blocks.peak, max)
 			}
 			assertNoGoroutineLeak(t, before)
 
@@ -508,12 +511,48 @@ func TestTracedChunkGenerateCarriesEncodeTime(t *testing.T) {
 	}
 }
 
+// TestBlocksOutliveTheRun: blocks go back to one process-wide free list,
+// so a second job run in the process finds the first run's blocks there
+// and makes none: the list is as long after the second run as it was
+// before. One goroutine keeps the pipeline's depth, and with it the number
+// of blocks a run holds at once, the same in both runs.
+func TestBlocksOutliveTheRun(t *testing.T) {
+	free := func() int {
+		freeBlocks.mu.Lock()
+		defer freeBlocks.mu.Unlock()
+		return len(freeBlocks.list)
+	}
+	// 10 000 edges a chunk: three blocks of binary payload each.
+	spec := Spec{Model: "gnm_directed", N: 4096, M: 120_000, Seed: 3,
+		PEs: 2, ChunksPerPE: 6, Workers: 1, Format: "binary"}
+	var runs [2][][]byte
+	var after [2]int
+	for i := range runs {
+		dir := t.TempDir()
+		if err := Init(dir, spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := Run(dir, 0, RunOptions{Goroutines: 1}); err != nil {
+			t.Fatal(err)
+		}
+		after[i] = free()
+		runs[i] = jobBytes(t, dir, spec)
+	}
+	if after[0] == 0 {
+		t.Fatal("the first run left no block on the free list")
+	}
+	if after[1] != after[0] {
+		t.Errorf("the second run made %d blocks, want 0", after[1]-after[0])
+	}
+	assertJobBytes(t, "second run", runs[1], runs[0])
+}
+
 // TestSinkMemoryBoundedByBlocks: what a job holds in flight is a bounded
 // number of 64 KiB blocks, whatever the chunk size. One PE of two 32 MiB
 // binary chunks runs on two goroutines — so the second chunk's producer
 // runs ahead of the head and queues — and the live heap at each
-// checkpoint, which includes every block ever allocated (the free list
-// keeps them), must stay a few MiB above the heap before the run.
+// checkpoint, which includes the blocks in flight, must stay a few MiB
+// above the heap before the run.
 func TestSinkMemoryBoundedByBlocks(t *testing.T) {
 	spec := Spec{Model: "gnm_directed", N: 1 << 20, M: 4_400_000, Seed: 2,
 		PEs: 1, ChunksPerPE: 2, Workers: 1, Format: "binary"}

@@ -20,9 +20,10 @@ type Random struct {
 // identifiers (generator tag, chunk id, recursion node id, ...). Every PE
 // that calls New with the same arguments obtains an identical stream.
 // Derived streams are short-lived by design, so they use the O(1)-setup
-// xoshiro256** generator seeded from the 128-bit SpookyHash.
+// xoshiro256** generator seeded from the 128-bit SpookyHash of at most 23
+// identifiers.
 func New(seed uint64, ids ...uint64) Random {
-	h1, h2 := HashWords128(seed, ids...)
+	h1, h2 := hashWords(seed, seed, ids)
 	var r Random
 	r.x.seed(h1, h2)
 	return r

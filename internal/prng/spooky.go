@@ -1,8 +1,9 @@
 // Package prng provides the pseudorandomization substrate of the
-// communication-free generators: a port of Bob Jenkins' SpookyHash V2 used
-// to derive seeds from structural identifiers (chunk ids, recursion-subtree
-// ids), and a port of the 64-bit Mersenne Twister used to draw the actual
-// variates. Both match the reference C implementations bit for bit.
+// communication-free generators: SpookyHash V2's short hash, run on 64-bit
+// words, derives stream seeds from structural identifiers (chunk ids,
+// recursion-subtree ids), and xoshiro256** draws the variates of each
+// stream. The hash matches the reference C implementation on the words'
+// little-endian bytes bit for bit.
 //
 // The central idea of the paper (Funke et al., "Communication-free
 // Massively Distributed Graph Generation") is that two processing entities
@@ -11,98 +12,47 @@
 // without communicating.
 package prng
 
-import "encoding/binary"
-
 // spookyConst is sc_const from SpookyHash V2: a primeless arbitrary value,
 // odd and not "flat" (no zero or all-one bytes).
 const spookyConst = 0xdeadbeefdeadbeef
 
-const (
-	spookyNumVars   = 12
-	spookyBlockSize = spookyNumVars * 8 // 96
-	spookyBufSize   = 2 * spookyBlockSize
-)
+// maxHashWords is the longest identifier list the hash takes: 23 words are
+// 184 bytes, and SpookyHash V2 sends every message under 192 bytes through
+// its short hash, the only part ported here. The generators pass at most
+// four words (tag plus up to three structural ids).
+const maxHashWords = 23
 
 func rot64(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
-// ShortHash128 computes the SpookyHash V2 short hash (used by the reference
-// implementation for messages under 192 bytes). seed1 and seed2 are the two
-// 64-bit seed words; the two returned words are the 128-bit hash.
-func ShortHash128(data []byte, seed1, seed2 uint64) (uint64, uint64) {
-	length := len(data)
-	remainder := length % 32
-	a := seed1
-	b := seed2
-	c := uint64(spookyConst)
-	d := uint64(spookyConst)
-
-	p := data
-	if length > 15 {
-		// Handle all complete sets of 32 bytes.
-		for len(p) >= 32 {
-			c += binary.LittleEndian.Uint64(p[0:])
-			d += binary.LittleEndian.Uint64(p[8:])
+// hashWords is SpookyHash V2's short hash of the words' little-endian
+// bytes, read a word at a time: seed derivation runs per edge and per cell
+// on the hot paths, so the words are never serialised. The reference
+// consumes 32-byte blocks as two 16-byte halves — the first added to c, d
+// and mixed, the second added to a, b — and a last 16 bytes like a first
+// half, so pairs of words alternate between the two. A message of whole
+// words leaves 0 or 8 bytes after that, so of the reference's 16 tail
+// cases only "no bytes" and "one whole word" occur.
+func hashWords(seed1, seed2 uint64, words []uint64) (uint64, uint64) {
+	n := len(words)
+	if n > maxHashWords {
+		panic("prng: more than 23 words to hash")
+	}
+	a, b := seed1, seed2
+	c, d := uint64(spookyConst), uint64(spookyConst)
+	for k := 0; k+1 < n; k += 2 {
+		if k&2 == 0 {
+			c += words[k]
+			d += words[k+1]
 			a, b, c, d = shortMix(a, b, c, d)
-			a += binary.LittleEndian.Uint64(p[16:])
-			b += binary.LittleEndian.Uint64(p[24:])
-			p = p[32:]
-		}
-		// Handle the case of 16+ remaining bytes.
-		if remainder >= 16 {
-			c += binary.LittleEndian.Uint64(p[0:])
-			d += binary.LittleEndian.Uint64(p[8:])
-			a, b, c, d = shortMix(a, b, c, d)
-			p = p[16:]
-			remainder -= 16
+		} else {
+			a += words[k]
+			b += words[k+1]
 		}
 	}
-
-	// Handle the last 0..15 bytes and their length.
-	d += uint64(length) << 56
-	switch remainder {
-	case 15:
-		d += uint64(p[14]) << 48
-		fallthrough
-	case 14:
-		d += uint64(p[13]) << 40
-		fallthrough
-	case 13:
-		d += uint64(p[12]) << 32
-		fallthrough
-	case 12:
-		d += uint64(binary.LittleEndian.Uint32(p[8:]))
-		c += binary.LittleEndian.Uint64(p[0:])
-	case 11:
-		d += uint64(p[10]) << 16
-		fallthrough
-	case 10:
-		d += uint64(p[9]) << 8
-		fallthrough
-	case 9:
-		d += uint64(p[8])
-		fallthrough
-	case 8:
-		c += binary.LittleEndian.Uint64(p[0:])
-	case 7:
-		c += uint64(p[6]) << 48
-		fallthrough
-	case 6:
-		c += uint64(p[5]) << 40
-		fallthrough
-	case 5:
-		c += uint64(p[4]) << 32
-		fallthrough
-	case 4:
-		c += uint64(binary.LittleEndian.Uint32(p[0:]))
-	case 3:
-		c += uint64(p[2]) << 16
-		fallthrough
-	case 2:
-		c += uint64(p[1]) << 8
-		fallthrough
-	case 1:
-		c += uint64(p[0])
-	case 0:
+	d += uint64(8*n) << 56
+	if n&1 == 1 {
+		c += words[n-1]
+	} else {
 		c += spookyConst
 		d += spookyConst
 	}
@@ -190,188 +140,16 @@ func shortEnd(a, b, c, d uint64) (uint64, uint64, uint64, uint64) {
 	return a, b, c, d
 }
 
-// Hash128 computes the 128-bit SpookyHash V2 of data. Messages under 192
-// bytes go through the short hash exactly like the reference implementation.
-func Hash128(data []byte, seed1, seed2 uint64) (uint64, uint64) {
-	if len(data) < spookyBufSize {
-		return ShortHash128(data, seed1, seed2)
-	}
-
-	var h [spookyNumVars]uint64
-	h[0], h[3], h[6], h[9] = seed1, seed1, seed1, seed1
-	h[1], h[4], h[7], h[10] = seed2, seed2, seed2, seed2
-	h[2], h[5], h[8], h[11] = spookyConst, spookyConst, spookyConst, spookyConst
-
-	p := data
-	var block [spookyNumVars]uint64
-	for len(p) >= spookyBlockSize {
-		for i := range block {
-			block[i] = binary.LittleEndian.Uint64(p[8*i:])
-		}
-		mix(&block, &h)
-		p = p[spookyBlockSize:]
-	}
-
-	// Handle the last partial block of spookyBlockSize bytes.
-	remainder := len(p)
-	var buf [spookyBlockSize]byte
-	copy(buf[:], p)
-	buf[spookyBlockSize-1] = byte(remainder)
-	for i := range block {
-		block[i] = binary.LittleEndian.Uint64(buf[8*i:])
-	}
-	end(&block, &h)
-	return h[0], h[1]
-}
-
-// Hash64 returns the first 64 bits of Hash128.
-func Hash64(data []byte, seed uint64) uint64 {
-	h1, _ := Hash128(data, seed, seed)
-	return h1
-}
-
-func mix(data *[spookyNumVars]uint64, s *[spookyNumVars]uint64) {
-	s[0] += data[0]
-	s[2] ^= s[10]
-	s[11] ^= s[0]
-	s[0] = rot64(s[0], 11)
-	s[11] += s[1]
-	s[1] += data[1]
-	s[3] ^= s[11]
-	s[0] ^= s[1]
-	s[1] = rot64(s[1], 32)
-	s[0] += s[2]
-	s[2] += data[2]
-	s[4] ^= s[0]
-	s[1] ^= s[2]
-	s[2] = rot64(s[2], 43)
-	s[1] += s[3]
-	s[3] += data[3]
-	s[5] ^= s[1]
-	s[2] ^= s[3]
-	s[3] = rot64(s[3], 31)
-	s[2] += s[4]
-	s[4] += data[4]
-	s[6] ^= s[2]
-	s[3] ^= s[4]
-	s[4] = rot64(s[4], 17)
-	s[3] += s[5]
-	s[5] += data[5]
-	s[7] ^= s[3]
-	s[4] ^= s[5]
-	s[5] = rot64(s[5], 28)
-	s[4] += s[6]
-	s[6] += data[6]
-	s[8] ^= s[4]
-	s[5] ^= s[6]
-	s[6] = rot64(s[6], 39)
-	s[5] += s[7]
-	s[7] += data[7]
-	s[9] ^= s[5]
-	s[6] ^= s[7]
-	s[7] = rot64(s[7], 57)
-	s[6] += s[8]
-	s[8] += data[8]
-	s[10] ^= s[6]
-	s[7] ^= s[8]
-	s[8] = rot64(s[8], 55)
-	s[7] += s[9]
-	s[9] += data[9]
-	s[11] ^= s[7]
-	s[8] ^= s[9]
-	s[9] = rot64(s[9], 54)
-	s[8] += s[10]
-	s[10] += data[10]
-	s[0] ^= s[8]
-	s[9] ^= s[10]
-	s[10] = rot64(s[10], 22)
-	s[9] += s[11]
-	s[11] += data[11]
-	s[1] ^= s[9]
-	s[10] ^= s[11]
-	s[11] = rot64(s[11], 46)
-	s[10] += s[0]
-}
-
-func endPartial(h *[spookyNumVars]uint64) {
-	h[11] += h[1]
-	h[2] ^= h[11]
-	h[1] = rot64(h[1], 44)
-	h[0] += h[2]
-	h[3] ^= h[0]
-	h[2] = rot64(h[2], 15)
-	h[1] += h[3]
-	h[4] ^= h[1]
-	h[3] = rot64(h[3], 34)
-	h[2] += h[4]
-	h[5] ^= h[2]
-	h[4] = rot64(h[4], 21)
-	h[3] += h[5]
-	h[6] ^= h[3]
-	h[5] = rot64(h[5], 38)
-	h[4] += h[6]
-	h[7] ^= h[4]
-	h[6] = rot64(h[6], 33)
-	h[5] += h[7]
-	h[8] ^= h[5]
-	h[7] = rot64(h[7], 10)
-	h[6] += h[8]
-	h[9] ^= h[6]
-	h[8] = rot64(h[8], 13)
-	h[7] += h[9]
-	h[10] ^= h[7]
-	h[9] = rot64(h[9], 38)
-	h[8] += h[10]
-	h[11] ^= h[8]
-	h[10] = rot64(h[10], 53)
-	h[9] += h[11]
-	h[0] ^= h[9]
-	h[11] = rot64(h[11], 42)
-	h[10] += h[0]
-	h[1] ^= h[10]
-	h[0] = rot64(h[0], 54)
-}
-
-func end(data *[spookyNumVars]uint64, h *[spookyNumVars]uint64) {
-	for i := range data {
-		h[i] += data[i]
-	}
-	endPartial(h)
-	endPartial(h)
-	endPartial(h)
-}
-
-// hashWordsMax is the identifier count encoded on the stack by the
-// HashWords entry points; longer lists fall back to a heap buffer. The
-// generators pass at most four words (tag plus up to three structural ids).
-const hashWordsMax = 8
-
-// wordBytes serializes words little-endian into scratch when they fit
-// (keeping the buffer on the caller's stack — seed derivation runs per
-// edge/cell on the hot paths) and into a fresh heap buffer otherwise.
-// The bytes are identical either way, so hashes are unchanged.
-func wordBytes(scratch *[8 * hashWordsMax]byte, words []uint64) []byte {
-	buf := scratch[:]
-	if len(words) > hashWordsMax {
-		buf = make([]byte, 8*len(words))
-	}
-	buf = buf[:8*len(words)]
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], w)
-	}
-	return buf
-}
-
-// HashWords64 hashes a sequence of 64-bit words. It is the primary seed
-// derivation entry point: callers pass structural identifiers (user seed,
-// generator tag, chunk id, recursion node id) and obtain a stream seed.
+// HashWords64 hashes a sequence of at most 23 64-bit words. It is the
+// primary seed derivation entry point: callers pass structural identifiers
+// (user seed, generator tag, chunk id, recursion node id) and obtain a
+// stream seed.
 func HashWords64(seed uint64, words ...uint64) uint64 {
-	var scratch [8 * hashWordsMax]byte
-	return Hash64(wordBytes(&scratch, words), seed)
+	h1, _ := hashWords(seed, seed, words)
+	return h1
 }
 
 // HashWords128 is HashWords64 returning the full 128-bit hash.
 func HashWords128(seed uint64, words ...uint64) (uint64, uint64) {
-	var scratch [8 * hashWordsMax]byte
-	return Hash128(wordBytes(&scratch, words), seed, seed)
+	return hashWords(seed, seed, words)
 }

@@ -8,8 +8,14 @@ package prng
 // setup O(1) while retaining excellent statistical quality; the upstream
 // KaGen library pays the analogous cost trade-off inside its sampling
 // library.
+//
+// The state is four fields, not an array: Go's register ABI passes and
+// returns a struct of four words in registers, so New hands a stream back
+// without a round trip through memory (an array is copied through the
+// stack, and the 16-byte copy of 8-byte stores stalls on store
+// forwarding once per derived stream).
 type xoshiro256 struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // splitMix64 is the recommended seeding generator for xoshiro.
@@ -25,15 +31,15 @@ func splitMix64(x *uint64) uint64 {
 // xoshiro256 embedded by value (see Random) is seeded without allocating.
 func (x *xoshiro256) seed(h1, h2 uint64) {
 	seed := h1
-	x.s[0] = splitMix64(&seed)
-	x.s[1] = splitMix64(&seed)
+	x.s0 = splitMix64(&seed)
+	x.s1 = splitMix64(&seed)
 	seed ^= h2
-	x.s[2] = splitMix64(&seed)
-	x.s[3] = splitMix64(&seed)
+	x.s2 = splitMix64(&seed)
+	x.s3 = splitMix64(&seed)
 	// A zero state would be a fixed point; splitMix64 output is zero with
 	// probability 2^-256 across four words, but guard anyway.
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
+		x.s0 = 0x9e3779b97f4a7c15
 	}
 }
 
@@ -49,17 +55,17 @@ func (x *xoshiro256) Uint64() uint64 {
 	// zero-value Random was used without New. Panic like the previous
 	// interface-backed Random did, instead of emitting zeros forever —
 	// the state words are in registers anyway, so the guard is free.
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
 		panic("prng: use of an unseeded Random (use prng.New)")
 	}
-	result := rot64(x.s[1]*5, 7) * 9
-	t := x.s[1] << 17
-	x.s[2] ^= x.s[0]
-	x.s[3] ^= x.s[1]
-	x.s[1] ^= x.s[2]
-	x.s[0] ^= x.s[3]
-	x.s[2] ^= t
-	x.s[3] = rot64(x.s[3], 45)
+	result := rot64(x.s1*5, 7) * 9
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = rot64(x.s3, 45)
 	return result
 }
 

@@ -70,7 +70,7 @@ func TestXoshiroBitBalance(t *testing.T) {
 
 func TestXoshiroZeroGuard(t *testing.T) {
 	x := &xoshiro256{} // all-zero state is the fixed point we guard against
-	if y := newXoshiro(0, 0); y.s == x.s {
+	if y := newXoshiro(0, 0); *y == *x {
 		t.Fatal("zero hash produced zero state")
 	}
 }

@@ -101,67 +101,62 @@ const (
 	// resolves: the top 2k bits index a 4^k-entry alias table, the low
 	// threshBits decide between the entry and its alias. It is a constant
 	// and not a parameter because it is part of the instance definition;
-	// 6 (a 64 KiB table, 4 draws for a scale-22 edge) measured fastest of
+	// 6 (a 32 KiB table, 4 draws for a scale-22 edge) measured fastest of
 	// 4..8 — DESIGN.md "Why k is a constant".
 	levelsPerDraw = 6
 	threshBits    = 64 - 2*levelsPerDraw
 	threshMask    = 1<<threshBits - 1
 )
 
-// entry is one alias-table bucket. A draw landing in it takes the bucket's
-// own path when its low threshBits are below thresh, the alias path
-// otherwise. A path packs the row bits above the column bits of the
-// table's levels; own sits in the low 16 bits of paths, alias in the high.
-type entry struct {
-	thresh uint64 // in units of 2^-threshBits; 1<<threshBits = always own
-	paths  uint32
-}
-
 // table is a Vose alias table over the 4^levels quadrant paths of
-// `levels` consecutive matrix levels.
+// `levels` consecutive matrix levels. Bucket j owns path j: the base-4
+// digits of j, first level most significant, each digit a row bit above a
+// column bit. Its entry packs the alias bucket's index into the top
+// 2·levelsPerDraw bits and the threshold, in units of 2^-threshBits, into
+// the low threshBits: a draw landing in bucket j takes path j when its low
+// threshBits are below the threshold, the alias path otherwise. A bucket
+// that always takes its own path is its own alias with threshold 0.
 type table struct {
-	entries []entry
+	entries []uint64
 	levels  uint
 }
 
-// lookup maps one uniform 64-bit word to the row and column bits of
-// t.levels matrix levels, branch-free.
-func (t *table) lookup(u uint64) (row, col uint64) {
-	e := &t.entries[u>>(64-2*t.levels)]
-	// thresh <= 2^threshBits, so the difference is negative (top bit set)
-	// exactly when the low bits reach the threshold.
-	alias := (e.thresh - 1 - u&threshMask) >> 63
-	path := uint64(e.paths>>(alias<<4)) & 0xffff
-	return path >> t.levels, path & (1<<t.levels - 1)
+// lookup maps one uniform 64-bit word to the path of t.levels matrix
+// levels, branch-free.
+func (t *table) lookup(u uint64) uint64 {
+	j := u >> ((64 - 2*t.levels) & 63) // & 63: no shift-range check
+	e := t.entries[j]
+	// The threshold is below 2^threshBits, so the difference is negative
+	// (top bit set) exactly when the low bits reach the threshold.
+	alias := -((e&threshMask - 1 - u&threshMask) >> 63)
+	return j ^ (j^e>>threshBits)&alias
 }
 
-// buildTable enumerates the 4^levels paths (base-4 digits of the index,
-// first level most significant; digit 0..3 = quadrant a..d) with their
-// product probabilities and builds the alias table.
+// buildTable enumerates the 4^levels paths with their product
+// probabilities and builds the alias table.
 //
 // The tables are part of the instance definition, so this must compute
-// the same bits on every platform: no multiplication here feeds an
-// addition or subtraction, the one shape the compiler may fuse into an
-// FMA with different rounding.
+// the same bits on every platform: no product here may be fused with an
+// addition or subtraction, the shape the compiler may contract into an
+// FMA with different rounding. Besides the sums of stored weights, that
+// includes the subtraction of 2^63 hidden in a float-to-uint64
+// conversion, so the threshold's product is rounded by an explicit
+// float64 conversion first.
 func buildTable(levels uint, q [4]float64) table {
 	n := 1 << (2 * levels)
-	entries := make([]entry, n)
+	entries := make([]uint64, n)
 	// Scratch lives on the stack: the build's only allocation is the table.
 	var weightBuf [1 << (2 * levelsPerDraw)]float64
 	var workBuf [1 << (2 * levelsPerDraw)]uint16
 	weight, work := weightBuf[:n], workBuf[:n]
 	for j := range weight {
 		w := 1.0
-		var row, col uint32
 		for l := levels; l > 0; l-- {
-			digit := uint32(j>>(2*(l-1))) & 3
-			w *= q[digit]
-			row = row<<1 | digit>>1
-			col = col<<1 | digit&1
+			w *= q[j>>(2*(l-1))&3]
 		}
 		weight[j] = w
-		own := row<<levels | col
-		entries[j].paths = own<<16 | own
+		// Until Vose pairs it: always its own path.
+		entries[j] = uint64(j) << threshBits
 	}
 	total := 0.0
 	for _, w := range weight {
@@ -186,8 +181,8 @@ func buildTable(levels uint, q [4]float64) table {
 	for ns > 0 && nl < n {
 		s, l := work[ns-1], work[nl]
 		ns--
-		entries[s].thresh = uint64(weight[s] * (1 << threshBits))
-		entries[s].paths = entries[l].paths<<16 | entries[s].paths&0xffff
+		thresh := uint64(float64(weight[s] * (1 << threshBits)))
+		entries[s] = uint64(l)<<threshBits | thresh // weight[s] < 1: thresh fits
 		weight[l] = weight[l] + weight[s] - 1
 		if weight[l] < 1 {
 			nl++
@@ -195,14 +190,8 @@ func buildTable(levels uint, q [4]float64) table {
 			ns++
 		}
 	}
-	// Whatever is left on either stack is full up to rounding: always its
-	// own path.
-	for _, j := range work[:ns] {
-		entries[j].thresh = 1 << threshBits
-	}
-	for _, j := range work[nl:] {
-		entries[j].thresh = 1 << threshBits
-	}
+	// Whatever is left on either stack is full up to rounding and keeps
+	// its own path.
 	return table{entries: entries, levels: levels}
 }
 
@@ -286,19 +275,38 @@ func (g *Generator) Edge(i uint64) (graph.Edge, error) {
 }
 
 // edge is Edge after init: one per-edge seeded stream, one Uint64 and one
-// table lookup per levelsPerDraw levels.
+// table lookup per levelsPerDraw levels. The paths of the draws,
+// concatenated, are the edge's Morton code — row and column bits
+// interleaved, most significant level first — split into row and column
+// once at the end. Up to scale 32 the code fits in lo; above, the draws
+// shift their top bits into hi, which stays 0 below.
 func (g *Generator) edge(i uint64) (u, v uint64) {
 	r := prng.New(g.p.Seed, core.TagRMAT, i)
-	var row, col uint64
+	var hi, lo uint64
 	for d := uint(0); d < g.fullDraws; d++ {
-		rb, cb := g.full.lookup(r.Uint64())
-		row = row<<levelsPerDraw | rb
-		col = col<<levelsPerDraw | cb
+		hi = hi<<(2*levelsPerDraw) | lo>>(64-2*levelsPerDraw)
+		lo = lo<<(2*levelsPerDraw) | g.full.lookup(r.Uint64())
 	}
-	if g.rem.levels > 0 {
-		rb, cb := g.rem.lookup(r.Uint64())
-		row = row<<g.rem.levels | rb
-		col = col<<g.rem.levels | cb
+	if k := 2 * g.rem.levels; k > 0 {
+		hi = hi<<k | lo>>(64-k)
+		lo = lo<<k | g.rem.lookup(r.Uint64())
 	}
-	return row, col
+	u, v = evenBits(lo>>1), evenBits(lo)
+	if g.p.Scale > 32 {
+		u |= evenBits(hi>>1) << 32
+		v |= evenBits(hi) << 32
+	}
+	return u, v
+}
+
+// evenBits gathers the bits of x at even positions into the low 32 bits:
+// the column half of a Morton code, or with x shifted right once, the row
+// half.
+func evenBits(x uint64) uint64 {
+	x &= 0x5555555555555555
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	return (x | x>>16) & 0x00000000ffffffff
 }

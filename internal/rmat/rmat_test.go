@@ -261,10 +261,11 @@ func TestEdgeRangeTiles(t *testing.T) {
 
 // TestLazyBoundedTables: constructing a generator builds nothing (specs
 // are validated far more often than they are run), the first draw builds
-// at most 256 KiB, and only the tables the scale needs.
+// 8-byte entries, at most 128 KiB of them, and only the tables the scale
+// needs.
 func TestLazyBoundedTables(t *testing.T) {
-	if s := unsafe.Sizeof(entry{}); s != 16 {
-		t.Fatalf("entry is %d bytes, want 16", s)
+	if s := unsafe.Sizeof(table{}.entries[0]); s != 8 {
+		t.Fatalf("entry is %d bytes, want 8", s)
 	}
 	for _, c := range []struct {
 		scale     uint
@@ -279,34 +280,26 @@ func TestLazyBoundedTables(t *testing.T) {
 			t.Errorf("scale %d: tables of %d + %d entries, want %d + %d",
 				c.scale, len(g.full.entries), len(g.rem.entries), c.full, c.rem)
 		}
-		if bytes := 16 * (len(g.full.entries) + len(g.rem.entries)); bytes > 256<<10 {
+		if bytes := 8 * (len(g.full.entries) + len(g.rem.entries)); bytes > 128<<10 {
 			t.Errorf("scale %d: %d bytes of tables", c.scale, bytes)
 		}
 	}
 }
 
 // tableProbs returns the exact probability the table gives each path: a
-// bucket is hit with probability 1/n and keeps thresh/2^threshBits of it.
+// bucket is hit with probability 1/n, keeps threshold/2^threshBits of it
+// for its own path (its index) and passes the rest to its alias.
 func tableProbs(tb table) []float64 {
 	n := len(tb.entries)
 	probs := make([]float64, n)
 	for j, e := range tb.entries {
-		own, alias := e.paths&0xffff, e.paths>>16
-		// Undo the row/column packing: the path's index interleaves them.
-		index := func(path uint32) uint32 {
-			row, col := path>>tb.levels, path&(1<<tb.levels-1)
-			var idx uint32
-			for l := tb.levels; l > 0; l-- {
-				idx = idx<<2 | (row>>(l-1)&1)<<1 | col>>(l-1)&1
-			}
-			return idx
+		alias := e >> threshBits
+		if alias >= uint64(n) {
+			panic("alias outside the table")
 		}
-		if index(own) != uint32(j) {
-			panic("bucket's own path is not its index")
-		}
-		keep := float64(e.thresh) / (1 << threshBits)
+		keep := float64(e&threshMask) / (1 << threshBits)
 		probs[j] += keep / float64(n)
-		probs[index(alias)] += (1 - keep) / float64(n)
+		probs[alias] += (1 - keep) / float64(n)
 	}
 	return probs
 }
@@ -492,6 +485,151 @@ func TestDegreeHistogramMatchesReference(t *testing.T) {
 	}
 	compare("out", gotOut, refOut)
 	compare("in", gotIn, refIn)
+}
+
+// referenceEntry, referenceTable, buildReferenceTable and
+// referenceAliasEdge are the alias sampler as instance version 2 first
+// defined it: 16-byte entries holding a 64-bit threshold (1<<threshBits =
+// always own) and both paths, each pre-split into its row bits above its
+// column bits, own in the low half of paths and alias in the high half.
+// The packed table must draw exactly the same edges.
+type referenceEntry struct {
+	thresh uint64
+	paths  uint32
+}
+
+type referenceTable struct {
+	entries []referenceEntry
+	levels  uint
+}
+
+func (t *referenceTable) lookup(u uint64) (row, col uint64) {
+	e := &t.entries[u>>(64-2*t.levels)]
+	alias := (e.thresh - 1 - u&threshMask) >> 63
+	path := uint64(e.paths>>(alias<<4)) & 0xffff
+	return path >> t.levels, path & (1<<t.levels - 1)
+}
+
+func buildReferenceTable(levels uint, q [4]float64) referenceTable {
+	n := 1 << (2 * levels)
+	entries := make([]referenceEntry, n)
+	weight, work := make([]float64, n), make([]uint16, n)
+	for j := range weight {
+		w := 1.0
+		var row, col uint32
+		for l := levels; l > 0; l-- {
+			digit := uint32(j>>(2*(l-1))) & 3
+			w *= q[digit]
+			row = row<<1 | digit>>1
+			col = col<<1 | digit&1
+		}
+		weight[j] = w
+		own := row<<levels | col
+		entries[j].paths = own<<16 | own
+	}
+	total := 0.0
+	for _, w := range weight {
+		total += w
+	}
+	ns, nl := 0, n
+	for j := range weight {
+		weight[j] = weight[j] / total * float64(n)
+		if weight[j] < 1 {
+			work[ns] = uint16(j)
+			ns++
+		} else {
+			nl--
+			work[nl] = uint16(j)
+		}
+	}
+	for ns > 0 && nl < n {
+		s, l := work[ns-1], work[nl]
+		ns--
+		entries[s].thresh = uint64(weight[s] * (1 << threshBits))
+		entries[s].paths = entries[l].paths<<16 | entries[s].paths&0xffff
+		weight[l] = weight[l] + weight[s] - 1
+		if weight[l] < 1 {
+			nl++
+			work[ns] = l
+			ns++
+		}
+	}
+	for _, j := range work[:ns] {
+		entries[j].thresh = 1 << threshBits
+	}
+	for _, j := range work[nl:] {
+		entries[j].thresh = 1 << threshBits
+	}
+	return referenceTable{entries: entries, levels: levels}
+}
+
+// referenceAliasEdge draws edge i with the 16-byte tables: one lookup per
+// draw, row and column bits shifted in per draw.
+func referenceAliasEdge(seed, i uint64, scale uint, full, rem *referenceTable) graph.Edge {
+	r := prng.New(seed, core.TagRMAT, i)
+	var row, col uint64
+	for d := uint(0); d < scale/levelsPerDraw; d++ {
+		rb, cb := full.lookup(r.Uint64())
+		row = row<<levelsPerDraw | rb
+		col = col<<levelsPerDraw | cb
+	}
+	if rem.levels > 0 {
+		rb, cb := rem.lookup(r.Uint64())
+		row = row<<rem.levels | rb
+		col = col<<rem.levels | cb
+	}
+	return graph.Edge{U: row, V: col}
+}
+
+// TestPackedTablesDrawReferenceEdges: the packed 8-byte tables and the
+// Morton split draw exactly the edges of the 16-byte reference, streamed
+// in chunks and through Edge(i), for every scale, six probability sets
+// (among them every zero pattern of b, c and d) and three seeds.
+func TestPackedTablesDrawReferenceEdges(t *testing.T) {
+	const m, chunks = 600, 3
+	for _, q := range [][3]float64{
+		{0.57, 0.19, 0.19}, {0.25, 0.25, 0.25}, {0.45, 0.15, 0.3},
+		{1, 0, 0}, {0.9, 0.1, 0}, {0.5, 0, 0},
+	} {
+		probs := Params{A: q[0], B: q[1], C: q[2]}.probs()
+		for scale := uint(1); scale <= 62; scale++ {
+			full := buildReferenceTable(levelsPerDraw, probs)
+			rem := referenceTable{}
+			if r := scale % levelsPerDraw; r > 0 {
+				rem = buildReferenceTable(r, probs)
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				p := Params{Scale: scale, M: m, A: q[0], B: q[1], C: q[2], D: probs[3], Seed: seed, Chunks: chunks}
+				if err := p.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				g := NewGenerator(p)
+				var streamed []graph.Edge
+				for c := uint64(0); c < chunks; c++ {
+					e := core.NewEmitter(make([]graph.Edge, 0, 64), func(full []graph.Edge) ([]graph.Edge, bool) {
+						streamed = append(streamed, full...)
+						return full, true
+					})
+					if err := g.StreamChunk(c, e); err != nil {
+						t.Fatal(err)
+					}
+					streamed = append(streamed, e.Edges()...)
+				}
+				if len(streamed) != m {
+					t.Fatalf("%v scale %d seed %d: %d edges streamed, want %d", q, scale, seed, len(streamed), m)
+				}
+				for i := uint64(0); i < m; i++ {
+					want := referenceAliasEdge(seed, i, scale, &full, &rem)
+					if streamed[i] != want {
+						t.Fatalf("%v scale %d seed %d: streamed edge %d = %v, reference %v", q, scale, seed, i, streamed[i], want)
+					}
+					if got := mustEdge(t, g, i); got != want {
+						t.Fatalf("%v scale %d seed %d: Edge(%d) = %v, reference %v", q, scale, seed, i, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func BenchmarkChunk(b *testing.B) {

@@ -98,6 +98,9 @@ type modelDesc struct {
 	n func(ModelParams) uint64
 	// version is the instance version; 0 means 1 (see InstanceVersion).
 	version int
+	// oneWay marks a model whose stream lists each edge once, in one
+	// orientation (a directed graph); the others list both.
+	oneWay bool
 	// checks is the model's internal/validate suite.
 	checks func(el *EdgeList, p ModelParams) []validate.Check
 	// bind builds the per-instance state once per generator: the package
@@ -133,14 +136,14 @@ var modelTable = []modelDesc{
 		},
 	},
 	{
-		name: ModelBA, reads: "n d",
+		name: ModelBA, reads: "n d", oneWay: true,
 		checks: func(el *EdgeList, p ModelParams) []validate.Check { return validate.BA(el, p.N, p.D) },
 		bind: func(p ModelParams, o Options) instance {
 			return bindPkg(ba.Params{N: p.N, D: p.D, Seed: o.Seed, Chunks: o.pes()}, ba.StreamChunk)
 		},
 	},
 	{
-		name: ModelRMAT, reads: "m scale", version: rmat.InstanceVersion,
+		name: ModelRMAT, reads: "m scale", version: rmat.InstanceVersion, oneWay: true,
 		n:      func(p ModelParams) uint64 { return rmat.Params{Scale: p.Scale}.N() },
 		checks: func(el *EdgeList, p ModelParams) []validate.Check { return validate.RMAT(el, p.Scale, p.M) },
 		bind: func(p ModelParams, o Options) instance {
@@ -187,7 +190,7 @@ var modelTable = []modelDesc{
 
 func gnmModel(name Model, directed bool) modelDesc {
 	return modelDesc{
-		name: name, reads: "n m",
+		name: name, reads: "n m", oneWay: directed,
 		checks: func(el *EdgeList, p ModelParams) []validate.Check { return validate.GNM(el, p.N, p.M, directed) },
 		bind: func(p ModelParams, o Options) instance {
 			return bindPkg(gnm.Params{N: p.N, M: p.M, Directed: directed, Seed: o.Seed, Chunks: o.pes()}, gnm.StreamChunk)
@@ -197,7 +200,7 @@ func gnmModel(name Model, directed bool) modelDesc {
 
 func gnpModel(name Model, directed bool) modelDesc {
 	return modelDesc{
-		name: name, reads: "n p",
+		name: name, reads: "n p", oneWay: directed,
 		checks: func(el *EdgeList, p ModelParams) []validate.Check { return validate.GNP(el, p.N, p.P, directed) },
 		bind: func(p ModelParams, o Options) instance {
 			return bindPkg(gnp.Params{N: p.N, P: p.P, Directed: directed, Seed: o.Seed, Chunks: o.pes()}, gnp.StreamChunk)
@@ -358,6 +361,14 @@ func InstanceVersion(model Model) int {
 		return d.version
 	}
 	return 1
+}
+
+// BothOrientations reports whether the model's stream lists every edge
+// as both (u, v) and (v, u) — what an undirected format such as METIS
+// needs. gnm_directed, gnp_directed, ba and rmat list each edge once.
+func BothOrientations(model Model) bool {
+	d, err := lookup(model)
+	return err == nil && !d.oneWay
 }
 
 // New constructs a Generator by model name. Zero parameters take the
