@@ -705,6 +705,47 @@ func All() []Case {
 		}
 	}
 
+	// --- Plain streams: job.Stream, which is all of plain `kagen`, of
+	// eight large chunks on two goroutines into a file. user/wall is the
+	// number of cores the stream kept busy; at 1.0 the chunks generate one
+	// after another. A -short (benchsuite -quick) run streams 1/16 of it.
+	for _, format := range []kagen.Format{kagen.FormatText, kagen.FormatBinary} {
+		add("Job/stream/"+string(format)+"/G=2", func(b *testing.B) {
+			p := kagen.ModelParams{N: 1 << 22, M: 1 << 23}
+			if testing.Short() {
+				p.N, p.M = p.N/16, p.M/16
+			}
+			streamer, err := kagen.New(kagen.ModelGNMDirected, p, kagen.Options{Seed: 1, PEs: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			out, err := os.Create(filepath.Join(b.TempDir(), "stream."+string(format)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer out.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			user := userSeconds()
+			for i := 0; i < b.N; i++ {
+				if err := out.Truncate(0); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := out.Seek(0, io.SeekStart); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := job.Stream(streamer, format, out, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if user >= 0 {
+				b.ReportMetric((userSeconds()-user)/b.Elapsed().Seconds(), "user/wall")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.M), "ns/edge")
+		})
+	}
+
 	// --- Read side: merging a finished job (segment copy + digest check,
 	// gzip members inflated for the check only) and a sampled verify, on
 	// GOMAXPROCS goroutines ---

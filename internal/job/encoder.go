@@ -64,7 +64,8 @@ type chunkTrailer struct {
 // process takes from and gives back to this one list: blocks outlive the
 // worker, Stream, Merge or Verify pass that made them, and the next run in
 // the process starts with them. The list holds at most what the process's
-// pipelines held at once, which their windows bound. It is not a
+// pipelines held at once: pe.QueueBudget + G + 1 blocks, 64 MiB and a few
+// blocks, for each pipeline of G goroutines that ran at once. It is not a
 // sync.Pool: under the race detector a Pool drops a quarter of its puts,
 // so a steady state that allocates nothing could not be tested there.
 var freeBlocks struct {
@@ -75,7 +76,7 @@ var freeBlocks struct {
 // blockList is one pipeline's door to freeBlocks. Producers get and the
 // ordered stage puts, on different goroutines; it counts the blocks the
 // pipeline holds and the most it held at once, so tests can check that
-// every block comes back and that the window bounds them.
+// every block comes back and that the queue budget bounds them.
 type blockList struct {
 	taken int // blocks got and not yet put; guarded by freeBlocks.mu
 	peak  int // the most blocks taken at once; guarded by freeBlocks.mu

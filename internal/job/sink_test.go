@@ -15,6 +15,7 @@ import (
 
 	kagen "repro"
 	"repro/internal/obs"
+	"repro/internal/pe"
 	"repro/internal/storage"
 )
 
@@ -434,7 +435,7 @@ func TestSinkFailurePaths(t *testing.T) {
 			if out := encs.blocks.taken; out != 0 {
 				t.Errorf("%d of the run's blocks never returned to the free list", out)
 			}
-			if max := 2*G*16 + G + 1; encs.blocks.peak > max {
+			if max := pe.QueueBudget + G + 1; encs.blocks.peak > max {
 				t.Errorf("%d blocks held at once, bound is %d", encs.blocks.peak, max)
 			}
 			assertNoGoroutineLeak(t, before)
@@ -550,9 +551,11 @@ func TestBlocksOutliveTheRun(t *testing.T) {
 // TestSinkMemoryBoundedByBlocks: what a job holds in flight is a bounded
 // number of 64 KiB blocks, whatever the chunk size. One PE of two 32 MiB
 // binary chunks runs on two goroutines — so the second chunk's producer
-// runs ahead of the head and queues — and the live heap at each
-// checkpoint, which includes the blocks in flight, must stay a few MiB
-// above the heap before the run.
+// runs ahead of the head and queues, up to the whole chunk, which is
+// within pe.QueueBudget — and the live heap at each checkpoint, which
+// includes the blocks in flight and those back on the free list, must
+// stay within the budget's bytes and a few MiB above the heap before the
+// run.
 func TestSinkMemoryBoundedByBlocks(t *testing.T) {
 	spec := Spec{Model: "gnm_directed", N: 1 << 20, M: 4_400_000, Seed: 2,
 		PEs: 1, ChunksPerPE: 2, Workers: 1, Format: "binary"}
@@ -580,7 +583,7 @@ func TestSinkMemoryBoundedByBlocks(t *testing.T) {
 	if len(chunkEdges) != 2 || chunkEdges[0]*16 < 32<<20 || (chunkEdges[1]-chunkEdges[0])*16 < 32<<20 {
 		t.Fatalf("cumulative edges at the checkpoints %v, want two chunks of >= 32 MiB of payload each", chunkEdges)
 	}
-	const ceiling = 6 << 20
+	const ceiling = pe.QueueBudget*blockSize + 6<<20
 	if peak > base+ceiling {
 		t.Errorf("live heap grew by %.1f MiB over a run of 32 MiB chunks, ceiling %d MiB",
 			float64(peak-base)/(1<<20), ceiling>>20)

@@ -15,7 +15,9 @@ import (
 // it: the goroutines (0 = GOMAXPROCS) generate, encode and, for .gz, gzip
 // whole chunks in parallel, and pe.Ordered writes their blocks into out
 // in chunk order. The head chunk's blocks reach out while it generates,
-// so memory is a bounded number of blocks, never a chunk.
+// and the chunks behind it queue whole up to pe.QueueBudget blocks
+// (64 MiB), so large chunks generate in parallel and memory is a bounded
+// number of blocks, never a chunk larger than the budget.
 //
 // The bytes are Merge's for a one-chunk-per-PE job of the same instance,
 // with one exception: plain binary carries the exact edge count only

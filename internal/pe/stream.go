@@ -12,11 +12,14 @@ import (
 // buffered footprint stays tiny compared to whole chunks.
 const DefaultBatchSize = 4096
 
-// maxQueuedBatches bounds the batch list queued for one not-yet-delivered
-// PE. A producer that runs this far ahead of the delivery head blocks
-// until the head catches up, which caps the pipeline's buffered items at
-// window * maxQueuedBatches * batchSize regardless of chunk sizes.
-const maxQueuedBatches = 16
+// QueueBudget bounds the items queued behind the delivery head, counted
+// over every PE of one Ordered run. Each item that carries bytes across
+// Ordered in this repository is 64 KiB — a job block, or a Stream batch of
+// DefaultBatchSize 16-byte edges (Verify's one result per chunk is
+// smaller) — so the budget is 64 MiB: a chunk of that size or less runs
+// ahead of the head to its end, and only once the whole pipeline holds
+// the budget does a producer ahead of the head wait.
+const QueueBudget = 1024
 
 // Stream executes produce for every pe in [first, first+count) on a
 // bounded worker pool and hands the items it produces to consume in
@@ -48,10 +51,10 @@ const maxQueuedBatches = 16
 // during the consume call.
 //
 // The head PE's batches are flushed as they fill — while the chunk is
-// still generating — so the pipeline's buffered footprint is bounded by
-// window * maxQueuedBatches * batchSize items (window = 2*workers), not
-// by the largest chunk. At most window chunks are admitted beyond the
-// delivery head.
+// still generating — and the batches queued behind the head share one
+// budget (Ordered), so the pipeline buffers at most QueueBudget + workers
+// batches, not the largest chunk. At most 2*workers chunks are admitted
+// beyond the delivery head.
 //
 // consume runs on whichever worker owns the delivery head; calls never
 // overlap. The first error returned by consume stops the run: no further
@@ -124,11 +127,13 @@ type queued[B any] struct {
 // per-goroutine state without locking.
 //
 // The head PE's items are delivered as they are sent, while that PE is
-// still producing; a producer ahead of the head queues at most
-// maxQueuedBatches items and then blocks until the head catches up, and
-// at most window = 2*workers PEs are admitted beyond the head, so the
-// items in flight are bounded by window*maxQueuedBatches plus one per
-// worker, never by what a PE produces.
+// still producing. The items queued behind the head share one budget of
+// QueueBudget, whatever PEs they belong to: a producer ahead of the head
+// queues freely until the whole pipeline holds the budget, and then waits
+// until the head drains it. The head itself waits only while another
+// worker is delivering its items, which always makes progress. At most
+// 2*workers PEs are admitted beyond the head, so the items in flight are
+// bounded by QueueBudget plus one per worker, never by what a PE produces.
 //
 // consume runs on whichever worker owns the delivery head (with one
 // worker: inside send); calls never overlap. The first error it returns
@@ -136,6 +141,15 @@ type queued[B any] struct {
 // and the error is returned. A PE whose produce is already running
 // completes, with its output released undelivered.
 func Ordered[B any](first, count, workers int,
+	produce func(worker, pe int, send func(item B, final bool) bool),
+	consume func(pe int, item B, final bool) error,
+	release func(item B)) error {
+	return ordered(first, count, workers, QueueBudget, produce, consume, release)
+}
+
+// ordered is Ordered with the queue budget as a parameter, so the tests
+// can make it bind with a few items.
+func ordered[B any](first, count, workers, budget int,
 	produce func(worker, pe int, send func(item B, final bool) bool),
 	consume func(pe int, item B, final bool) error,
 	release func(item B)) error {
@@ -169,6 +183,7 @@ func Ordered[B any](first, count, workers int,
 		cond       = sync.NewCond(&mu)
 		next, head int // relative to first
 		queues     = make(map[int][]queued[B])
+		nQueued    int // items in queues, over all PEs
 		delivering bool
 		firstErr   error
 	)
@@ -194,6 +209,7 @@ func Ordered[B any](first, count, workers int,
 			} else {
 				queues[head] = q[1:]
 			}
+			nQueued--
 			h := head
 			if e.final {
 				head++
@@ -210,17 +226,17 @@ func Ordered[B any](first, count, workers int,
 		delivering = false
 	}
 
-	// flush queues one item for delivery. A producer running too far
-	// ahead of the delivery waits here: non-head PEs until the head
-	// catches up, the head PE only while another worker owns the drain
-	// loop (the drainer broadcasts after every consume and exits only on
-	// an empty queue, so the wait always makes progress — and keeps
-	// queues[head] bounded even against a sink slower than the producer).
-	// A head producer with no active drainer never waits; it delivers its
-	// own backlog via drain.
+	// flush queues one item for delivery. Once the queues hold the
+	// budget, a producer waits here: non-head PEs until the head drains
+	// the queues below it, the head PE only while another worker owns the
+	// drain loop (the drainer broadcasts after every consume and exits only
+	// on an empty queue, so the wait always makes progress — and keeps
+	// queues[head] within the budget even against a sink slower than the
+	// producer). A head producer with no active drainer never waits; it
+	// delivers its own backlog via drain.
 	flush := func(pe int, item B, final bool) bool {
 		mu.Lock()
-		for firstErr == nil && (pe != head || delivering) && len(queues[pe]) >= maxQueuedBatches {
+		for firstErr == nil && (pe != head || delivering) && nQueued >= budget {
 			cond.Wait()
 		}
 		if firstErr != nil {
@@ -229,6 +245,7 @@ func Ordered[B any](first, count, workers int,
 			return false
 		}
 		queues[pe] = append(queues[pe], queued[B]{item: item, final: final})
+		nQueued++
 		if pe == head {
 			drain()
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -300,4 +301,89 @@ func TestOrderedWorkerIndexAndRelease(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOrderedBudgetSharedByProducers: the items queued behind the delivery
+// head share one budget. Against a slow sink the items alive — sent and
+// not yet released — never exceed the budget plus one per worker, and the
+// budget does bind; that includes a head whose items another worker is
+// still delivering, which without its own wait would queue its whole
+// chunk. And a producer ahead of the head is not held to a per-PE share:
+// with the head parked mid-chunk, the next PE sends more than 16 items
+// and finishes.
+func TestOrderedBudgetSharedByProducers(t *testing.T) {
+	t.Run("bound", func(t *testing.T) {
+		const budget, workers, count, items = 8, 3, 12, 60
+		var mu sync.Mutex
+		alive, peak := 0, 0
+		next := 0
+		err := ordered(0, count, workers, budget,
+			func(_, pe int, send func(int, bool) bool) {
+				for i := 0; i < items; i++ {
+					mu.Lock()
+					alive++
+					peak = max(peak, alive)
+					mu.Unlock()
+					send(pe, i == items-1)
+				}
+			},
+			func(pe, item int, final bool) error {
+				if item != next {
+					t.Errorf("item of PE %d delivered while the head is %d", item, next)
+				}
+				if final {
+					next++
+				}
+				time.Sleep(20 * time.Microsecond)
+				return nil
+			},
+			func(int) {
+				mu.Lock()
+				alive--
+				mu.Unlock()
+			})
+		if err != nil || next != count {
+			t.Fatalf("err %v, delivered %d PEs, want %d", err, next, count)
+		}
+		if peak > budget+workers || peak < budget {
+			t.Errorf("%d items alive at once, want between the budget %d and %d", peak, budget, budget+workers)
+		}
+	})
+	t.Run("no per-PE share", func(t *testing.T) {
+		const budget, items = 64, 48
+		done := make(chan struct{})
+		parked := false
+		var got []int
+		err := ordered(0, 2, 2, budget,
+			func(_, pe int, send func(int, bool) bool) {
+				if pe == 1 {
+					for i := 0; i < items; i++ {
+						send(1, i == items-1)
+					}
+					close(done)
+					return
+				}
+				send(0, false)
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					parked = true // PE 1 is stuck behind the parked head
+				}
+				send(0, true)
+			},
+			func(pe, item int, final bool) error {
+				got = append(got, item)
+				return nil
+			},
+			func(int) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parked {
+			t.Fatalf("PE 1 did not finish its %d items while the head was parked", items)
+		}
+		if len(got) != items+2 || got[0] != 0 || got[1] != 0 || got[2] != 1 {
+			t.Fatalf("delivered %v, want PE 0's two items, then PE 1's %d", got, items)
+		}
+	})
 }

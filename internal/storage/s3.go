@@ -117,36 +117,46 @@ type s3Backend struct {
 	cfg  s3Config
 	hc   *http.Client
 	sign signer
-
-	// partMu guards parts, the free list of multipart part buffers. A
-	// shard takes a buffer for every part it builds and gives it back once
-	// the store acknowledged that part's upload, so the next shard written
-	// through this backend fills the buffers of the one before instead of
-	// growing new ones. The list keeps at most what two open shards can
-	// have out, 2 * (concurrency + 1); any buffer beyond that is dropped.
-	partMu sync.Mutex
-	parts  [][]byte
 }
 
-// takePart returns an empty part buffer from the free list, or nil.
+// freeParts is the free list of multipart part buffers, one for the
+// process: a buffer outlives the shard, and the backend, that grew it. A
+// shard takes a buffer for every part it builds and gives it back once
+// the store acknowledged that part's upload, so the next shard written —
+// in this run or a later one, whose worker resolves a backend of its own
+// — fills the buffers of the ones before instead of growing new ones.
+// The list keeps at most what two open shards can have out,
+// 2 * (concurrency + 1) of the giving backend; any buffer beyond that is
+// dropped.
+var freeParts struct {
+	mu   sync.Mutex
+	list [][]byte
+}
+
+// takePart returns an empty part buffer from the free list, or nil. It
+// hands out only a buffer of at least twice the backend's part size, the
+// size of a fresh one, so a part of one chunk never regrows.
 func (b *s3Backend) takePart() []byte {
-	b.partMu.Lock()
-	defer b.partMu.Unlock()
-	n := len(b.parts)
-	if n == 0 {
-		return nil
+	freeParts.mu.Lock()
+	defer freeParts.mu.Unlock()
+	list := freeParts.list
+	for i := len(list) - 1; i >= 0; i-- {
+		if buf := list[i]; int64(cap(buf)) >= 2*b.cfg.partSize {
+			last := len(list) - 1
+			list[i], list[last] = list[last], nil
+			freeParts.list = list[:last]
+			return buf
+		}
 	}
-	buf := b.parts[n-1]
-	b.parts = b.parts[:n-1]
-	return buf
+	return nil
 }
 
 // givePart puts back the buffer of a part whose upload was acknowledged.
 func (b *s3Backend) givePart(buf []byte) {
-	b.partMu.Lock()
-	defer b.partMu.Unlock()
-	if len(b.parts) < 2*(b.cfg.concurrency+1) {
-		b.parts = append(b.parts, buf[:0])
+	freeParts.mu.Lock()
+	defer freeParts.mu.Unlock()
+	if len(freeParts.list) < 2*(b.cfg.concurrency+1) {
+		freeParts.list = append(freeParts.list, buf[:0])
 	}
 }
 

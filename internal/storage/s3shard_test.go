@@ -10,11 +10,12 @@ import (
 	"repro/internal/storage/s3test"
 )
 
-// TestPartBuffersReusedAcrossShards: part buffers outlive the shard that
-// grew them. The second shard written through one resolved backend builds
-// its parts in the buffers the first one gave back and allocates no part
-// buffer of its own, and the backend keeps no more buffers than two open
-// shards can have out.
+// TestPartBuffersReusedAcrossShards: part buffers outlive the shard and
+// the backend that grew them. The second shard, written through a backend
+// resolved anew as the next job run resolves its own, builds its parts in
+// the buffers the first one gave back to the process's free list and
+// allocates no part buffer of its own, and the list keeps no more buffers
+// than two open shards can have out.
 func TestPartBuffersReusedAcrossShards(t *testing.T) {
 	const concurrency = 2
 	srv := s3test.New("test-access", "test-secret", "bkt")
@@ -25,18 +26,18 @@ func TestPartBuffersReusedAcrossShards(t *testing.T) {
 	t.Setenv("AWS_REGION", "us-east-1")
 	t.Setenv("KAGEN_S3_PART_SIZE", "1024")
 	t.Setenv("KAGEN_S3_CONCURRENCY", fmt.Sprint(concurrency))
-	be, err := Resolve("s3://bkt/job")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := be.(*s3Backend)
+	emptyFreeParts()
 
 	// Eight 700-byte chunks: two to a part, so four parts a shard, each
 	// in a buffer of twice the part size.
 	chunk := bytes.Repeat([]byte("0123456789"), 70)
 	write := func(key string) {
 		t.Helper()
-		w, err := b.CreateShard("s3://bkt/" + key)
+		be, err := Resolve("s3://bkt/job")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := be.CreateShard("s3://bkt/" + key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,10 +58,10 @@ func TestPartBuffersReusedAcrossShards(t *testing.T) {
 		}
 	}
 	buffers := func() map[*byte]bool {
-		b.partMu.Lock()
-		defer b.partMu.Unlock()
-		set := make(map[*byte]bool, len(b.parts))
-		for _, buf := range b.parts {
+		freeParts.mu.Lock()
+		defer freeParts.mu.Unlock()
+		set := make(map[*byte]bool, len(freeParts.list))
+		for _, buf := range freeParts.list {
 			set[unsafe.SliceData(buf[:cap(buf)])] = true
 		}
 		return set
@@ -69,7 +70,7 @@ func TestPartBuffersReusedAcrossShards(t *testing.T) {
 	write("pe0.bin")
 	first := buffers()
 	if len(first) == 0 {
-		t.Fatal("no part buffer came back to the backend after the first shard")
+		t.Fatal("no part buffer came back to the free list after the first shard")
 	}
 	write("pe1.bin")
 	second := buffers()
@@ -80,16 +81,22 @@ func TestPartBuffersReusedAcrossShards(t *testing.T) {
 		}
 	}
 	if len(second) > 2*(concurrency+1) {
-		t.Errorf("backend keeps %d part buffers, want at most %d", len(second), 2*(concurrency+1))
+		t.Errorf("the free list keeps %d part buffers, want at most %d", len(second), 2*(concurrency+1))
 	}
 }
 
 // TestFreshPartBufferNeverRegrows: a fresh part buffer is sized for the
 // part at once. With one-chunk parts of 1.3 x partSize written in small
 // blocks, every part is built in a single buffer of 2 x partSize that
-// keeps its backing array from the first block to the seal.
+// keeps its backing array from the first block to the seal. The run
+// starts from an empty free list, so its first part buffer is fresh; a
+// buffer that was too small would never leave the list.
 func TestFreshPartBufferNeverRegrows(t *testing.T) {
 	const partSize = 1000
+	emptyFreeParts()
+	freeParts.mu.Lock()
+	freeParts.list = append(freeParts.list, make([]byte, 0, 2*partSize-1))
+	freeParts.mu.Unlock()
 	srv := s3test.New("test-access", "test-secret", "bkt")
 	t.Cleanup(srv.Close)
 	t.Setenv("KAGEN_S3_ENDPOINT", srv.URL())
@@ -142,4 +149,12 @@ func TestFreshPartBufferNeverRegrows(t *testing.T) {
 	if got := srv.Object("bkt", "pe0.bin"); !bytes.Equal(got, want) {
 		t.Fatalf("object of %d bytes differs from the %d written", len(got), len(want))
 	}
+}
+
+// emptyFreeParts drops the part buffers earlier tests of the process left
+// on the free list, so a test sees only its own.
+func emptyFreeParts() {
+	freeParts.mu.Lock()
+	defer freeParts.mu.Unlock()
+	freeParts.list = nil
 }
